@@ -15,10 +15,10 @@ from spans import Tracer, summarize
 
 ROOT = pipeline.ROOT
 WORK = ROOT / ".bench_build" / "perfbench"
-SETUP_CHILDREN = 7
+SETUP_CHILDREN = 9
 # the CLI child runs at least this many times and for at least this long
 CLI_RUNS = 3
-CLI_SECONDS = 10.0
+CLI_SECONDS = 18.0
 CHILD_TIMEOUT = 150
 
 SPANS = ("generate.random_datum", "serialize.dumps", "cli.parse", "serialize.params_in",

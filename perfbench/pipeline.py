@@ -72,11 +72,6 @@ WORKLOADS = {w.name: w for w in (
     Workload("verify-ramified", "verify",
              _duality_shapes((2, 3, 5), (1, 2), (2, 3), (2, 3)), 4, 3,
              "bc07ab97a0c6718c5bb487f1dd4cc1eadfc12b75ba714bd86f07e088b9f7214a"),
-    # acceptance test_02's mix: generation (W unit tests in
-    # random_invertible) and factorization re-runs dominate; flags idle
-    Workload("generate-tall", "verify",
-             _duality_shapes((2, 3), (1,), (1,), (2, 3, 4, 5, 6)), 2, 1,
-             "affb770b8198cf04f094fe735beabb05798b28bd968f26072f820c07b03a2b88"),
     # read-only invariants over large residue fields: the per-document
     # tower rebuild in params_in and k arithmetic on up to 7^4 elements
     Workload("invariants-wide", "invariants",

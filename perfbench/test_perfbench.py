@@ -15,7 +15,9 @@ from hasseforge.generate import random_datum
 
 HERE = Path(__file__).resolve().parent
 SPEC = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-SMALL = pipeline.WORKLOADS["generate-tall"]
+# verify-mode documents for the gate; the cheaper workload for whole runs
+VERIFY = pipeline.WORKLOADS["verify-ramified"]
+SMALL = pipeline.WORKLOADS["invariants-wide"]
 
 
 def corpus_digest(specs):
@@ -34,10 +36,10 @@ def _run_docs(workload, specs):
 
 
 def test_same_seed_same_corpus_and_counts():
-    specs = _first(SMALL, 5, 6)
-    assert specs == _first(SMALL, 5, 6)
-    assert corpus_digest(specs) == corpus_digest(_first(SMALL, 5, 6))
-    a, b = _run_docs(SMALL, specs), _run_docs(SMALL, specs)
+    specs = _first(VERIFY, 5, 6)
+    assert specs == _first(VERIFY, 5, 6)
+    assert corpus_digest(specs) == corpus_digest(_first(VERIFY, 5, 6))
+    a, b = _run_docs(VERIFY, specs), _run_docs(VERIFY, specs)
     assert [r.row for r in a] == [r.row for r in b]
     counts = lambda rs: [(r.sections, r.verdicts, r.not_applicable) for r in rs]
     assert counts(a) == counts(b)
@@ -66,7 +68,7 @@ def _edit_first_verdict(row, **changes):
 
 
 def test_gate_trips_on_one_flipped_scalar():
-    res = _run_docs(SMALL, _first(SMALL, 0, 2))
+    res = _run_docs(VERIFY, _first(VERIFY, 0, 2))
     rows = [r.row for r in res]
     scalar = json.loads(rows[1])["verdicts"][0]["scalar_G"]
     flipped = _edit_first_verdict(rows[1], scalar_G=scalar + 1)
@@ -77,18 +79,18 @@ def test_gate_trips_on_one_flipped_scalar():
 
     spec = res[1].spec
     pidiv = True if spec.lifted else None
-    assert pipeline.check_row(SMALL, spec, rows[1], True, True, pidiv) == []
+    assert pipeline.check_row(VERIFY, spec, rows[1], True, True, pidiv) == []
     unequal = _edit_first_verdict(rows[1], equal=False)
     assert any("not equal" in p
-               for p in pipeline.check_row(SMALL, spec, unequal, True, True, pidiv))
-    assert pipeline.check_row(SMALL, spec, rows[1], True, False, pidiv) == ["factorization failed"]
+               for p in pipeline.check_row(VERIFY, spec, unequal, True, True, pidiv))
+    assert pipeline.check_row(VERIFY, spec, rows[1], True, False, pidiv) == ["factorization failed"]
 
 
 def test_a_raising_document_is_a_failed_document(monkeypatch):
     def boom(D):
         raise RuntimeError("injected")
     monkeypatch.setattr(pipeline, "all_verdicts", boom)
-    res = _run_docs(SMALL, _first(SMALL, 0, 1))[0]
+    res = _run_docs(VERIFY, _first(VERIFY, 0, 1))[0]
     assert res.problems and "injected" in res.problems[0]
 
 
