@@ -22,7 +22,7 @@ from .errors import InvalidDatum, InvalidLift, InvalidSpec
 from .flags import extended_flag
 from .kspace import annihilator, kdim_rsub
 from .linalg import Matrix, SemilinearMap, Submodule
-from .rings import SMALL_PRIMES, make_tower
+from .rings import SMALL_PRIMES, RingTower
 
 
 class Params:
@@ -40,7 +40,7 @@ class Params:
         if not 0 <= d1 <= h1:
             raise InvalidSpec("need 0 <= d1 <= h1")
         self.p, self.f, self.e, self.h1, self.d1 = p, f, e, h1, d1
-        self.tower = make_tower(p, f, e, field_modulus=field_modulus, eisenstein=eisenstein)
+        self.tower = RingTower(p, f, e, field_modulus=field_modulus, eisenstein=eisenstein)
         self.k = self.tower.k
         self.R = self.tower.R
         self.W2 = self.tower.W2
@@ -210,7 +210,7 @@ class LiftedDatum:
     def reduce(self) -> DieudonneDatum:
         if self._reduction is None:
             p = self.params
-            red = p.tower.red_to_R
+            red = p.W.reduce
             Fr = [self.F[i].matrix.map(red, p.R) for i in range(p.f)]
             Vr = [self.V[i].matrix.map(red, p.R) for i in range(p.f)]
             self._reduction = DieudonneDatum(p, Fr, Vr, pr_flags=self._pr_flags)

@@ -100,10 +100,9 @@ def random_lifted(params, rng) -> LiftedDatum:
         V_mats.append(B.inverse().mul(Dc).mul(A.inverse()).frob(-1))
     flags = None
     if p.e > 1:
-        red = p.tower.red_to_R
         flags = []
         for i in range(p.f):
-            Vr = V_mats[(i + 1) % p.f].map(red, R)
+            Vr = V_mats[(i + 1) % p.f].map(W.reduce, R)
             flags.append(sample_flag(R, _column_span(Vr), p.d1, rng))
     return LiftedDatum(p, F_mats, V_mats, pr_flags=flags)
 

@@ -425,7 +425,7 @@ def check_pi_divisibility(D, i, rng=None, samples=20) -> bool:
         rng = random.Random(7)
     R = p.R
     i1 = (i - 1) % p.f
-    ubar = p.tower.red_to_R(p.tower.unit_u)
+    ubar = p.W.reduce(p.tower.unit_u)
     F, V = red.F[i], red.V[i]
     for j in range(1, p.e + 1):
         S = F.preimage(_torsion(R, p.h1, p.e - j))

@@ -196,10 +196,14 @@ class Matrix:
         return Matrix(ring, inv)
 
     def is_invertible(self):
-        ring = self.ring
+        """Decided over the residue field k: over a local ring a square
+        matrix is invertible exactly when its entrywise reduction is."""
         if self.m != self.n:
             return False
-        return ring.is_unit(self.det())
+        ring = self.ring
+        k = ring.k
+        red = self if ring is k else self.map(ring.res, k)
+        return red.det() != k.zero
 
     def det(self):
         if self.m != self.n:
@@ -549,6 +553,6 @@ def random_matrix(ring, m, n, rng) -> Matrix:
 def random_invertible(ring, n, rng, tries=1000) -> Matrix:
     for _ in range(tries):
         M = random_matrix(ring, n, n, rng)
-        if ring.is_unit(M.det()):
+        if M.is_invertible():
             return M
     raise AssertionError("no invertible matrix found; the odds say the rng is broken")

@@ -25,16 +25,30 @@ from __future__ import annotations
 import itertools
 
 from . import polyutil
-from .errors import InvalidSpec
+from .errors import InvalidSpec, InvariantViolation
 
 SMALL_PRIMES = (2, 3, 5, 7)
+# FiniteField keeps O(q) tables; a larger p^f is refused before any is built
+MAX_FIELD_SIZE = 1 << 16
 
 
 class FiniteField:
-    """F_{p^f} on integer codes, multiplication through exp/log tables.
+    """F_{p^f} on integer codes, every operation a table lookup.
 
-    q <= 7^4 in practice, so full tables are cheap and every operation
-    is a couple of list lookups.
+    Fix the smallest primitive code g.  With n = q - 1 the tables are
+
+        _exp   g^i for i in [0, 2n), then n zeros: a sum of two logs, or
+               a log plus 2n, needs no reduction mod n
+        _log   log_g of each nonzero code; _log[0] = 2n, which points into
+               the zero block of _exp
+        _zech  Z(i) = log_g(1 + g^i) for i in [0, n), read off _log, so
+               Z(i) = 2n where 1 + g^i = 0
+        _neg   -a for every code
+        _frob  [j][a] = a^(p^j) for j in [0, f)
+
+    all of size O(q) and built in O(q f).  mul is two lookups into _log
+    and one into _exp; inv one of each; neg and frob one; add (a Zech
+    step, a + b = g^la (1 + g^(lb - la))) four; sub is add(a, -b).
     """
 
     capacity = 1
@@ -44,6 +58,8 @@ class FiniteField:
             raise InvalidSpec("p must be one of %s, got %r" % (SMALL_PRIMES, p))
         if f < 1:
             raise InvalidSpec("f must be >= 1")
+        if f >= MAX_FIELD_SIZE.bit_length() or p**f > MAX_FIELD_SIZE:
+            raise InvalidSpec("field size %d^%d exceeds %d" % (p, f, MAX_FIELD_SIZE))
         if modulus is None:
             modulus = polyutil.smallest_irreducible(p, f)
         modulus = [c % p for c in polyutil.trim(list(modulus))] or [0]
@@ -64,6 +80,12 @@ class FiniteField:
     def __repr__(self):
         return "GF(%d^%d)" % (self.p, self.f)
 
+    @property
+    def k(self):
+        """The residue field of a field is itself (a property, not an
+        attribute, so that a field holds no reference cycle)."""
+        return self
+
     def to_poly(self, a: int) -> list[int]:
         out = []
         for _ in range(self.f):
@@ -71,71 +93,84 @@ class FiniteField:
             a //= self.p
         return polyutil.trim(out)
 
-    def from_poly(self, coeffs) -> int:
-        coeffs = polyutil.mod_monic(list(coeffs), self.modulus, self.p)
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + c
-        return code
+    def _generator(self) -> int:
+        """Smallest primitive code: c^((q-1)/r) != 1 for each prime r | q-1."""
+        p, q = self.p, self.q
+        if q == 2:
+            return 1
+        cofactors = [(q - 1) // r for r in polyutil._prime_factors(q - 1)]
+        # for f > 1 the constants 2..p-1 lie in F_p^*, of order p - 1 < q - 1
+        return next(c for c in range(2 if self.f == 1 else p, q)
+                    if all(polyutil.powmod(self.to_poly(c), n, self.modulus, p) != [1]
+                           for n in cofactors))
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        return self.from_poly(polyutil.mul(self.to_poly(a), self.to_poly(b), self.p))
-
-    def _mult_order(self, a: int) -> int:
-        n, acc = 1, a
-        while acc != 1:
-            acc = self._raw_mul(acc, a)
-            n += 1
-        return n
+    def _times_table(self, c: int) -> list[int]:
+        """[code of c*a for every code a], built one base-p digit of the
+        product at a time: a -> c*a is F_p-linear on digit vectors, so the
+        block of codes d*p^j + a (a < p^j) is the block below shifted by
+        d times the digits of c*x^j."""
+        p, f = self.p, self.f
+        cx = self.to_poly(c)
+        cols = []  # cols[j][i] = digit i of c*x^j
+        for j in range(f):
+            col = polyutil.mod_monic(polyutil.mul(cx, [0] * j + [1], p), self.modulus, p)
+            cols.append(col + [0] * (f - len(col)))
+        digits = [[0] for _ in range(f)]  # digits[i][a] = digit i of c*a
+        for j in range(f):
+            for i in range(f):
+                plane, cij = digits[i], cols[j][i]
+                digits[i] = plane + [(x + d * cij) % p for d in range(1, p) for x in plane]
+        codes = digits[-1]
+        for i in range(f - 2, -1, -1):
+            codes = [x * p + y for x, y in zip(codes, digits[i])]
+        return codes
 
     def _build_tables(self):
         p, f, q = self.p, self.f, self.q
-        if q == 2:
-            gen = 1
-        else:
-            gen = next(c for c in range(2, q) if self._mult_order(c) == q - 1)
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
-        log = [0] * q
+        n = q - 1
+        times_g = self._times_table(self._generator())
+        exp = [1] * n
+        for i in range(1, n):
+            exp[i] = times_g[exp[i - 1]]
+        log = [-1] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp, self._log = exp, log
-        # frob(.,j) is y -> y^(p^j); on logs that is multiplication by p^j
+        if -1 in log[1:]:
+            raise InvariantViolation("exp table of %r is not a permutation of the "
+                                     "nonzero codes" % self)
+        log[0] = 2 * n
+        self._exp = exp + exp + [0] * n
+        self._log = log
+        # 1 + c changes only the lowest base-p digit of the code c
+        self._zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp]
+        half = n // 2 if p != 2 else 0  # -1 = g^(n/2) in odd characteristic
+        self._neg = [0] + [exp[(i + half) % n] for i in log[1:]]
+        # frob(., j) is y -> y^(p^j); on logs that is multiplication by p^j
         self._frob = []
         for j in range(f):
-            shift = pow(p, j, q - 1) if q > 2 else 0
-            tab = [0] * q
-            for v in range(1, q):
-                tab[v] = exp[(log[v] * shift) % (q - 1)]
-            self._frob.append(tab)
+            s = pow(p, j, n)
+            self._frob.append([0] + [exp[i * s % n] for i in log[1:]])
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a % p) + (b % p)) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        # log[b] - la lies in (-n, n); a negative index wraps mod n = len(_zech)
+        return self._exp[la + self._zech[log[b] - la]]
 
     def neg(self, a: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        while a:
-            out += (p - a % p) % p * mult
-            a //= p
-            mult *= p
-        return out
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.add(a, self._neg[b])
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
 
     def is_unit(self, a: int) -> bool:
         return a != 0
@@ -143,7 +178,7 @@ class FiniteField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 is not invertible in %r" % self)
-        return self._exp[-self._log[a] % (self.q - 1)]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def frob(self, a: int, j: int = 1) -> int:
         return self._frob[j % self.f][a]
@@ -584,7 +619,8 @@ class EisensteinLift(object):
 
 
 class RingTower:
-    """k, R, W2, W built from (p, f, e) and optional moduli, plus the maps between layers."""
+    """k, R, W2, W built from (p, f, e) and optional moduli; W.lift and
+    W.reduce are the maps between R and W."""
 
     def __init__(self, p, f, e, field_modulus=None, eisenstein=None):
         self.k = FiniteField(p, f, field_modulus)
@@ -598,12 +634,6 @@ class RingTower:
         self.eisenstein = self.W.E
         self.unit_u = self.W.unit_u
 
-    def lift_to_W(self, x):
-        return self.W.lift(x)
-
-    def red_to_R(self, xw):
-        return self.W.reduce(xw)
-
     def describe(self) -> dict:
         return {
             "p": self.p,
@@ -612,10 +642,6 @@ class RingTower:
             "field_modulus": list(self.field_modulus),
             "eisenstein": list(self.eisenstein),
         }
-
-
-def make_tower(p, f, e, field_modulus=None, eisenstein=None) -> RingTower:
-    return RingTower(p, f, e, field_modulus=field_modulus, eisenstein=eisenstein)
 
 
 def pi_digits(ring, x) -> list[int]:

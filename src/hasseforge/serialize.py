@@ -20,24 +20,74 @@ def _elt_out(x):
     return x if isinstance(x, int) else [_elt_out(c) for c in x]
 
 
-def _elt_in(d):
-    return d if isinstance(d, int) else tuple(_elt_in(c) for c in d)
+def _list(x, what, length=None):
+    if not isinstance(x, (list, tuple)):
+        raise InvalidSpec("%s must be a list, got %.40r" % (what, x))
+    if length is not None and len(x) != length:
+        raise InvalidSpec("%s must be a list of length %d, got %.40r" % (what, length, x))
+    return x
+
+
+def _bad_code(x, bound, what):
+    raise InvalidSpec("%s must be an integer in [0, %d), got %.40r" % (what, bound, x))
+
+
+def _elt_reader(params, lifted):
+    """Reader for one document ring element over params.R, or over params.W
+    when lifted: checks type, shape and range in one pass over the element
+    and returns its tuple form.  type() rather than isinstance() keeps JSON
+    true/false from passing as 1/0."""
+    e, f = params.e, params.f
+    if lifted:
+        m = params.W2.m
+
+        def read_w2(c):
+            for x in _list(c, "a W2 element", f):
+                if type(x) is not int or not 0 <= x < m:
+                    _bad_code(x, m, "a W2 coefficient")
+            return tuple(c)
+
+        def read(x):
+            return tuple([read_w2(c) for c in _list(x, "a W element", e)])
+
+        return read
+    q = params.k.q
+
+    def read(x):
+        for c in _list(x, "an R element", e):
+            if type(c) is not int or not 0 <= c < q:
+                _bad_code(c, q, "a k code")
+        return tuple(x)
+
+    return read
 
 
 def matrix_out(M):
     return [[_elt_out(x) for x in row] for row in M.rows]
 
 
-def matrix_in(ring, data, n=None):
-    return Matrix(ring, [[_elt_in(x) for x in row] for row in data], n=n)
+def matrix_in(ring, data, n, read):
+    """n x n matrix over ring; read turns one document element into a ring element."""
+    rows = [[read(x) for x in _list(row, "a matrix row", n)]
+            for row in _list(data, "a matrix", n)]
+    return Matrix(ring, rows, n=n)
 
 
 def sub_out(S):
     return [[_elt_out(x) for x in v] for v in S.rows]
 
 
-def sub_in(R, n, data):
-    return Submodule.span(R, n, [tuple(_elt_in(x) for x in v) for v in data])
+def sub_in(R, n, data, read):
+    """Span in R^n of the generator rows in data (any number of rows)."""
+    return Submodule.span(R, n, [tuple([read(x) for x in _list(v, "a submodule row", n)])
+                                 for v in _list(data, "a submodule")])
+
+
+def _key(d, key):
+    try:
+        return d[key]
+    except KeyError:
+        raise InvalidSpec("document lacks the key %r" % key) from None
 
 
 def params_out(params):
@@ -45,8 +95,21 @@ def params_out(params):
 
 
 def params_in(d):
-    return Params(d["p"], d["f"], d["e"], d["h1"], d["d1"],
-                  field_modulus=d["field_modulus"], eisenstein=d["eisenstein"])
+    if not isinstance(d, dict):
+        raise InvalidSpec("params must be an object, got %.40r" % (d,))
+    shape = []
+    for key in ("p", "f", "e", "h1", "d1"):
+        v = _key(d, key)
+        if type(v) is not int:
+            raise InvalidSpec("params %s must be an integer, got %.40r" % (key, v))
+        shape.append(v)
+    moduli = []
+    for key in ("field_modulus", "eisenstein"):
+        v = _key(d, key)
+        if v is not None and any(type(c) is not int for c in _list(v, "params " + key)):
+            raise InvalidSpec("params %s must be a list of integers, got %.40r" % (key, v))
+        moduli.append(v)
+    return Params(*shape, field_modulus=moduli[0], eisenstein=moduli[1])
 
 
 def datum_to_dict(D) -> dict:
@@ -71,18 +134,24 @@ def datum_from_dict(d, params=None):
     if not isinstance(d, dict) or d.get("format") != FORMAT:
         raise InvalidSpec("not a %s document" % FORMAT)
     if params is None:
-        par = params_in(d["params"])
-    elif params.describe() == d["params"]:
+        par = params_in(_key(d, "params"))
+    elif params.describe() == _key(d, "params"):
         par = params
     else:
         raise InvalidSpec("document params do not match the supplied Params")
-    ring = par.W if d["lifted"] else par.R
-    F = [matrix_in(ring, m, n=par.h1) for m in d["F"]]
-    V = [matrix_in(ring, m, n=par.h1) for m in d["V"]]
+    lifted = _key(d, "lifted")
+    if type(lifted) is not bool:
+        raise InvalidSpec("lifted must be true or false, got %.40r" % (lifted,))
+    ring = par.W if lifted else par.R
+    read = _elt_reader(par, lifted)
+    F = [matrix_in(ring, m, par.h1, read) for m in _list(_key(d, "F"), "F")]
+    V = [matrix_in(ring, m, par.h1, read) for m in _list(_key(d, "V"), "V")]
     flags = d.get("pr_flags")
     if flags is not None:
-        flags = [[sub_in(par.R, par.h1, S) for S in flag] for flag in flags]
-    cls = LiftedDatum if d["lifted"] else DieudonneDatum
+        read_R = _elt_reader(par, False)
+        flags = [[sub_in(par.R, par.h1, S, read_R) for S in _list(flag, "a flag")]
+                 for flag in _list(flags, "pr_flags")]
+    cls = LiftedDatum if lifted else DieudonneDatum
     return cls(par, F, V, pr_flags=flags)
 
 

@@ -11,7 +11,8 @@ import hasseforge
 def run_module_cli():
     """Return a function that runs ``python -m hasseforge ARGV...`` in a
     fresh interpreter and returns the completed process (stdout and stderr
-    captured as bytes unless ``text=True`` is passed).
+    captured as bytes unless ``text=True`` is passed).  Interpreter options
+    such as ``-O`` go in ``python_opts``.
 
     The child's PYTHONPATH puts the directory holding the imported
     ``hasseforge`` package first, then any inherited PYTHONPATH, so the
@@ -24,8 +25,8 @@ def run_module_cli():
     env["PYTHONPATH"] = (pkg_parent + os.pathsep + inherited
                          if inherited else pkg_parent)
 
-    def run(*argv, **kwargs):
-        return subprocess.run([sys.executable, "-m", "hasseforge"] + list(argv),
+    def run(*argv, python_opts=(), **kwargs):
+        return subprocess.run([sys.executable, *python_opts, "-m", "hasseforge", *argv],
                               env=env, capture_output=True, **kwargs)
 
     return run

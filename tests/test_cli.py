@@ -1,6 +1,7 @@
 import importlib
 import io
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from hasseforge import serialize as ser
 from hasseforge.cli import main
-from hasseforge.generate import named_instance
+from hasseforge.datum import Params
+from hasseforge.generate import named_instance, random_datum
 
 
 def run_cli(capsys, *argv):
@@ -205,3 +207,48 @@ def test_oracle_subcommand(capsys):
     assert code == 0
     counts = json.loads(out)
     assert counts["prop_dual_pairs"] == 1677
+
+
+def _seeded_corpus(capsys, tmp_path):
+    parts = []
+    for params, kind in (("3,1,2,2,1", "lifted"), ("5,2,1,2,1", "charp")):
+        part = tmp_path / ("%s.json" % kind)
+        code, _, _ = run_cli(capsys, "generate", "--params", params, "--kind", kind,
+                             "--count", "2", "--seed", "5", "--out", str(part))
+        assert code == 0
+        parts.append(part.read_text())
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text("".join(parts))
+    return corpus
+
+
+def test_optimized_interpreter_same_stdout(capsys, tmp_path, run_module_cli):
+    # checks must not live in asserts, which python -O strips
+    corpus = _seeded_corpus(capsys, tmp_path)
+    for cmd in ("verify", "invariants"):
+        plain = run_module_cli(cmd, "--in", str(corpus))
+        optimized = run_module_cli(cmd, "--in", str(corpus), python_opts=("-O",))
+        assert plain.returncode == optimized.returncode == 0
+        assert plain.stdout and plain.stdout == optimized.stdout
+
+
+def test_malformed_documents_exit_2_without_traceback(run_module_cli, tmp_path):
+    # a mod-p document over F_25, so its entries are R elements of k codes
+    doc = ser.datum_to_dict(random_datum(Params(5, 2, 1, 2, 1), random.Random(1),
+                                         lifted=False))
+    string_entry = json.loads(json.dumps(doc))
+    string_entry["F"][0][0][0] = "abc"
+    ragged_row = json.loads(json.dumps(doc))
+    ragged_row["F"][0][1] = ragged_row["F"][0][1][:-1]
+    k_code_out_of_range = json.loads(json.dumps(doc))
+    k_code_out_of_range["F"][0][0][0] = [99]
+    for bad in (string_entry, ragged_row, k_code_out_of_range):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad) + "\n")
+        for opts in ((), ("-O",)):
+            proc = run_module_cli("verify", "--in", str(path), python_opts=opts,
+                                  text=True)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

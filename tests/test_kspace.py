@@ -30,11 +30,11 @@ from hasseforge.linalg import (
     vscale,
     vsub,
 )
-from hasseforge.rings import make_tower
+from hasseforge.rings import RingTower
 
-T32 = make_tower(3, 1, 2, eisenstein=[6, 0, 1])
-T22 = make_tower(2, 2, 2)
-T21 = make_tower(2, 2, 1)
+T32 = RingTower(3, 1, 2, eisenstein=[6, 0, 1])
+T22 = RingTower(2, 2, 2)
+T21 = RingTower(2, 2, 1)
 
 
 def rand_rsub(R, n, count, rng):

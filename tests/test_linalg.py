@@ -23,15 +23,15 @@ from hasseforge.linalg import (
     vscale,
     zero_vec,
 )
-from hasseforge.rings import make_tower
+from hasseforge.rings import RingTower
 
 TOWERS = {
-    "k_f2": make_tower(2, 2, 1),
-    "R_p2e2": make_tower(2, 1, 2),
-    "R_f2e2": make_tower(2, 2, 2),
-    "W2_p3": make_tower(3, 1, 1),
-    "W_p3e2": make_tower(3, 1, 2, eisenstein=[6, 0, 1]),
-    "W_p2e3": make_tower(2, 1, 3, eisenstein=[2, 0, 0, 1]),
+    "k_f2": RingTower(2, 2, 1),
+    "R_p2e2": RingTower(2, 1, 2),
+    "R_f2e2": RingTower(2, 2, 2),
+    "W2_p3": RingTower(3, 1, 1),
+    "W_p3e2": RingTower(3, 1, 2, eisenstein=[6, 0, 1]),
+    "W_p2e3": RingTower(2, 1, 3, eisenstein=[2, 0, 0, 1]),
 }
 
 

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from hasseforge.errors import InvalidSpec
+from hasseforge import polyutil
+from hasseforge.errors import InvalidSpec, InvariantViolation
 from hasseforge.polyutil import is_irreducible_fp, smallest_irreducible
-from hasseforge.rings import FiniteField, RingTower, make_tower
+from hasseforge.rings import MAX_FIELD_SIZE, FiniteField, RingTower
 
 
 def ring_axioms_exhaustive(ring):
@@ -113,6 +114,89 @@ def test_field_rejects_bad_modulus():
         FiniteField(11, 1)  # p outside the supported set
 
 
+def _digits(a, p, f):
+    return [a // p**i % p for i in range(f)]
+
+
+def _poly(a, p, f):
+    return polyutil.trim(_digits(a, p, f))
+
+
+def check_field_codes(k, pairs):
+    """The meaning of a k code, independently of the tables: base-p digits
+    are the coefficients on the power basis, so add/sub/neg act digitwise
+    mod p and mul/inv/frob are polynomial products reduced by the modulus."""
+    p, f, g = k.p, k.f, k.modulus
+
+    def reduced(poly):
+        return polyutil.mod_monic(poly, g, p)
+
+    for a, b in pairs:
+        da, db = _digits(a, p, f), _digits(b, p, f)
+        assert _digits(k.add(a, b), p, f) == [(x + y) % p for x, y in zip(da, db)]
+        assert _digits(k.sub(a, b), p, f) == [(x - y) % p for x, y in zip(da, db)]
+        prod = reduced(polyutil.mul(_poly(a, p, f), _poly(b, p, f), p))
+        assert _poly(k.mul(a, b), p, f) == prod
+    for a in {x for pair in pairs for x in pair}:
+        assert _digits(k.neg(a), p, f) == [-x % p for x in _digits(a, p, f)]
+        if a:
+            assert reduced(polyutil.mul(_poly(a, p, f), _poly(k.inv(a), p, f), p)) == [1]
+        for j in range(f):
+            assert _poly(k.frob(a, j), p, f) == polyutil.powmod(_poly(a, p, f), p**j, g, p)
+
+
+def test_field_codes_exhaustive_small_q():
+    for p in (2, 3, 5, 7):
+        f = 1
+        while p**f <= 125:
+            k = FiniteField(p, f)
+            check_field_codes(k, list(itertools.product(range(k.q), repeat=2)))
+            f += 1
+
+
+def test_field_codes_sampled_large_q():
+    rng = random.Random(17)
+    for p, f in [(5, 4), (7, 4)]:
+        k = FiniteField(p, f)
+        pairs = [(rng.randrange(k.q), rng.randrange(k.q)) for _ in range(1500)]
+        check_field_codes(k, pairs + [(0, 0), (1, k.q - 1), (k.q - 1, 0)])
+
+
+def test_field_codes_edge_cases():
+    k = FiniteField(2, 1)
+    check_field_codes(k, list(itertools.product(range(2), repeat=2)))
+    assert [k.neg(a) for a in range(2)] == [0, 1]  # -1 = 1 in characteristic 2
+    assert k.add(1, 1) == 0
+    # x^2 + 1 over F_3: x (code 3) has order 4 < 8, so the generator is not x
+    k = FiniteField(3, 2, [1, 0, 1])
+    assert [k.mul(3, 3), k.mul(k.mul(3, 3), k.mul(3, 3))] == [2, 1]
+    check_field_codes(k, list(itertools.product(range(9), repeat=2)))
+
+
+def test_field_tables_are_linear_in_q():
+    for p, f in [(2, 1), (3, 2), (7, 4)]:
+        k = FiniteField(p, f)
+        for table in [k._exp, k._log, k._zech, k._neg] + k._frob:
+            assert len(table) <= 3 * k.q
+
+
+def test_field_rejects_non_primitive_generator():
+    # a wrong generator must be caught by the exp permutation check, not an assert
+    class BadGenerator(FiniteField):
+        def _generator(self):
+            return 3  # x, of order 4 in F_9 = F_3[x]/(x^2 + 1)
+
+    with pytest.raises(InvariantViolation):
+        BadGenerator(3, 2, [1, 0, 1])
+
+
+def test_field_size_cap():
+    assert FiniteField(7, 5).q <= MAX_FIELD_SIZE
+    for p, f in [(2, 17), (7, 6), (3, 10**9)]:
+        with pytest.raises(InvalidSpec):
+            FiniteField(p, f)
+
+
 def test_pichain():
     rng = random.Random(2)
     for p, f, e in [(2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 1, 3), (2, 1, 1)]:
@@ -200,7 +284,7 @@ def test_eisenstein_lift():
         (5, 1, 2, None),
     ]
     for p, f, e, E in cases:
-        t = make_tower(p, f, e, eisenstein=E)
+        t = RingTower(p, f, e, eisenstein=E)
         W, R = t.W, t.R
         assert W.capacity == 2 * e
         ring_axioms_random(W, rng)
@@ -227,38 +311,38 @@ def test_eisenstein_lift():
 
 def test_unit_u_pinned_values():
     # X^2 - 3 over p=3: pi^2 = 3, so u reduces to 1 in R
-    t = make_tower(3, 1, 2, eisenstein=[6, 0, 1])
-    assert t.red_to_R(t.unit_u)[0] == 1
+    t = RingTower(3, 1, 2, eisenstein=[6, 0, 1])
+    assert t.W.reduce(t.unit_u)[0] == 1
     # X^2 + 3: pi^2 = -3, u reduces to -1 = 2
-    t = make_tower(3, 1, 2, eisenstein=[3, 0, 1])
-    assert t.red_to_R(t.unit_u)[0] == 2
+    t = RingTower(3, 1, 2, eisenstein=[3, 0, 1])
+    assert t.W.reduce(t.unit_u)[0] == 2
     # X^3 - 2 over p=2: u reduces to 1
-    t = make_tower(2, 1, 3, eisenstein=[2, 0, 0, 1])
-    assert t.red_to_R(t.unit_u)[0] == 1
+    t = RingTower(2, 1, 3, eisenstein=[2, 0, 0, 1])
+    assert t.W.reduce(t.unit_u)[0] == 1
 
 
 def test_eisenstein_validation():
     with pytest.raises(InvalidSpec):
-        make_tower(3, 1, 2, eisenstein=[6, 1, 1])  # middle coeff not divisible by p
+        RingTower(3, 1, 2, eisenstein=[6, 1, 1])  # middle coeff not divisible by p
     with pytest.raises(InvalidSpec):
-        make_tower(3, 1, 2, eisenstein=[0, 0, 1])  # constant term 0
+        RingTower(3, 1, 2, eisenstein=[0, 0, 1])  # constant term 0
     with pytest.raises(InvalidSpec):
-        make_tower(3, 1, 2, eisenstein=[6, 0, 2])  # not monic
+        RingTower(3, 1, 2, eisenstein=[6, 0, 2])  # not monic
     with pytest.raises(InvalidSpec):
-        make_tower(3, 1, 2, eisenstein=[6, 0, 0, 1])  # wrong degree
+        RingTower(3, 1, 2, eisenstein=[6, 0, 0, 1])  # wrong degree
     # accepted: every stated invariant holds even with nonzero middle coeffs
-    t = make_tower(2, 1, 3, eisenstein=[2, 2, 2, 1])
+    t = RingTower(2, 1, 3, eisenstein=[2, 2, 2, 1])
     assert t.W.mul(t.unit_u, t.W.pi_pow(3)) == t.W.from_int(2)
 
 
 def test_tower_lift_red_roundtrip():
     rng = random.Random(5)
-    t = make_tower(3, 2, 2)
+    t = RingTower(3, 2, 2)
     for _ in range(50):
         x = t.R.random_element(rng)
-        assert t.red_to_R(t.lift_to_W(x)) == x
+        assert t.W.reduce(t.W.lift(x)) == x
         xw = t.W.random_element(rng)
         # lift-of-reduction differs from xw by a multiple of p
-        d = t.W.sub(xw, t.lift_to_W(t.red_to_R(xw)))
+        d = t.W.sub(xw, t.W.lift(t.W.reduce(xw)))
         v, _ = t.W.val_split(d)
         assert v >= t.e or d == t.W.zero

@@ -113,3 +113,69 @@ def test_file_round_trip(tmp_path):
     ser.save(D, path)
     assert ser.load(path, params=D.params) == D
     assert ser.dumps(ser.load(path)) == ser.dumps(D)
+
+
+_DROP = object()
+
+
+def _malformed(doc, path, value):
+    """Copy of doc with the entry at path (a tuple of keys/indices) set to
+    value, or deleted when value is _DROP."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def test_malformed_charp_documents_raise_invalid_spec():
+    # F_25, e = 2: R elements are pairs of k codes in [0, 25)
+    doc = ser.datum_to_dict(random_datum(Params(5, 2, 2, 2, 1), random.Random(4),
+                                         lifted=False))
+    cases = [
+        (("F", 0, 0, 0), "ab"),               # string entry
+        (("F", 0, 0, 0), [1, "2"]),           # string k code
+        (("F", 0, 0, 0), [99, 0]),            # k code >= q
+        (("F", 0, 0, 0), [-1, 0]),            # negative k code
+        (("F", 0, 0, 0), [True, 0]),          # bool is not a k code
+        (("F", 0, 0, 0), [1.0, 0]),           # float is not a k code
+        (("F", 0, 0, 0), [1, 0, 0]),          # R tuple of length != e
+        (("F", 0, 1), [[0, 0]]),              # ragged row
+        (("V", 0), [[[0, 0], [0, 0]]]),       # h1 - 1 rows
+        (("pr_flags", 0, 1, 0), [[0, 0]]),    # flag row of length != h1
+        (("pr_flags", 0, 1, 0, 0), [0, 25]),  # flag k code out of range
+        (("pr_flags", 0), 3),                 # flag that is not a list
+        (("F",), 7),                          # F that is not a list
+        (("lifted",), 0),                     # lifted must be a bool
+        (("V",), _DROP),                      # missing key
+        (("params", "h1"), _DROP),            # missing params key
+        (("params", "f"), "2"),               # params entry of the wrong type
+        (("params", "field_modulus"), [2, "0", 1]),
+    ]
+    for path, value in cases:
+        with pytest.raises(InvalidSpec):
+            ser.datum_from_dict(_malformed(doc, path, value))
+    assert ser.dumps(ser.datum_from_dict(doc)) == json.dumps(doc, sort_keys=True,
+                                                             separators=(",", ":"))
+
+
+def test_malformed_lifted_documents_raise_invalid_spec():
+    # W over W2(F_9), e = 2: W elements are pairs of W2 pairs in [0, 9)
+    doc = ser.datum_to_dict(random_datum(Params(3, 2, 2, 2, 1), random.Random(4),
+                                         lifted=True))
+    cases = [
+        (("F", 0, 0, 0), [[0, 0]]),           # W tuple of length != e
+        (("F", 0, 0, 0, 1), [0]),             # W2 tuple of length != f
+        (("F", 0, 0, 0, 1), [0, 9]),          # W2 coefficient >= p^2
+        (("F", 0, 0, 0, 1), [0, False]),      # bool is not a coefficient
+        (("F", 0, 0, 0), "abc"),              # string entry
+    ]
+    for path, value in cases:
+        with pytest.raises(InvalidSpec):
+            ser.datum_from_dict(_malformed(doc, path, value))
+    assert ser.dumps(ser.datum_from_dict(doc)) == json.dumps(doc, sort_keys=True,
+                                                             separators=(",", ":"))
