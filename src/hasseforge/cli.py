@@ -21,8 +21,8 @@ from .datum import LiftedDatum, Params
 from .errors import HasseForgeError, InvalidSpec
 from .generate import NAMED_INSTANCES, named_instance, random_datum
 from .invariants import (all_sections, all_verdicts, check_pi_divisibility,
-                         factorization_check, product_identity_check,
-                         vanishing_pattern)
+                         factorization_check, family_indices,
+                         product_identity_check, vanishing_pattern)
 
 DEFAULT_LIMIT = 64
 
@@ -37,9 +37,11 @@ def _size_limit() -> int:
         raise InvalidSpec("HASSE_FORGE_LIMIT must be an integer, got %r" % raw)
 
 
-def _check_size(params) -> None:
+def _check_size(f, e, h1) -> None:
+    """Refuse a shape over the work cap; called on the shape integers so
+    that no ring tower is built for a refused shape."""
     cap = _size_limit()
-    size = params.f * params.e * params.h1
+    size = f * e * h1
     if size > cap:
         raise InvalidSpec(
             "shape f*e*h1 = %d exceeds the work cap %d "
@@ -54,9 +56,8 @@ def _parse_params(text: str) -> Params:
         p, f, e, h1, d1 = (int(x) for x in parts)
     except ValueError:
         raise InvalidSpec("--params wants p,f,e,h1,d1 (five integers)")
-    params = Params(p, f, e, h1, d1)
-    _check_size(params)
-    return params
+    _check_size(f, e, h1)
+    return Params(p, f, e, h1, d1)
 
 
 def _read_text(path: str) -> str:
@@ -87,13 +88,14 @@ def _read_docs(path: str) -> list:
     return docs
 
 
+def _load_datum(d):
+    _, f, e, h1, _ = serialize.doc_shape(d)
+    _check_size(f, e, h1)
+    return serialize.datum_from_dict(d)
+
+
 def _load_data(path: str) -> list:
-    out = []
-    for d in _read_docs(path):
-        D = serialize.datum_from_dict(d)
-        _check_size(D.params)
-        out.append(D)
-    return out
+    return [_load_datum(d) for d in _read_docs(path)]
 
 
 def _dump_json(obj) -> str:
@@ -142,8 +144,7 @@ def cmd_validate(args) -> int:
     bad = 0
     for idx, d in enumerate(_read_docs(args.infile)):
         try:
-            D = serialize.datum_from_dict(d)
-            _check_size(D.params)
+            _load_datum(d)
             reports.append({"doc": idx, "ok": True, "error": None})
         except InvalidSpec:
             raise
@@ -192,8 +193,8 @@ def cmd_verify(args) -> int:
         n_a = sum(1 for v in verdicts if v.status == "not_applicable")
         equal_ok = all(v.equal for v in verdicts if v.status == "ok")
         product = product_identity_check(D)
-        factor = all(factorization_check(D, i, j)
-                     for i in range(p.f) for j in range(1, p.e + 1))
+        factor = all(factorization_check(D, *idx)
+                     for idx in family_indices("ha_pr", p))
         if isinstance(D, LiftedDatum):
             rng = random.Random(args.seed)
             pidiv = all(check_pi_divisibility(D, i, rng) for i in range(p.f))

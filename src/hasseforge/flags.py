@@ -21,7 +21,8 @@ from .errors import InvariantViolation
 from .linalg import Matrix, SemilinearMap
 
 
-def _pi_map(R, n: int, s: int) -> SemilinearMap:
+def pi_map(R, n: int, s: int) -> SemilinearMap:
+    """Multiplication by pi^s on R^n."""
     return SemilinearMap(Matrix.identity(R, n).scale(R.pi_pow(s)), 0)
 
 
@@ -35,7 +36,7 @@ def extended_flag(datum, i: int):
     if key not in datum._cache:
         levels = list(datum.pr_flags[i])
         for s in range(1, p.e + 1):
-            levels.append(_pi_map(p.R, p.h1, s).preimage(levels[p.e - s]))
+            levels.append(pi_map(p.R, p.h1, s).preimage(levels[p.e - s]))
         datum._cache[key] = tuple(levels)
     return datum._cache[key]
 
@@ -48,7 +49,7 @@ def aux_flag(datum, i: int):
     i %= p.f
     key = ("aux", i)
     if key not in datum._cache:
-        pi1 = _pi_map(p.R, p.h1, 1)
+        pi1 = pi_map(p.R, p.h1, 1)
         datum._cache[key] = tuple(pi1.preimage(datum.pr_flags[i][j]) for j in range(p.e))
     return datum._cache[key]
 

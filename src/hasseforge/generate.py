@@ -11,9 +11,10 @@ subspace is automatically pi-stable, hence an R-submodule.
 """
 
 from .errors import InvalidSpec, RetryExhausted
-from .linalg import Matrix, SemilinearMap, Submodule, random_invertible, vadd, vscale
+from .linalg import Matrix, Submodule, image, random_invertible, vadd, vscale
 from .kspace import ksub_from_rsub, unrestrict_vec
 from .datum import DieudonneDatum, LiftedDatum, Params
+from .flags import pi_map
 
 
 def _random_exponents(e, n, total, rng):
@@ -25,11 +26,6 @@ def _random_exponents(e, n, total, rng):
         m = rng.choice([m for m in range(n) if a[m] < e])
         a[m] += 1
     return a
-
-
-def _pi_preimage(R, n, S):
-    phi = SemilinearMap(Matrix.identity(R, n).scale(R.uniformizer), 0)
-    return phi.preimage(S)
 
 
 def _random_between(R, low, high, kdim, rng, tries=200):
@@ -67,7 +63,7 @@ def sample_flag(R, omega, d1, rng, budget=64):
         ok = True
         for j in range(1, e):
             low = flag[j - 1].add_sub(omega.scaled(R.pi_pow(e - j)))
-            high = omega.intersect(_pi_preimage(R, n, flag[j - 1]))
+            high = omega.intersect(pi_map(R, n, 1).preimage(flag[j - 1]))
             X = _random_between(R, low, high, j * d1, rng)
             if X is None:
                 ok = False
@@ -77,10 +73,6 @@ def sample_flag(R, omega, d1, rng, budget=64):
             flag.append(omega)
             return flag
     raise RetryExhausted("could not sample a flag in %d attempts" % budget)
-
-
-def _column_span(M):
-    return Submodule.span(M.ring, M.m, M.transpose().rows)
 
 
 def random_lifted(params, rng) -> LiftedDatum:
@@ -103,7 +95,7 @@ def random_lifted(params, rng) -> LiftedDatum:
         flags = []
         for i in range(p.f):
             Vr = V_mats[(i + 1) % p.f].map(W.reduce, R)
-            flags.append(sample_flag(R, _column_span(Vr), p.d1, rng))
+            flags.append(sample_flag(R, image(Vr), p.d1, rng))
     return LiftedDatum(p, F_mats, V_mats, pr_flags=flags)
 
 
@@ -151,7 +143,7 @@ def random_charp(params, rng) -> DieudonneDatum:
     if p.e > 1:
         flags = []
         for i in range(p.f):
-            hodge = _column_span(V_mats[(i + 1) % p.f])
+            hodge = image(V_mats[(i + 1) % p.f])
             flags.append(sample_flag(R, hodge, p.d1, rng))
     return DieudonneDatum(p, F_mats, V_mats, pr_flags=flags)
 

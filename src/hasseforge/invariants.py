@@ -14,6 +14,7 @@ step that broke rather than just the final comparison.
 """
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +26,7 @@ from .kspace import (QuotientPresentation, induced_from_fun,
                      induced_semilinear, ksub_from_rsub, pairing_matrix,
                      prop_dual, residue_form, subspace_in_qp)
 from .datum import LiftedDatum
-from .flags import aux_flag, conj_flag, extended_flag, pi_divisibility
+from .flags import aux_flag, conj_flag, extended_flag, pi_divisibility, pi_map
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,6 @@ class DualityVerdict:
     status: str = "ok"
 
 
-VERDICT_NAMES = ("ha", "ha_i", "m", "hasse", "ha_pr")
-
-
 def _require(cond, msg):
     if not cond:
         raise InvariantViolation(msg)
@@ -89,10 +87,6 @@ def _kmul(K, *vals):
 def _unit(K, c, what):
     _require(c != K.zero, what + " must be invertible")
     return c
-
-
-def _pi_mult(R, n, s):
-    return SemilinearMap(Matrix.identity(R, n).scale(R.pi_pow(s)), 0)
 
 
 def _torsion(R, n, t):
@@ -224,17 +218,17 @@ def _map_v_hodge(D, i):
 
 
 def _map_m(D, i, j):
-    """Multiplication by pi between consecutive graded pieces (2 <= j <= e),
-    cross-checked against the inclusion into the divided flag followed by
-    the pi-isomorphism back down."""
+    """Multiplication by pi from graded piece j to j-1, cross-checked
+    against the inclusion into the divided flag followed by the
+    pi-isomorphism back down."""
     p = D.params
 
     def build():
-        M = induced_semilinear(_pi_mult(p.R, p.h1, 1), _qgr(D, i, j), _qgr(D, i, j - 1))
+        M = induced_semilinear(pi_map(p.R, p.h1, 1), _qgr(D, i, j), _qgr(D, i, j - 1))
         aux = aux_flag(D, i)
         ext = extended_flag(D, i)
         qgrp = _qp(D, ("div_gr", i, j), aux[j - 1], aux[j - 2])
-        piiso = induced_semilinear(_pi_mult(p.R, p.h1, 1), qgrp, _qgr(D, i, j - 1))
+        piiso = induced_semilinear(pi_map(p.R, p.h1, 1), qgrp, _qgr(D, i, j - 1))
         _unit(p.k, piiso.matrix.det(), "pi-iso between divided and plain grades")
         nat = induced_semilinear(SemilinearMap.identity(p.R, p.h1), _qgr(D, i, j), qgrp)
         _require(M.matrix == piiso.matrix.mul(nat.matrix),
@@ -279,7 +273,7 @@ def _map_hasse(D, i):
             qt1 = _qp(D, ("tor_mod_conj1", i), _torsion(R, p.h1, 1), ft[1])
             Mq = induced_semilinear(D.V[i], qw, dst)
             _unit(p.k, Mq.matrix.det(), "V on the conjugate-tail quotient")
-            Mp = induced_semilinear(_pi_mult(R, p.h1, p.e - 1), qw, qt1)
+            Mp = induced_semilinear(pi_map(R, p.h1, p.e - 1), qw, qt1)
             _unit(p.k, Mp.matrix.det(), "pi^(e-1) on the conjugate-tail quotient")
             Mn = induced_semilinear(SemilinearMap.identity(R, p.h1), src, qt1)
             lhs = Mp.matrix.mul(Mq.matrix.inverse().frob(1)).mul(M.matrix.frob(1))
@@ -324,8 +318,8 @@ def hasse_invariant(D) -> LineSection:
     p = D.params
     scalar = p.k.one
     line = ()
-    for i in range(p.f):
-        s = partial_hasse(D, i)
+    for idx in family_indices("ha_i", p):
+        s = partial_hasse(D, *idx)
         scalar = p.k.mul(scalar, s.scalar)
         line = line + s.line
     return LineSection("ha", None, None, scalar, line, scalar == p.k.zero)
@@ -335,8 +329,7 @@ def primitive_m(D, i, j) -> LineSection:
     """det of multiplication by pi between graded pieces j and j-1."""
     D = _charp(D)
     p = D.params
-    if not 2 <= j <= p.e:
-        raise InvalidSpec("level j must be in 2..e, got %d" % j)
+    _check_level("m", p, j)
     i %= p.f
     M, _, _ = _map_m(D, i, j)
     scalar = _memo(D, ("sc", "m", i, j), lambda: M.matrix.det())
@@ -358,11 +351,10 @@ def primitive_hasse(D, i) -> LineSection:
 
 
 def partial_hasse_pr(D, i, j) -> LineSection:
-    """det of V between the level-j graded pieces, 1 <= j <= e."""
+    """det of V between the level-j graded pieces."""
     D = _charp(D)
     p = D.params
-    if not 1 <= j <= p.e:
-        raise InvalidSpec("level j must be in 1..e, got %d" % j)
+    _check_level("ha_pr", p, j)
     i %= p.f
     i1 = (i - 1) % p.f
     M = _map_ha_pr(D, i, j)
@@ -377,17 +369,17 @@ def factorization_check(D, i, j) -> bool:
     Compared entrywise on the actual matrices in the shared bases."""
     D = _charp(D)
     p = D.params
-    if not 1 <= j <= p.e:
-        raise InvalidSpec("level j must be in 1..e, got %d" % j)
+    _check_level("ha_pr", p, j)
     i %= p.f
     i1 = (i - 1) % p.f
     K = p.k
     target = _map_ha_pr(D, i, j).matrix
+    above, below = _m_levels_around(p, j)
     left = Matrix.identity(K, p.d1)
-    for l in range(j + 1, p.e + 1):
+    for l in above:
         left = left.mul(_map_m(D, i1, l)[0].matrix)
     right = Matrix.identity(K, p.d1)
-    for l in range(2, j + 1):
+    for l in below:
         right = right.mul(_map_m(D, i, l)[0].matrix)
     Mh = _map_hasse(D, i)[0].matrix
     return left.mul(Mh).mul(right.frob(-1)) == target
@@ -399,10 +391,11 @@ def product_identity_check(D) -> bool:
     D = _charp(D)
     p = D.params
     K = p.k
+    I, J = _ranges("ha_pr", p)
     total = K.one
-    for i in range(p.f):
+    for i in I:
         per = partial_hasse(D, i).scalar
-        graded = _kmul(K, *[partial_hasse_pr(D, i, j).scalar for j in range(1, p.e + 1)])
+        graded = _kmul(K, *[partial_hasse_pr(D, i, j).scalar for j in J])
         if per != graded:
             return False
         total = K.mul(total, per)
@@ -473,7 +466,9 @@ def _transport_quot(K, qpA, sub_k, qp):
 
 
 # ---------------------------------------------------------------------------
-# duality verdicts
+# duality verdicts.  A family's unit builder returns (unit, held): the unit
+# relating the primal and dual sections (None when the comparison is not
+# applicable) and whether the sub-verdicts it was assembled from held.
 
 
 def _dual(D):
@@ -484,12 +479,46 @@ def _dual(D):
     return _memo(D, "dualized", build)
 
 
-def _check_duality_ranges(p):
-    if not 0 < p.d1 < p.h1:
-        raise InvalidSpec("duality verdicts need 0 < d1 < h1")
+def _pairing_adjunction(p, Md, Mp, left, right, twist, name, what):
+    """Residue-pairing adjunction between a map Md on the dual datum and a
+    map Mp on the primal one: Md^T P2 == (P1 Mp) twisted by frob(twist), P1
+    pairing left = (source of Md, target of Mp), P2 pairing right = (target
+    of Md, source of Mp).  Returns the two Gram determinants."""
+    form = lambda u, w: residue_form(p.R, u, w)
+    P1 = pairing_matrix(form, *left)
+    P2 = pairing_matrix(form, *right)
+    dP1 = _unit(p.k, P1.det(), name + " residue pairing")
+    dP2 = _unit(p.k, P2.det(), name + " residue pairing")
+    _require(Md.matrix.transpose().mul(P2) == P1.mul(Mp.matrix).frob(twist), what)
+    return dP1, dP2
 
 
-def _verdict_ha_i(D, i) -> DualityVerdict:
+def _complementary_pair(K, qA, Bk, Ck, nat, nat2, names):
+    """prop_dual on complementary subspaces Bk, Ck of qA, tied by four basis
+    transports to the natural maps nat = (dom, cod, map) from Bk onto
+    qA/Ck and nat2 from Ck onto qA/Bk.  Returns the unit
+    t_dom t_cod2 / (t_cod iso t_dom2) that the verdicts multiply in."""
+    (dom, cod, M), (dom2, cod2, M2) = nat, nat2
+    x, y, iso = prop_dual(K, qA.dim, Bk, Ck)
+    t_dom = _transport_sub(K, qA, Bk, dom)
+    t_cod = _transport_quot(K, qA, Ck, cod)
+    t_dom2 = _transport_sub(K, qA, Ck, dom2)
+    t_cod2 = _transport_quot(K, qA, Bk, cod2)
+    _require(K.mul(y, t_dom) == K.mul(t_cod, M.matrix.det()),
+             "transport of the %s natural det failed" % names[0])
+    _require(K.mul(x, t_dom2) == K.mul(t_cod2, M2.matrix.det()),
+             "transport of the %s natural det failed" % names[1])
+    return _kmul(K, t_dom, t_cod2, K.inv(_kmul(K, t_cod, iso, t_dom2)))
+
+
+def _unit_ha(D):
+    """Product of the per-embedding units; held when every ha_i verdict is."""
+    parts = [duality_check(D, "ha_i", *idx) for idx in family_indices("ha_i", D.params)]
+    c = _kmul(D.params.k, *[v.canonical_iso_scalar for v in parts])
+    return c, all(v.equal for v in parts)
+
+
+def _unit_ha_i(D, i):
     """Hodge-det comparison.  Chain: natural-map description on the primal
     side, the residue-pairing adjunction moving the dual det to a primal
     quotient map, the factorization of that map through the conjugate
@@ -498,21 +527,13 @@ def _verdict_ha_i(D, i) -> DualityVerdict:
     K, R = p.k, p.R
     i1 = (i - 1) % p.f
     Dd = _dual(D)
-    form = lambda u, w: residue_form(R, u, w)
 
-    sG = partial_hasse(D, i).scalar
-    sGD = partial_hasse(Dd, i).scalar
-
-    # residue-pairing adjunction: transpose of the dual Hodge map against
-    # the Gram matrices equals the twisted F-map between co-Hodge quotients
-    P1 = pairing_matrix(form, _qb(Dd, i), _qab(D, i))
-    P2 = pairing_matrix(form, _qb(Dd, i1), _qab(D, i1))
-    dP1 = _unit(K, P1.det(), "Hodge residue pairing")
-    dP2 = _unit(K, P2.det(), "Hodge residue pairing")
+    # the dual Hodge map is adjoint to the twisted F-map between co-Hodge
+    # quotients
     Mf = induced_semilinear(D.F[i], _qab(D, i1), _qab(D, i))
-    Mdefd = _map_v_hodge(Dd, i)
-    _require(Mdefd.matrix.transpose().mul(P2) == P1.mul(Mf.matrix).frob(-1),
-             "pairing adjunction between the dual Hodge map and F failed")
+    dP1, dP2 = _pairing_adjunction(
+        p, _map_v_hodge(Dd, i), Mf, (_qb(Dd, i), _qab(D, i)), (_qb(Dd, i1), _qab(D, i1)),
+        -1, "Hodge", "pairing adjunction between the dual Hodge map and F failed")
 
     # factor the co-Hodge F-map through the conjugate submodule
     Mfb = induced_semilinear(D.F[i], _qab(D, i1), _qc(D, i))
@@ -526,42 +547,16 @@ def _verdict_ha_i(D, i) -> DualityVerdict:
     u_v = _unit(K, Mv.matrix.det(), "V on the conjugate quotient")
 
     # complementary pair (Hodge, conjugate) in the ambient restricted space
-    Bk = ksub_from_rsub(R, D.hodge(i))
-    Ck = ksub_from_rsub(R, D.conj(i))
-    x, y, iso = prop_dual(K, p.h1 * R.e, Bk, Ck)
-    QE = _qfull(D)
-    t_dom = _transport_sub(K, QE, Bk, _qb(D, i))
-    t_cod = _transport_quot(K, QE, Ck, _qac(D, i))
-    t_dom2 = _transport_sub(K, QE, Ck, _qc(D, i))
-    t_cod2 = _transport_quot(K, QE, Bk, _qab(D, i))
     nat = induced_semilinear(SemilinearMap.identity(R, p.h1), _qb(D, i), _qac(D, i))
-    _require(K.mul(y, t_dom) == K.mul(t_cod, nat.matrix.det()),
-             "transport of the Hodge natural det failed")
-    _require(K.mul(x, t_dom2) == K.mul(t_cod2, MnatC.matrix.det()),
-             "transport of the conjugate natural det failed")
+    pair = _complementary_pair(
+        K, _qfull(D), ksub_from_rsub(R, D.hodge(i)), ksub_from_rsub(R, D.conj(i)),
+        (_qb(D, i), _qac(D, i), nat), (_qc(D, i), _qab(D, i), MnatC), ("Hodge", "conjugate"))
 
-    inner = _kmul(K, t_dom, t_cod2,
-                  K.inv(_kmul(K, t_cod, iso, t_dom2, u_fb, dP1)))
-    c = _kmul(K, u_v, K.frob(inner, -1), dP2)
-    return DualityVerdict("ha_i", i, None, sG, sGD, c, sG == K.mul(c, sGD))
+    inner = K.mul(pair, K.inv(K.mul(u_fb, dP1)))
+    return _kmul(K, u_v, K.frob(inner, -1), dP2), True
 
 
-def _verdict_ha(D) -> DualityVerdict:
-    p = D.params
-    K = p.k
-    sG, sGD, c = K.one, K.one, K.one
-    ok = True
-    for i in range(p.f):
-        v = duality_check(D, "ha_i", i)
-        sG = K.mul(sG, v.scalar_G)
-        sGD = K.mul(sGD, v.scalar_GD)
-        c = K.mul(c, v.canonical_iso_scalar)
-        ok = ok and v.equal
-    equal = ok and sG == K.mul(c, sGD)
-    return DualityVerdict("ha", None, None, sG, sGD, c, equal)
-
-
-def _verdict_m(D, i, j) -> DualityVerdict:
+def _unit_m(D, i, j):
     """Graded pi-step comparison.  Untwisted chain: pairing adjunction of
     pi against the upper extended grades, the pi-power isomorphisms from
     upper grades to divided-flag quotients, and the complementary pair
@@ -569,34 +564,25 @@ def _verdict_m(D, i, j) -> DualityVerdict:
     p = D.params
     K, R = p.k, p.R
     e = p.e
-    Dd = _dual(D)
-    form = lambda u, w: residue_form(R, u, w)
-
-    sG = primitive_m(D, i, j).scalar
-    sGD = primitive_m(Dd, i, j).scalar
     _, piiso, nat = _map_m(D, i, j)
-    u_G = piiso.matrix.det()
 
     # pi is self-adjoint for the residue pairing
+    Dd = _dual(D)
     qup_hi = _qgr(D, i, 2 * e + 2 - j)
     qup_lo = _qgr(D, i, 2 * e + 1 - j)
-    P1 = pairing_matrix(form, _qgr(Dd, i, j), qup_lo)
-    P2 = pairing_matrix(form, _qgr(Dd, i, j - 1), qup_hi)
-    dP1 = _unit(K, P1.det(), "graded residue pairing")
-    dP2 = _unit(K, P2.det(), "graded residue pairing")
-    Mdefd = _map_m(Dd, i, j)[0]
-    Mhigh = induced_semilinear(_pi_mult(R, p.h1, 1), qup_hi, qup_lo)
-    _require(Mdefd.matrix.transpose().mul(P2) == P1.mul(Mhigh.matrix),
-             "pairing adjunction for the graded pi map failed")
+    Mhigh = induced_semilinear(pi_map(R, p.h1, 1), qup_hi, qup_lo)
+    dP1, dP2 = _pairing_adjunction(
+        p, _map_m(Dd, i, j)[0], Mhigh, (_qgr(Dd, i, j), qup_lo), (_qgr(Dd, i, j - 1), qup_hi),
+        0, "graded", "pairing adjunction for the graded pi map failed")
 
     # pi^(e-j+1), pi^(e-j) carry the upper grades onto divided-flag quotients
     aux = aux_flag(D, i)
     ext = extended_flag(D, i)
     qcq = _qp(D, ("div_c", i, j), aux[j - 2], ext[j - 1])
     qabq = _qp(D, ("div_ab", i, j), aux[j - 1], ext[j])
-    Ma1 = induced_semilinear(_pi_mult(R, p.h1, e - j + 1), qup_hi, qcq)
+    Ma1 = induced_semilinear(pi_map(R, p.h1, e - j + 1), qup_hi, qcq)
     u_a1 = _unit(K, Ma1.matrix.det(), "upper-grade pi-power iso")
-    Ma2 = induced_semilinear(_pi_mult(R, p.h1, e - j), qup_lo, qabq)
+    Ma2 = induced_semilinear(pi_map(R, p.h1, e - j), qup_lo, qabq)
     u_a2 = _unit(K, Ma2.matrix.det(), "upper-grade pi-power iso")
     MnatCAB = induced_semilinear(SemilinearMap.identity(R, p.h1), qcq, qabq)
     _require(Ma2.matrix.mul(Mhigh.matrix) == MnatCAB.matrix.mul(Ma1.matrix),
@@ -604,25 +590,15 @@ def _verdict_m(D, i, j) -> DualityVerdict:
 
     # complementary pair inside the divided quotient at level j-1
     qA = _qp(D, ("div_amb", i, j), aux[j - 1], ext[j - 1])
-    Bk = subspace_in_qp(qA, ext[j])
-    Ck = subspace_in_qp(qA, aux[j - 2])
-    x, y, iso = prop_dual(K, qA.dim, Bk, Ck)
     qgrp = _qp(D, ("div_gr", i, j), aux[j - 1], aux[j - 2])
-    t_dom = _transport_sub(K, qA, Bk, _qgr(D, i, j))
-    t_cod = _transport_quot(K, qA, Ck, qgrp)
-    t_dom2 = _transport_sub(K, qA, Ck, qcq)
-    t_cod2 = _transport_quot(K, qA, Bk, qabq)
-    _require(K.mul(y, t_dom) == K.mul(t_cod, nat.matrix.det()),
-             "transport of the graded natural det failed")
-    _require(K.mul(x, t_dom2) == K.mul(t_cod2, MnatCAB.matrix.det()),
-             "transport of the divided natural det failed")
+    pair = _complementary_pair(
+        K, qA, subspace_in_qp(qA, ext[j]), subspace_in_qp(qA, aux[j - 2]),
+        (_qgr(D, i, j), qgrp, nat), (qcq, qabq, MnatCAB), ("graded", "divided"))
 
-    c = _kmul(K, u_G, t_dom, t_cod2, u_a2, dP2,
-              K.inv(_kmul(K, t_cod, iso, t_dom2, u_a1, dP1)))
-    return DualityVerdict("m", i, j, sG, sGD, c, sG == K.mul(c, sGD))
+    return _kmul(K, piiso.matrix.det(), pair, u_a2, dP2, K.inv(K.mul(u_a1, dP1))), True
 
 
-def _verdict_hasse(D, i) -> DualityVerdict:
+def _unit_hasse(D, i):
     """Boundary-map comparison.  Needs the conjugate-flag divisibility on
     the primal side; without it the natural-map description is undefined
     and the verdict reports not_applicable."""
@@ -630,14 +606,8 @@ def _verdict_hasse(D, i) -> DualityVerdict:
     K, R = p.k, p.R
     e = p.e
     i1 = (i - 1) % p.f
-    Dd = _dual(D)
-    form = lambda u, w: residue_form(R, u, w)
-
-    sG = primitive_hasse(D, i).scalar
-    sGD = primitive_hasse(Dd, i).scalar
     if not _map_hasse(D, i)[1]:
-        return DualityVerdict("hasse", i, None, sG, sGD, None, False,
-                              status="not_applicable")
+        return None, False
 
     ft = conj_flag(D, i)
     ext_i = extended_flag(D, i)
@@ -651,7 +621,7 @@ def _verdict_hasse(D, i) -> DualityVerdict:
     # primal-side units from the natural description of the boundary map
     Mq = induced_semilinear(D.V[i], qw, _qgr(D, i1, e))
     u_v = _unit(K, Mq.matrix.det(), "V on the conjugate-tail quotient")
-    Mp = induced_semilinear(_pi_mult(R, p.h1, e - 1), qw, qt1)
+    Mp = induced_semilinear(pi_map(R, p.h1, e - 1), qw, qt1)
     u_p = _unit(K, Mp.matrix.det(), "pi^(e-1) on the conjugate-tail quotient")
 
     # the dual boundary map corresponds to: F, exact division by pi^(e-1),
@@ -662,155 +632,168 @@ def _verdict_hasse(D, i) -> DualityVerdict:
     Mg = induced_from_fun(gfun, +1, qup, qe21, den_images=())
     Mu1 = induced_semilinear(D.F[i], qup, qw1)
     u_1 = _unit(K, Mu1.matrix.det(), "F onto the first conjugate level")
-    Mu2 = induced_semilinear(_pi_mult(R, p.h1, e - 1), qe21, qt2)
+    Mu2 = induced_semilinear(pi_map(R, p.h1, e - 1), qe21, qt2)
     u_2 = _unit(K, Mu2.matrix.det(), "pi^(e-1) on the co-top quotient")
     Mnx = induced_semilinear(SemilinearMap.identity(R, p.h1), qw1, qt2)
     _require(Mnx.matrix.mul(Mu1.matrix) == Mu2.matrix.mul(Mg.matrix),
              "divided F-map disagrees with its natural description")
 
     # residue-pairing adjunction against the dual boundary map
-    P1 = pairing_matrix(form, _qgr(Dd, i, 1), qe21)
-    P2 = pairing_matrix(form, _qgr(Dd, i1, e), qup)
-    dP1 = _unit(K, P1.det(), "boundary residue pairing")
-    dP2 = _unit(K, P2.det(), "boundary residue pairing")
-    Mdefd = _map_hasse(Dd, i)[0]
-    _require(Mdefd.matrix.transpose().mul(P2) == P1.mul(Mg.matrix).frob(-1),
-             "pairing adjunction for the boundary map failed")
+    Dd = _dual(D)
+    dP1, dP2 = _pairing_adjunction(
+        p, _map_hasse(Dd, i)[0], Mg, (_qgr(Dd, i, 1), qe21), (_qgr(Dd, i1, e), qup),
+        -1, "boundary", "pairing adjunction for the boundary map failed")
 
     # complementary pair (top level, first conjugate level) in the pi-torsion
     qA = _qtor(D)
-    Bk = subspace_in_qp(qA, ext_i[1])
-    Ck = subspace_in_qp(qA, ft[1])
-    x, y, iso = prop_dual(K, qA.dim, Bk, Ck)
-    t_dom = _transport_sub(K, qA, Bk, _qgr(D, i, 1))
-    t_cod = _transport_quot(K, qA, Ck, qt1)
-    t_dom2 = _transport_sub(K, qA, Ck, qw1)
-    t_cod2 = _transport_quot(K, qA, Bk, qt2)
     Mn = induced_semilinear(SemilinearMap.identity(R, p.h1), _qgr(D, i, 1), qt1)
-    _require(K.mul(y, t_dom) == K.mul(t_cod, Mn.matrix.det()),
-             "transport of the boundary natural det failed")
-    _require(K.mul(x, t_dom2) == K.mul(t_cod2, Mnx.matrix.det()),
-             "transport of the dual boundary natural det failed")
+    pair = _complementary_pair(
+        K, qA, subspace_in_qp(qA, ext_i[1]), subspace_in_qp(qA, ft[1]),
+        (_qgr(D, i, 1), qt1, Mn), (qw1, qt2, Mnx), ("boundary", "dual boundary"))
 
-    inner = _kmul(K, t_dom, t_cod2, u_2,
-                  K.inv(_kmul(K, t_cod, iso, t_dom2, u_1, dP1, u_p)))
-    c = _kmul(K, u_v, K.frob(inner, -1), dP2)
-    return DualityVerdict("hasse", i, None, sG, sGD, c, sG == K.mul(c, sGD))
+    inner = _kmul(K, pair, u_2, K.inv(_kmul(K, u_1, dP1, u_p)))
+    return _kmul(K, u_v, K.frob(inner, -1), dP2), True
 
 
-def _verdict_ha_pr(D, i, j) -> DualityVerdict:
+def _unit_ha_pr(D, i, j):
     """Graded Hodge-det comparison, assembled from the factorization: the
     canonical unit is the product of the pi-step units above the level, the
     boundary unit, and the twisted pi-step units below it."""
     p = D.params
     K = p.k
-    e = p.e
     i1 = (i - 1) % p.f
-    sG = partial_hasse_pr(D, i, j).scalar
-    sGD = partial_hasse_pr(_dual(D), i, j).scalar
-    if e == 1:
-        base = duality_check(D, "ha_i", i)
-        return DualityVerdict("ha_pr", i, j, sG, sGD, base.canonical_iso_scalar,
-                              sG == K.mul(base.canonical_iso_scalar, sGD),
-                              status=base.status)
+    if p.e == 1:
+        return duality_check(D, "ha_i", i).canonical_iso_scalar, True
 
     h = duality_check(D, "hasse", i)
     if h.status != "ok":
-        return DualityVerdict("ha_pr", i, j, sG, sGD, None, False,
-                              status="not_applicable")
+        return None, False
     _require(factorization_check(D, i, j),
              "graded V map does not factor through the boundary map")
     _require(factorization_check(_dual(D), i, j),
              "dual graded V map does not factor through the boundary map")
-    c = h.canonical_iso_scalar
-    for l in range(j + 1, e + 1):
-        c = K.mul(c, duality_check(D, "m", i1, l).canonical_iso_scalar)
-    tw = K.one
-    for l in range(2, j + 1):
-        tw = K.mul(tw, duality_check(D, "m", i, l).canonical_iso_scalar)
-    c = K.mul(c, K.frob(tw, -1))
-    return DualityVerdict("ha_pr", i, j, sG, sGD, c, sG == K.mul(c, sGD))
+    above, below = _m_levels_around(p, j)
+    c = _kmul(K, h.canonical_iso_scalar,
+              *[duality_check(D, "m", i1, l).canonical_iso_scalar for l in above])
+    tw = _kmul(K, *[duality_check(D, "m", i, l).canonical_iso_scalar for l in below])
+    return K.mul(c, K.frob(tw, -1)), True
+
+
+def _verdict(D, name, idx) -> DualityVerdict:
+    """The one path from a family's unit to its verdict."""
+    fam = FAMILIES[name]
+    sG = fam.section(D, *idx).scalar
+    sGD = fam.section(_dual(D), *idx).scalar
+    unit, held = fam.unit(D, *idx)
+    i, j = (idx + (None, None))[:2]
+    if unit is None:
+        return DualityVerdict(name, i, j, sG, sGD, None, False, status="not_applicable")
+    return DualityVerdict(name, i, j, sG, sGD, unit,
+                          held and sG == D.params.k.mul(unit, sGD))
+
+
+# ---------------------------------------------------------------------------
+# the invariant registry, in report order.  A family takes an embedding
+# index i in 0..f-1 when embedded, listed only for e >= min_e, and a level
+# index j in j_from..e when j_from is set.  At e = 1 the boundary map is the
+# whole graded V map, so hasse is listed from e = 2 on; primitive_hasse and
+# duality_check still answer for it at e = 1.
+
+_Family = namedtuple("_Family", "section unit embedded j_from min_e")
+
+FAMILIES = {
+    "ha": _Family(hasse_invariant, _unit_ha, False, None, 1),
+    "ha_i": _Family(partial_hasse, _unit_ha_i, True, None, 1),
+    "m": _Family(primitive_m, _unit_m, True, 2, 1),
+    "hasse": _Family(primitive_hasse, _unit_hasse, True, None, 2),
+    "ha_pr": _Family(partial_hasse_pr, _unit_ha_pr, True, 1, 1),
+}
+
+VERDICT_NAMES = tuple(FAMILIES)
+
+
+def _ranges(name, p):
+    """(i range, j range) of a family at shape p; None for an index it lacks."""
+    fam = FAMILIES[name]
+    I = J = None
+    if fam.embedded:
+        I = range(p.f) if p.e >= fam.min_e else range(0)
+    if fam.j_from is not None:
+        J = range(fam.j_from, p.e + 1)
+    return I, J
+
+
+def _check_level(name, p, j):
+    J = _ranges(name, p)[1]
+    if j not in J:
+        raise InvalidSpec("level j must be in %d..e, got %d" % (J.start, j))
+
+
+def _m_levels_around(p, j):
+    """The m levels composed after and before the boundary map in ha_pr(i, j)."""
+    levels = _ranges("m", p)[1]
+    return [l for l in levels if l > j], [l for l in levels if l <= j]
+
+
+def family_indices(name, params) -> list:
+    """The index tuples of a family in report order: (), (i,) or (i, j)."""
+    I, J = _ranges(name, params)
+    if I is None:
+        return [()]
+    if J is None:
+        return [(i,) for i in I]
+    return [(i, j) for i in I for j in J]
 
 
 def duality_check(D, name, i=None, j=None) -> DualityVerdict:
-    """Compare an invariant on D and on its dual.  name is one of
-    "ha", "ha_i", "m", "hasse", "ha_pr"; i, j as the invariant requires."""
+    """Compare an invariant on D and on its dual.  name is a key of
+    FAMILIES; pass i, j as that family's index ranges require."""
     D = _charp(D)
     p = D.params
-    _check_duality_ranges(p)
+    if not 0 < p.d1 < p.h1:
+        raise InvalidSpec("duality verdicts need 0 < d1 < h1")
     if name not in VERDICT_NAMES:
         raise InvalidSpec("unknown invariant %r" % name)
-    if name == "ha":
-        key = ("verdict", "ha")
-        return _memo(D, key, lambda: _verdict_ha(D))
-    if i is None:
-        raise InvalidSpec("invariant %r needs an embedding index" % name)
-    i %= p.f
-    if name == "ha_i":
-        return _memo(D, ("verdict", "ha_i", i), lambda: _verdict_ha_i(D, i))
-    if name == "hasse":
-        return _memo(D, ("verdict", "hasse", i), lambda: _verdict_hasse(D, i))
-    if j is None:
-        raise InvalidSpec("invariant %r needs a level index" % name)
-    if name == "m":
-        if not 2 <= j <= p.e:
-            raise InvalidSpec("level j must be in 2..e, got %d" % j)
-        return _memo(D, ("verdict", "m", i, j), lambda: _verdict_m(D, i, j))
-    if not 1 <= j <= p.e:
-        raise InvalidSpec("level j must be in 1..e, got %d" % j)
-    return _memo(D, ("verdict", "ha_pr", i, j), lambda: _verdict_ha_pr(D, i, j))
+    fam = FAMILIES[name]
+    idx = ()
+    if fam.embedded:
+        if i is None:
+            raise InvalidSpec("invariant %r needs an embedding index" % name)
+        idx = (i % p.f,)
+    if fam.j_from is not None:
+        if j is None:
+            raise InvalidSpec("invariant %r needs a level index" % name)
+        _check_level(name, p, j)
+        idx += (j,)
+    return _memo(D, ("verdict", name) + idx, lambda: _verdict(D, name, idx))
 
 
 def all_sections(D) -> list:
     """Every invariant of the datum, deterministic order."""
     D = _charp(D)
-    p = D.params
-    out = [hasse_invariant(D)]
-    for i in range(p.f):
-        out.append(partial_hasse(D, i))
-    for i in range(p.f):
-        for j in range(2, p.e + 1):
-            out.append(primitive_m(D, i, j))
-    if p.e >= 2:
-        for i in range(p.f):
-            out.append(primitive_hasse(D, i))
-    for i in range(p.f):
-        for j in range(1, p.e + 1):
-            out.append(partial_hasse_pr(D, i, j))
-    return out
+    return [fam.section(D, *idx) for name, fam in FAMILIES.items()
+            for idx in family_indices(name, D.params)]
 
 
 def all_verdicts(D) -> list:
     """Every duality verdict of the datum, deterministic order."""
     D = _charp(D)
-    p = D.params
-    out = [duality_check(D, "ha")]
-    for i in range(p.f):
-        out.append(duality_check(D, "ha_i", i))
-    for i in range(p.f):
-        for j in range(2, p.e + 1):
-            out.append(duality_check(D, "m", i, j))
-    if p.e >= 2:
-        for i in range(p.f):
-            out.append(duality_check(D, "hasse", i))
-    for i in range(p.f):
-        for j in range(1, p.e + 1):
-            out.append(duality_check(D, "ha_pr", i, j))
-    return out
+    return [duality_check(D, name, *idx) for name in FAMILIES
+            for idx in family_indices(name, D.params)]
 
 
 def vanishing_pattern(D) -> dict:
-    """Which invariants vanish, as plain nested data."""
+    """Which invariants vanish, as plain nested data: per family one flag,
+    a tuple over i, or a tuple over i of tuples over j."""
     D = _charp(D)
-    p = D.params
-    pat = {
-        "ha": hasse_invariant(D).vanished,
-        "ha_i": tuple(partial_hasse(D, i).vanished for i in range(p.f)),
-        "m": tuple(tuple(primitive_m(D, i, j).vanished for j in range(2, p.e + 1))
-                   for i in range(p.f)),
-        "hasse": tuple(primitive_hasse(D, i).vanished for i in range(p.f))
-                 if p.e >= 2 else (),
-        "ha_pr": tuple(tuple(partial_hasse_pr(D, i, j).vanished
-                             for j in range(1, p.e + 1)) for i in range(p.f)),
-    }
+    pat = {}
+    for name, fam in FAMILIES.items():
+        I, J = _ranges(name, D.params)
+        sec = fam.section
+        if I is None:
+            pat[name] = sec(D).vanished
+        elif J is None:
+            pat[name] = tuple(sec(D, i).vanished for i in I)
+        else:
+            pat[name] = tuple(tuple(sec(D, i, j).vanished for j in J) for i in I)
     return pat

@@ -94,7 +94,7 @@ def params_out(params):
     return params.describe()
 
 
-def params_in(d):
+def _shape_in(d):
     if not isinstance(d, dict):
         raise InvalidSpec("params must be an object, got %.40r" % (d,))
     shape = []
@@ -103,6 +103,23 @@ def params_in(d):
         if type(v) is not int:
             raise InvalidSpec("params %s must be an integer, got %.40r" % (key, v))
         shape.append(v)
+    return shape
+
+
+def _document(d):
+    if not isinstance(d, dict) or d.get("format") != FORMAT:
+        raise InvalidSpec("not a %s document" % FORMAT)
+    return d
+
+
+def doc_shape(d) -> tuple:
+    """The checked integers (p, f, e, h1, d1) of a document, read without
+    building its ring tower, so that a caller can refuse a shape first."""
+    return tuple(_shape_in(_key(_document(d), "params")))
+
+
+def params_in(d):
+    shape = _shape_in(d)
     moduli = []
     for key in ("field_modulus", "eisenstein"):
         v = _key(d, key)
@@ -131,8 +148,7 @@ def datum_from_dict(d, params=None):
     """Rebuild a datum.  Rings compare by identity, so a fresh load lives on
     its own tower; pass params= to adopt an existing one (it must describe
     the same shape)."""
-    if not isinstance(d, dict) or d.get("format") != FORMAT:
-        raise InvalidSpec("not a %s document" % FORMAT)
+    _document(d)
     if params is None:
         par = params_in(_key(d, "params"))
     elif params.describe() == _key(d, "params"):

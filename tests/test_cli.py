@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from hasseforge import datum as datum_module
 from hasseforge import serialize as ser
 from hasseforge.cli import main
 from hasseforge.datum import Params
@@ -182,10 +183,22 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_size_cap(capsys, monkeypatch):
+def _no_tower(*args, **kwargs):
+    raise AssertionError("a ring tower was built for an over-cap shape")
+
+
+def test_size_cap(capsys, monkeypatch, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(ser.dumps(named_instance("ram-split")) + "\n")
     monkeypatch.setenv("HASSE_FORGE_LIMIT", "3")
-    code, _, err = run_cli(capsys, "generate", "--params", "3,1,2,2,1")
-    assert code == 2 and "work cap" in err
+    with monkeypatch.context() as m:
+        m.setattr(datum_module, "RingTower", _no_tower)
+        for argv in (("generate", "--params", "3,1,2,2,1"),
+                     ("generate", "--params", "2,1,3000,1,1"),
+                     ("verify", "--in", str(doc)),
+                     ("validate", "--in", str(doc))):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2 and "work cap" in err, argv
     monkeypatch.setenv("HASSE_FORGE_LIMIT", "4")
     code, _, _ = run_cli(capsys, "generate", "--params", "3,1,2,2,1")
     assert code == 0

@@ -99,14 +99,21 @@ def test_index_wrapping_and_ranges():
         primitive_m(D, 0, 1)
     with pytest.raises(InvalidSpec):
         primitive_m(D, 0, 3)
-    with pytest.raises(InvalidSpec):
-        partial_hasse_pr(D, 0, 0)
-    with pytest.raises(InvalidSpec):
-        duality_check(D, "nope")
-    with pytest.raises(InvalidSpec):
-        duality_check(D, "ha_i")  # missing index
-    with pytest.raises(InvalidSpec):
-        duality_check(D, "m", 0)  # missing level
+    e = D.params.e
+    for bad in (lambda: partial_hasse_pr(D, 0, 0),
+                lambda: partial_hasse_pr(D, 0, e + 1),
+                lambda: factorization_check(D, 0, 0),
+                lambda: factorization_check(D, 0, e + 1),
+                lambda: duality_check(D, "nope"),
+                lambda: duality_check(D, "ha_i"),  # missing index
+                lambda: duality_check(D, "m", 0),  # missing level
+                lambda: duality_check(D, "m", 0, 1),
+                lambda: duality_check(D, "ha_pr", 0, e + 1)):
+        with pytest.raises(InvalidSpec):
+            bad()
+    # hasse is not listed at e = 1 but still answers there
+    v = duality_check(named_instance("ord-split"), "hasse", 0)
+    assert v.status == "ok" and v.equal
 
 
 def test_duality_needs_proper_rank():
