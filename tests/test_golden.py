@@ -3,7 +3,8 @@
 The corpus is the six named instances, seeded documents of four shapes and
 the datum whose boundary-map verdicts are not_applicable.  Together they
 reach e = 1 (no m or hasse rows), f = 2 and e = 3.  A change to any report
-row, to the row order or to the generated documents changes a digest.
+row, to the row order, to the generated documents or to the dual documents
+that `dualize` prints changes a digest.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ DIGESTS = {
     "verify": "42fdada2744a23705568bfa083f2e31cac107e19483a2c7ada299348235d1d4e",
     "invariants": "91b68fa4c25864066f107ef850bec8df082d7bd29a1f990d91c86bf1547bcd7f",
     "invariants_csv": "44483abd8657e513ce380964c7259e6cd332fdebfbeb573376e3a1c26723e5ac",
+    "dualize": "2e380caaac70ba902e0343abefa6dc9d0db395831af7816aa204df3ab2250516",
 }
 
 
@@ -46,6 +48,7 @@ def test_golden_reports(capsys, tmp_path):
         "invariants": _stdout(capsys, "invariants", "--in", str(corpus)),
         "invariants_csv": _stdout(capsys, "invariants", "--in", str(corpus),
                                   "--format", "csv"),
+        "dualize": _stdout(capsys, "dualize", "--in", str(corpus)),
     }
     got = {k: hashlib.sha256(v.encode("ascii")).hexdigest() for k, v in outputs.items()}
     assert got == DIGESTS
