@@ -71,12 +71,17 @@ def _trivial_flags(params, hodges):
     return [[zero, hodges[i]] for i in range(params.f)]
 
 
-class DieudonneDatum:
-    """Mod-p datum with its flag data.  Construction validates unless
-    check=False is passed (used internally right after validation has
-    already happened on an equivalent object)."""
+def _dual_matrices(D):
+    """F and V matrices of the dual datum (see the module docstring)."""
+    f = D.params.f
+    return ([D.V[i].matrix.transpose().frob(1) for i in range(f)],
+            [D.F[i].matrix.transpose().frob(-1) for i in range(f)])
 
-    def __init__(self, params: Params, F_mats, V_mats, pr_flags=None, check=True):
+
+class DieudonneDatum:
+    """Mod-p datum with its flag data.  Construction validates."""
+
+    def __init__(self, params: Params, F_mats, V_mats, pr_flags=None):
         self.params = params
         f = params.f
         if len(F_mats) != f or len(V_mats) != f:
@@ -90,8 +95,7 @@ class DieudonneDatum:
             else:
                 raise InvalidDatum("flag data is required when e > 1")
         self.pr_flags = tuple(tuple(level for level in flag) for flag in pr_flags)
-        if check:
-            self.validate()
+        self.validate()
 
     # -- distinguished submodules ------------------------------------
 
@@ -117,9 +121,9 @@ class DieudonneDatum:
             for M in (self.F[i].matrix, self.V[i].matrix):
                 if M.m != p.h1 or M.n != p.h1:
                     raise InvalidDatum("matrix at index %d is not %d x %d" % (i, p.h1, p.h1))
-            if self.F[i].kernel() != self.V[i].image():
+            if self.F[i].kernel() != self.hodge(i - 1):
                 raise InvalidDatum("ker F != im V at index %d" % i)
-            if self.V[i].kernel() != self.F[i].image():
+            if self.V[i].kernel() != self.conj(i):
                 raise InvalidDatum("ker V != im F at index %d" % i)
         for i in range(p.f):
             if kdim_rsub(p.R, self.hodge(i)) != p.e * p.d1:
@@ -145,15 +149,17 @@ class DieudonneDatum:
 
     # -- duality ---------------------------------------------------------
 
-    def dualize(self) -> "DieudonneDatum":
+    def dual_flags(self):
+        """Flags of the dual datum: annihilators of the extended flag, top down."""
         p = self.params
-        Fd = [self.V[i].matrix.transpose().frob(1) for i in range(p.f)]
-        Vd = [self.F[i].matrix.transpose().frob(-1) for i in range(p.f)]
         flags = []
         for i in range(p.f):
             ext = extended_flag(self, i)
             flags.append([annihilator(p.R, p.h1, ext[2 * p.e - j]) for j in range(p.e + 1)])
-        return DieudonneDatum(p.dual(), Fd, Vd, pr_flags=flags)
+        return flags
+
+    def dualize(self) -> "DieudonneDatum":
+        return DieudonneDatum(self.params.dual(), *_dual_matrices(self), pr_flags=self.dual_flags())
 
     # -- misc ------------------------------------------------------------
 
@@ -176,7 +182,7 @@ class LiftedDatum:
     exact relations F V = p and V F = p at every index, carrying flag
     data for its reduction."""
 
-    def __init__(self, params: Params, F_mats, V_mats, pr_flags=None, check=True):
+    def __init__(self, params: Params, F_mats, V_mats, pr_flags=None):
         self.params = params
         f = params.f
         if len(F_mats) != f or len(V_mats) != f:
@@ -185,8 +191,7 @@ class LiftedDatum:
         self.V = tuple(SemilinearMap(m, -1) for m in V_mats)
         self._pr_flags = pr_flags
         self._reduction = None
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         p = self.params
@@ -217,10 +222,10 @@ class LiftedDatum:
         return self._reduction
 
     def dualize(self) -> "LiftedDatum":
-        p = self.params
-        Fd = [self.V[i].matrix.transpose().frob(1) for i in range(p.f)]
-        Vd = [self.F[i].matrix.transpose().frob(-1) for i in range(p.f)]
-        return LiftedDatum(p.dual(), Fd, Vd, pr_flags=self.reduce().dualize().pr_flags)
+        # the dual's reduction is the reduction's dual; the new datum builds
+        # and validates it, so only its flags are computed here
+        return LiftedDatum(self.params.dual(), *_dual_matrices(self),
+                           pr_flags=self.reduce().dual_flags())
 
     def __eq__(self, other):
         if not isinstance(other, LiftedDatum):

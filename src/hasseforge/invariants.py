@@ -373,16 +373,20 @@ def factorization_check(D, i, j) -> bool:
     i %= p.f
     i1 = (i - 1) % p.f
     K = p.k
-    target = _map_ha_pr(D, i, j).matrix
-    above, below = _m_levels_around(p, j)
-    left = Matrix.identity(K, p.d1)
-    for l in above:
-        left = left.mul(_map_m(D, i1, l)[0].matrix)
-    right = Matrix.identity(K, p.d1)
-    for l in below:
-        right = right.mul(_map_m(D, i, l)[0].matrix)
-    Mh = _map_hasse(D, i)[0].matrix
-    return left.mul(Mh).mul(right.frob(-1)) == target
+
+    def build():
+        target = _map_ha_pr(D, i, j).matrix
+        above, below = _m_levels_around(p, j)
+        left = Matrix.identity(K, p.d1)
+        for l in above:
+            left = left.mul(_map_m(D, i1, l)[0].matrix)
+        right = Matrix.identity(K, p.d1)
+        for l in below:
+            right = right.mul(_map_m(D, i, l)[0].matrix)
+        Mh = _map_hasse(D, i)[0].matrix
+        return left.mul(Mh).mul(right.frob(-1)) == target
+
+    return _memo(D, ("factorization", i, j), build)
 
 
 def product_identity_check(D) -> bool:

@@ -61,7 +61,7 @@ def residue_form(R, u, w) -> int:
 def annihilator(R, n, S: Submodule) -> Submodule:
     """{w : <u, w> = 0 for all u in S} under the residue form, as an
     R-submodule of R^n (the form is R-balanced, so this is R-stable).
-    Computed by a k-linear solve, then renormalized to Howell form."""
+    Computed as the kernel of a k-matrix, then renormalized to Howell form."""
     k = R.k
     kgens = [vscale(R, R.pi_pow(s), row) for row in S.rows for s in range(R.e)]
     if not kgens:
@@ -99,8 +99,7 @@ class QuotientPresentation:
         taken = {j for j, _ in self.den_in_num.pivots}
         self._free_idx = [t for t in range(d) if t not in taken]
         self.dim = len(self._free_idx)
-        self.lift_rows_k = [self.numk.rows[t] for t in self._free_idx]
-        self.lifts_R = [unrestrict_vec(R, r) for r in self.lift_rows_k]
+        self.lifts_R = [unrestrict_vec(R, self.numk.rows[t]) for t in self._free_idx]
         self._post = None
 
     def _num_coords(self, kv):
@@ -133,11 +132,7 @@ class QuotientPresentation:
         T = Matrix.from_cols(self.R.k, cols, m=self.dim)
         qp._post = T.inverse() if self._post is None else T.inverse().mul(self._post)
         qp.lifts_R = list(lifts_R)
-        qp.lift_rows_k = [restrict_vec(self.R, l) for l in lifts_R]
         return qp
-
-    def contains_R(self, v) -> bool:
-        return self.numk.contains(restrict_vec(self.R, v))
 
     def __repr__(self):
         return "QuotientPresentation(dim %d over %r)" % (self.dim, self.R.k)
@@ -186,24 +181,23 @@ def induced_from_fun(fn, twist, src: QuotientPresentation, dst: QuotientPresenta
     return SemilinearMap(Matrix.from_cols(k, cols, m=dst.dim), twist)
 
 
-def pairing_matrix(form, left: QuotientPresentation, right: QuotientPresentation, check=True) -> Matrix:
+def pairing_matrix(form, left: QuotientPresentation, right: QuotientPresentation) -> Matrix:
     """Matrix P[u][v] = form(left lift u, right lift v) of a k-bilinear form
     descending to left x right.  Descent is checked on k-generators."""
     R = left.R
     k = R.k
-    if check:
-        lden = [vscale(R, R.pi_pow(s), r) for r in left.den.rows for s in range(R.e)]
-        rnum = [vscale(R, R.pi_pow(s), r) for r in right.num.rows for s in range(R.e)]
-        lnum = [vscale(R, R.pi_pow(s), r) for r in left.num.rows for s in range(R.e)]
-        rden = [vscale(R, R.pi_pow(s), r) for r in right.den.rows for s in range(R.e)]
-        for d in lden:
-            for x in rnum:
-                if form(d, x) != k.zero:
-                    raise WellDefinednessViolation("pairing does not kill left.den")
-        for x in lnum:
-            for d in rden:
-                if form(x, d) != k.zero:
-                    raise WellDefinednessViolation("pairing does not kill right.den")
+    lden = [vscale(R, R.pi_pow(s), r) for r in left.den.rows for s in range(R.e)]
+    rnum = [vscale(R, R.pi_pow(s), r) for r in right.num.rows for s in range(R.e)]
+    lnum = [vscale(R, R.pi_pow(s), r) for r in left.num.rows for s in range(R.e)]
+    rden = [vscale(R, R.pi_pow(s), r) for r in right.den.rows for s in range(R.e)]
+    for d in lden:
+        for x in rnum:
+            if form(d, x) != k.zero:
+                raise WellDefinednessViolation("pairing does not kill left.den")
+    for x in lnum:
+        for d in rden:
+            if form(x, d) != k.zero:
+                raise WellDefinednessViolation("pairing does not kill right.den")
     rows = [[form(lu, rv) for rv in right.lifts_R] for lu in left.lifts_R]
     return Matrix(k, rows, n=right.dim)
 

@@ -4,8 +4,9 @@ Matrices are immutable row-major tuples over one tower ring.  Submodules
 of ring^n are kept in Howell canonical form, the strong echelon form that
 keeps span membership and equality decidable over rings with zero
 divisors (plain Hermite is not canonical there).  Kernels, preimages and
-intersections route through an exact Smith decomposition M = U D W with
-tracked inverses and determinants of U and W.
+intersections route through an exact Smith decomposition M = U D W that
+keeps only what its callers read: the valuations of D, W^-1 (kernels)
+and one unit carrying det U * det W (determinants).
 
 Semilinear maps x -> A sigma^a(x) carry their twist explicitly; the
 kernel/image/preimage conventions return submodules in untwisted
@@ -121,20 +122,6 @@ class Matrix:
             rows.append(row)
         return Matrix(ring, rows, n=other.n)
 
-    def add(self, other):
-        assert self.m == other.m and self.n == other.n
-        ring = self.ring
-        return Matrix(ring, [vadd(ring, a, b) for a, b in zip(self.rows, other.rows)], n=self.n)
-
-    def sub(self, other):
-        assert self.m == other.m and self.n == other.n
-        ring = self.ring
-        return Matrix(ring, [vsub(ring, a, b) for a, b in zip(self.rows, other.rows)], n=self.n)
-
-    def neg(self):
-        ring = self.ring
-        return Matrix(ring, [[ring.neg(x) for x in r] for r in self.rows], n=self.n)
-
     def scale(self, c):
         ring = self.ring
         return Matrix(ring, [[ring.mul(c, x) for x in r] for r in self.rows], n=self.n)
@@ -151,10 +138,6 @@ class Matrix:
     def hstack(self, other):
         assert self.m == other.m
         return Matrix(self.ring, [a + b for a, b in zip(self.rows, other.rows)], n=self.n + other.n)
-
-    def vstack(self, other):
-        assert self.n == other.n
-        return Matrix(self.ring, self.rows + other.rows, n=self.n)
 
     def __eq__(self, other):
         return (
@@ -212,42 +195,26 @@ class Matrix:
         if self.m == 0:
             return ring.one
         s = smith(self)
-        return ring.mul(s.det_u, ring.mul(ring.pi_pow(sum(s.vals)), s.det_w))
+        return ring.mul(s.det, ring.pi_pow(sum(s.vals)))
 
 
 class Smith:
     """M = U D W with D = diag(pi^vals), valuations ascending, U and W
-    invertible.  Inverses and determinants of U, W tracked exactly."""
+    invertible.  Keeps only W^-1 and the unit det = det U * det W, so a
+    square M has det M = det * pi^(sum vals)."""
 
-    __slots__ = ("ring", "m", "n", "vals", "U", "Uinv", "W", "Winv", "det_u", "det_w")
+    __slots__ = ("vals", "Winv", "det")
 
-    def __init__(self, ring, m, n, vals, U, Uinv, W, Winv, det_u, det_w):
-        self.ring, self.m, self.n = ring, m, n
-        self.vals = vals
-        self.U, self.Uinv, self.W, self.Winv = U, Uinv, W, Winv
-        self.det_u, self.det_w = det_u, det_w
-
-    def diagonal(self) -> Matrix:
-        ring = self.ring
-        rows = [
-            [ring.pi_pow(self.vals[i]) if i == j else ring.zero for j in range(self.n)]
-            for i in range(self.m)
-        ]
-        return Matrix(ring, rows, n=self.n)
-
-
-def _ident_list(ring, n):
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    def __init__(self, vals, Winv, det):
+        self.vals, self.Winv, self.det = vals, Winv, det
 
 
 def smith(M: Matrix) -> Smith:
     ring = M.ring
     m, n, cap = M.m, M.n, ring.capacity
     a = [list(r) for r in M.rows]
-    u, uinv = _ident_list(ring, m), _ident_list(ring, m)
-    w, winv = _ident_list(ring, n), _ident_list(ring, n)
-    det_u, det_w = ring.one, ring.one
-    minus_one = ring.from_int(-1)
+    winv = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    det = ring.one
     vals = []
     t = 0
     while t < min(m, n):
@@ -263,76 +230,39 @@ def smith(M: Matrix) -> Smith:
         v, bi, bj = best
         if bi != t:
             a[bi], a[t] = a[t], a[bi]
-            uinv[bi], uinv[t] = uinv[t], uinv[bi]
-            for r in u:
-                r[bi], r[t] = r[t], r[bi]
-            det_u = ring.mul(det_u, minus_one)
+            det = ring.neg(det)
         if bj != t:
             for r in a:
                 r[bj], r[t] = r[t], r[bj]
             for r in winv:
                 r[bj], r[t] = r[t], r[bj]
-            w[bj], w[t] = w[t], w[bj]
-            det_w = ring.mul(det_w, minus_one)
+            det = ring.neg(det)
         _, wu = ring.val_split(a[t][t])
         if wu != ring.one:
             c = ring.inv(wu)
             a[t] = [ring.mul(c, x) for x in a[t]]
-            uinv[t] = [ring.mul(c, x) for x in uinv[t]]
-            for r in u:
-                r[t] = ring.mul(wu, r[t])
-            det_u = ring.mul(det_u, wu)
-        # clear the rest of column t (row ops), then of row t (col ops)
+            det = ring.mul(det, wu)
+        # clear the rest of column t (row ops), then of row t (col ops);
+        # column t of a is now zero off the pivot, so a col op changes only
+        # row t of a, which is never read again: apply it to winv alone
         for i in range(t + 1, m):
             y = a[i][t]
             if y != ring.zero:
                 b, wy = ring.val_split(y)
                 q = ring.mul(ring.pi_pow(b - v), wy)
                 a[i] = [ring.sub(x, ring.mul(q, z)) for x, z in zip(a[i], a[t])]
-                uinv[i] = [ring.sub(x, ring.mul(q, z)) for x, z in zip(uinv[i], uinv[t])]
-                for r in u:
-                    r[t] = ring.add(r[t], ring.mul(q, r[i]))
         for j in range(t + 1, n):
             y = a[t][j]
             if y != ring.zero:
                 b, wy = ring.val_split(y)
                 q = ring.mul(ring.pi_pow(b - v), wy)
-                for r in a:
-                    r[j] = ring.sub(r[j], ring.mul(q, r[t]))
                 for r in winv:
                     r[j] = ring.sub(r[j], ring.mul(q, r[t]))
-                w[t] = [ring.add(x, ring.mul(q, z)) for x, z in zip(w[t], w[j])]
         vals.append(v)
         t += 1
     while len(vals) < min(m, n):
         vals.append(cap)
-    return Smith(
-        ring, m, n, tuple(vals),
-        Matrix(ring, u, n=m), Matrix(ring, uinv, n=m),
-        Matrix(ring, w, n=n), Matrix(ring, winv, n=n),
-        det_u, det_w,
-    )
-
-
-def solve(M: Matrix, b):
-    """One solution x of M x = b, or None."""
-    ring = M.ring
-    s = smith(M)
-    c = s.Uinv.apply(b)
-    y = []
-    for i in range(M.n):
-        if i < len(s.vals):
-            ci = c[i]
-            q, rem = div_rem_pi(ring, ci, s.vals[i])
-            if rem != ring.zero:
-                return None
-            y.append(q)
-        else:
-            y.append(ring.zero)
-    for i in range(M.n, M.m):
-        if c[i] != ring.zero:
-            return None
-    return s.Winv.apply(tuple(y))
+    return Smith(tuple(vals), Matrix(ring, winv, n=n), det)
 
 
 def kernel_gens(M: Matrix):
@@ -448,10 +378,6 @@ class Submodule:
         ring = self.ring
         return Submodule.span(ring, self.n, [vscale(ring, c, r) for r in self.rows])
 
-    def gens_matrix(self) -> Matrix:
-        """Generators as columns, n x (#rows)."""
-        return Matrix.from_cols(self.ring, list(self.rows), m=self.n)
-
     def howell_kdim(self) -> int:
         """sum (capacity - val) over pivots; cross-check quantity."""
         return sum(self.ring.capacity - a for _, a in self.pivots)
@@ -513,12 +439,6 @@ class SemilinearMap:
     def compose(self, other: "SemilinearMap") -> "SemilinearMap":
         """self after other."""
         return SemilinearMap(self.matrix.mul(other.matrix.frob(self.twist)), self.twist + other.twist)
-
-    def inverse(self) -> "SemilinearMap":
-        return SemilinearMap(self.matrix.inverse().frob(-self.twist), -self.twist)
-
-    def det(self):
-        return self.matrix.det()
 
     def kernel(self) -> Submodule:
         return kernel(self.matrix).frob(-self.twist)

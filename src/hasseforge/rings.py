@@ -250,10 +250,6 @@ class PiChain:
                         out[i + j] = k.add(out[i + j], k.mul(x, b[j]))
         return tuple(out)
 
-    def scale_k(self, c: int, a):
-        k = self.k
-        return tuple(k.mul(c, x) for x in a)
-
     def is_unit(self, a) -> bool:
         return a[0] != self.k.zero
 

@@ -190,6 +190,21 @@ def test_dual_reduce_commute():
         assert L.dualize().reduce() == L.reduce().dualize()
 
 
+def test_lifted_dualize_validates_once(monkeypatch):
+    # the dual's reduction is validated once; the lift's F V = V F = p still runs
+    calls = {DieudonneDatum: 0, LiftedDatum: 0}
+    for cls in calls:
+        def counted(self, _cls=cls, _validate=cls.validate):
+            calls[_cls] += 1
+            return _validate(self)
+        monkeypatch.setattr(cls, "validate", counted)
+    for make in ALL_INSTANCES:
+        L = make()
+        calls.update({DieudonneDatum: 0, LiftedDatum: 0})
+        L.dualize()
+        assert calls == {DieudonneDatum: 1, LiftedDatum: 1}
+
+
 def test_flag_dims_and_nesting():
     for make in ALL_INSTANCES:
         D = make().reduce()
