@@ -12,7 +12,7 @@ subspace is automatically pi-stable, hence an R-submodule.
 
 from .errors import InvalidSpec, RetryExhausted
 from .linalg import Matrix, Submodule, image, random_invertible, vadd, vscale
-from .kspace import ksub_from_rsub, unrestrict_vec
+from .kspace import ksub_from_rsub
 from .datum import DieudonneDatum, LiftedDatum, Params
 from .flags import pi_map
 
@@ -33,24 +33,21 @@ def _random_between(R, low, high, kdim, rng, tries=200):
     assuming pi * high <= low so that any intermediate k-subspace is
     R-stable.  None if the dimension window is infeasible."""
     k = R.k
-    lowk = ksub_from_rsub(R, low)
-    highk = ksub_from_rsub(R, high)
-    if not (len(lowk.rows) <= kdim <= len(highk.rows)):
+    if not (len(low.krows) <= kdim <= len(high.krows)):
         return None
-    X = lowk
+    X = ksub_from_rsub(R, low)
     budget = tries
-    while len(X.rows) < kdim:
-        v = tuple(k.zero for _ in range(highk.n))
-        for row in highk.rows:
+    while len(X.krows) < kdim:
+        v = tuple(k.zero for _ in range(X.n))
+        for row in high.krows:
             v = vadd(k, v, vscale(k, k.random_element(rng), row))
-        X2 = X.add_sub(Submodule.span(k, highk.n, [v]))
-        if len(X2.rows) > len(X.rows):
+        X2 = X.add_sub(Submodule.span(k, X.n, [v]))
+        if len(X2.krows) > len(X.krows):
             X = X2
         budget -= 1
         if budget < 0:
             return None
-    gens = [unrestrict_vec(R, row) for row in X.rows]
-    return Submodule.span(R, low.n, gens)
+    return Submodule(R, low.n, X.krows, X.kpivots)
 
 
 def sample_flag(R, omega, d1, rng, budget=64):

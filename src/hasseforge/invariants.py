@@ -21,7 +21,6 @@ from typing import Optional
 from .errors import InvalidSpec, InvariantViolation
 from .linalg import (Matrix, SemilinearMap, Submodule, unit_vec, vscale,
                      vsub)
-from .rings import div_rem_pi
 from .kspace import (QuotientPresentation, induced_from_fun,
                      induced_semilinear, ksub_from_rsub, pairing_matrix,
                      prop_dual, residue_form, subspace_in_qp)
@@ -90,23 +89,15 @@ def _unit(K, c, what):
 
 
 def _torsion(R, n, t):
-    """Kernel of pi^t on R^n."""
+    """Kernel of pi^t on R^n, which is pi^(e-t) R^n."""
     if t <= 0:
         return Submodule.zero(R, n)
-    if t >= R.e:
-        return Submodule.full(R, n)
-    gens = [vscale(R, R.pi_pow(R.e - t), unit_vec(R, n, m)) for m in range(n)]
-    return Submodule.span(R, n, gens)
+    return Submodule.full(R, n).scaled(R.pi_pow(max(R.e - t, 0)))
 
 
 def _div_vec(R, v, s):
     """Coordinatewise exact division by pi^s."""
-    out = []
-    for c in v:
-        q, rem = div_rem_pi(R, c, s)
-        _require(rem == R.zero, "vector is not divisible by pi^%d" % s)
-        out.append(q)
-    return tuple(out)
+    return tuple(R.shift_down(c, s) for c in v)
 
 
 def _random_in(S, rng):
@@ -443,24 +434,14 @@ def check_pi_divisibility(D, i, rng=None, samples=20) -> bool:
 # free-index reads for the quotient)
 
 
-def _coords_in(sub_k, kv):
-    _require(sub_k.contains(kv), "transport vector escapes the subspace")
-    return tuple(kv[c] for c, _ in sub_k.pivots)
-
-
-def _free_cols(sub_k, total):
-    taken = {c for c, _ in sub_k.pivots}
-    return [c for c in range(total) if c not in taken]
-
-
 def _transport_sub(K, qpA, sub_k, qp):
-    cols = [_coords_in(sub_k, qpA.coordinates_of_R(l)) for l in qp.lifts_R]
+    cols = [sub_k.coords(qpA.coordinates_of_R(l)) for l in qp.lifts_R]
     d = Matrix.from_cols(K, cols, m=len(sub_k.rows)).det()
     return _unit(K, d, "subspace basis transport")
 
 
 def _transport_quot(K, qpA, sub_k, qp):
-    free = _free_cols(sub_k, qpA.dim)
+    free = sub_k.free()
     cols = []
     for l in qp.lifts_R:
         red = sub_k.reduce_vector(qpA.coordinates_of_R(l))

@@ -9,41 +9,31 @@ multiplies together.
 Restricted scalars convention: R^n -> k^(n*e) sends module coordinate m,
 pi-power s to flat index m*e + s.
 
-A Submodule over the field k (capacity 1) is exactly an RREF row basis,
-so the same Howell machinery provides canonical k-subspaces for free.
+An R-submodule is stored as the reduced echelon basis of its restriction
+(see linalg), which is exactly a Submodule over k: the underlying k-space
+is a read, and descent checks run on those echelon rows, a k-basis.
 """
 
 from __future__ import annotations
 
+import copy
+
 from .errors import InvariantViolation, NotComplementary, NotNested, WellDefinednessViolation
-from .linalg import Matrix, SemilinearMap, Submodule, kernel_gens, vscale
-
-
-def restrict_vec(R, v):
-    """R-vector -> k-vector of length len(v)*e."""
-    out = []
-    for x in v:
-        out.extend(x)
-    return tuple(out)
-
-
-def unrestrict_vec(R, kv):
-    e = R.e
-    assert len(kv) % e == 0
-    return tuple(tuple(kv[i * e : (i + 1) * e]) for i in range(len(kv) // e))
+from .linalg import Matrix, SemilinearMap, Submodule, restrict_vec, unit_vec, unrestrict_vec
 
 
 def ksub_from_rsub(R, S: Submodule) -> Submodule:
     """The underlying k-subspace of an R-submodule of R^n, inside k^(n*e)."""
-    gens = []
-    for row in S.rows:
-        for s in range(R.e):
-            gens.append(restrict_vec(R, vscale(R, R.pi_pow(s), row)))
-    return Submodule.span(R.k, S.n * R.e, gens)
+    return Submodule(R.k, S.n * R.e, S.krows, S.kpivots)
 
 
 def kdim_rsub(R, S: Submodule) -> int:
-    return len(ksub_from_rsub(R, S).rows)
+    return len(S.krows)
+
+
+def _kbasis(R, S: Submodule):
+    """A k-basis of S as R-vectors: its echelon rows, unrestricted."""
+    return [unrestrict_vec(R, kv) for kv in S.krows]
 
 
 def residue_form(R, u, w) -> int:
@@ -61,19 +51,13 @@ def residue_form(R, u, w) -> int:
 def annihilator(R, n, S: Submodule) -> Submodule:
     """{w : <u, w> = 0 for all u in S} under the residue form, as an
     R-submodule of R^n (the form is R-balanced, so this is R-stable).
-    Computed as the kernel of a k-matrix, then renormalized to Howell form."""
-    k = R.k
-    kgens = [vscale(R, R.pi_pow(s), row) for row in S.rows for s in range(R.e)]
-    if not kgens:
-        return Submodule.full(R, n)
-    basis = []
-    for m in range(n):
-        for s in range(R.e):
-            v = [R.zero] * n
-            v[m] = R.pi_pow(s)
-            basis.append(tuple(v))
-    G = Matrix(k, [[residue_form(R, g, b) for b in basis] for g in kgens], n=len(basis))
-    return Submodule.span(R, n, [unrestrict_vec(R, kv) for kv in kernel_gens(G)])
+    The form pairs flat index m*e + s with m*e + e-1-s, so each echelon
+    row of S, its digits reversed in every block, is one k-linear form
+    that the annihilator's restriction must satisfy."""
+    e = R.e
+    forms = [tuple(x for m in range(0, n * e, e) for x in reversed(kv[m : m + e]))
+             for kv in S.krows]
+    return Submodule.solutions(R, n, forms)
 
 
 class QuotientPresentation:
@@ -92,24 +76,18 @@ class QuotientPresentation:
         self.num, self.den = num, den
         self.numk = ksub_from_rsub(R, num)
         self.denk = ksub_from_rsub(R, den)
-        self.num_pivots = [j for j, _ in self.numk.pivots]
-        d = len(self.numk.rows)
-        dencoords = [self._num_coords(r) for r in self.denk.rows]
-        self.den_in_num = Submodule.span(R.k, d, dencoords)
-        taken = {j for j, _ in self.den_in_num.pivots}
-        self._free_idx = [t for t in range(d) if t not in taken]
+        d = len(num.krows)
+        # each den pivot is a num pivot (den <= num), so den's echelon rows
+        # read at num's pivots are again a reduced echelon basis
+        dencoords = [self.numk.coords(r) for r in den.krows]
+        self.den_in_num = Submodule(R.k, d, dencoords, [num.kpivots.index(p) for p in den.kpivots])
+        self._free_idx = self.den_in_num.free()
         self.dim = len(self._free_idx)
-        self.lifts_R = [unrestrict_vec(R, self.numk.rows[t]) for t in self._free_idx]
+        self.lifts_R = [unrestrict_vec(R, num.krows[t]) for t in self._free_idx]
         self._post = None
 
-    def _num_coords(self, kv):
-        # RREF rows have unit pivots and zeros under each other's pivots,
-        # so membership coordinates are plain pivot reads
-        assert self.numk.contains(kv), "vector is not in num"
-        return tuple(kv[p] for p in self.num_pivots)
-
     def coordinates_of_k(self, kv):
-        c = self.den_in_num.reduce_vector(self._num_coords(kv))
+        c = self.den_in_num.reduce_vector(self.numk.coords(kv))
         raw = tuple(c[t] for t in self._free_idx)
         return self._post.apply(raw) if self._post is not None else raw
 
@@ -118,15 +96,7 @@ class QuotientPresentation:
 
     def with_lifts(self, lifts_R) -> "QuotientPresentation":
         """Same quotient, custom lift basis (must be a basis mod den)."""
-        qp = object.__new__(QuotientPresentation)
-        qp.R, qp.n = self.R, self.n
-        qp.num, qp.den = self.num, self.den
-        qp.numk, qp.denk = self.numk, self.denk
-        qp.num_pivots = self.num_pivots
-        qp.den_in_num = self.den_in_num
-        qp._free_idx = self._free_idx
-        qp.dim = self.dim
-        qp._post = None
+        qp = copy.copy(self)
         # new coords = T^{-1} (old coords), so that coords(lift_t) = e_t
         cols = [self.coordinates_of_R(l) for l in lifts_R]
         T = Matrix.from_cols(self.R.k, cols, m=self.dim)
@@ -141,10 +111,7 @@ class QuotientPresentation:
 def subspace_in_qp(qp: QuotientPresentation, S: Submodule) -> Submodule:
     """Image of the R-submodule S (inside num) in the quotient's coordinate
     space k^dim, as a canonical k-subspace."""
-    gens = []
-    for row in S.rows:
-        for s in range(qp.R.e):
-            gens.append(qp.coordinates_of_R(vscale(qp.R, qp.R.pi_pow(s), row)))
+    gens = [qp.coordinates_of_k(kv) for kv in S.krows]
     return Submodule.span(qp.R.k, qp.dim, gens)
 
 
@@ -169,13 +136,11 @@ def induced_from_fun(fn, twist, src: QuotientPresentation, dst: QuotientPresenta
     (e.g. images of a division's ambiguity) that must also die in dst."""
     R = src.R
     k = R.k
-    for row in src.den.rows:
-        for s in range(R.e):
-            w = fn(vscale(R, R.pi_pow(s), row))
-            if not dst.denk.contains(restrict_vec(R, w)):
-                raise WellDefinednessViolation("fn does not descend to the quotient")
+    for g in _kbasis(R, src.den):
+        if not dst.den.contains(fn(g)):
+            raise WellDefinednessViolation("fn does not descend to the quotient")
     for v in den_images:
-        if not dst.denk.contains(restrict_vec(R, v)):
+        if not dst.den.contains(v):
             raise WellDefinednessViolation("fn is ambiguous modulo dst.den")
     cols = [dst.coordinates_of_R(fn(l)) for l in src.lifts_R]
     return SemilinearMap(Matrix.from_cols(k, cols, m=dst.dim), twist)
@@ -186,10 +151,8 @@ def pairing_matrix(form, left: QuotientPresentation, right: QuotientPresentation
     descending to left x right.  Descent is checked on k-generators."""
     R = left.R
     k = R.k
-    lden = [vscale(R, R.pi_pow(s), r) for r in left.den.rows for s in range(R.e)]
-    rnum = [vscale(R, R.pi_pow(s), r) for r in right.num.rows for s in range(R.e)]
-    lnum = [vscale(R, R.pi_pow(s), r) for r in left.num.rows for s in range(R.e)]
-    rden = [vscale(R, R.pi_pow(s), r) for r in right.den.rows for s in range(R.e)]
+    lden, rnum = _kbasis(R, left.den), _kbasis(R, right.num)
+    lnum, rden = _kbasis(R, left.num), _kbasis(R, right.den)
     for d in lden:
         for x in rnum:
             if form(d, x) != k.zero:
@@ -216,23 +179,16 @@ def prop_dual(k, r: int, B: Submodule, C: Submodule):
     if s + t != r:
         raise NotComplementary("dim B + dim C = %d + %d != %d" % (s, t, r))
 
-    def free_idx(S):
-        taken = {j for j, _ in S.pivots}
-        return [j for j in range(r) if j not in taken]
-
     def quot_matrix(rows, S, free):
         cols = [tuple(S.reduce_vector(v)[j] for j in free) for v in rows]
         return Matrix.from_cols(k, cols, m=len(free))
 
-    freeB, freeC = free_idx(B), free_idx(C)
+    freeB, freeC = B.free(), C.free()
     x = quot_matrix(C.rows, B, freeB).det()
     y = quot_matrix(B.rows, C, freeC).det()
 
-    def unit_col(j):
-        return tuple(k.one if i == j else k.zero for i in range(r))
-
-    dB = Matrix.from_cols(k, list(B.rows) + [unit_col(j) for j in freeB], m=r).det()
-    dC = Matrix.from_cols(k, list(C.rows) + [unit_col(j) for j in freeC], m=r).det()
+    dB = Matrix.from_cols(k, list(B.rows) + [unit_vec(k, r, j) for j in freeB], m=r).det()
+    dC = Matrix.from_cols(k, list(C.rows) + [unit_vec(k, r, j) for j in freeC], m=r).det()
     sign = k.from_int((-1) ** (s * (r - s)))
     iso = k.mul(sign, k.mul(dC, k.inv(dB)))
     if x != k.mul(iso, y):

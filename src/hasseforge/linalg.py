@@ -1,12 +1,16 @@
 """Exact linear algebra over the chain-ring protocol.
 
-Matrices are immutable row-major tuples over one tower ring.  Submodules
-of ring^n are kept in Howell canonical form, the strong echelon form that
-keeps span membership and equality decidable over rings with zero
-divisors (plain Hermite is not canonical there).  Kernels, preimages and
-intersections route through an exact Smith decomposition M = U D W that
-keeps only what its callers read: the valuations of D, W^-1 (kernels)
-and one unit carrying det U * det W (determinants).
+Matrices are immutable row-major tuples over one tower ring; determinants
+come from an exact Smith decomposition M = U D W that keeps only the
+valuations of D and one unit carrying det U * det W.  A submodule of R^n,
+R = k[pi]/(pi^e), is the same thing as a pi-stable k-subspace of k^(n*e)
+(module coordinate m, pi-power s at flat index m*e + s), and is stored as
+its reduced row echelon form; over k itself e = 1.  So every submodule
+operation is plain elimination over the residue field, a pi-multiple is a
+digit shift inside each block of e, and the kernels of an R-linear map's
+restriction are pi-stable with no extra step.  The Howell form over R
+(the strong echelon form, canonical over a ring with zero divisors) is read
+off the echelon rows: per module column, the row of least pi-power.
 
 Semilinear maps x -> A sigma^a(x) carry their twist explicitly; the
 kernel/image/preimage conventions return submodules in untwisted
@@ -20,7 +24,10 @@ coordinates:
 
 from __future__ import annotations
 
-from .rings import div_rem_pi
+from bisect import bisect_left
+
+from .errors import InvalidSpec, InvariantViolation
+from .rings import PiChain
 
 
 def vadd(ring, u, v):
@@ -39,10 +46,6 @@ def vfrob(ring, v, j=1):
     return tuple(ring.frob(x, j) for x in v)
 
 
-def zero_vec(ring, n):
-    return (ring.zero,) * n
-
-
 def unit_vec(ring, n, i):
     return tuple(ring.one if t == i else ring.zero for t in range(n))
 
@@ -58,8 +61,8 @@ class Matrix:
         self.m = len(self.rows)
         if self.rows:
             self.n = len(self.rows[0])
-            assert all(len(r) == self.n for r in self.rows)
-            assert n is None or n == self.n
+            if n not in (None, self.n) or any(len(r) != self.n for r in self.rows):
+                raise InvalidSpec("matrix rows of lengths %s, expected %s" % ({len(r) for r in self.rows}, n))
         else:
             self.n = 0 if n is None else n
 
@@ -75,10 +78,12 @@ class Matrix:
     def from_cols(cls, ring, cols, m=None):
         cols = list(cols)
         if not cols:
-            assert m is not None
+            if m is None:
+                raise InvalidSpec("a matrix with no columns needs its row count")
             return cls(ring, [()] * m, n=0)
         mm = len(cols[0])
-        assert m is None or m == mm
+        if m is not None and m != mm:
+            raise InvalidSpec("columns of length %d, expected %d" % (mm, m))
         return cls(ring, [[c[i] for c in cols] for i in range(mm)], n=len(cols))
 
     def col(self, j):
@@ -96,7 +101,8 @@ class Matrix:
 
     def apply(self, v):
         ring = self.ring
-        assert len(v) == self.n
+        if len(v) != self.n:
+            raise InvalidSpec("a %dx%d matrix applied to a vector of length %d" % (self.m, self.n, len(v)))
         out = []
         for row in self.rows:
             acc = ring.zero
@@ -107,7 +113,9 @@ class Matrix:
         return tuple(out)
 
     def mul(self, other):
-        assert self.ring is other.ring and self.n == other.m
+        if self.ring is not other.ring or self.n != other.m:
+            raise InvalidSpec("product of a %dx%d matrix over %r and a %dx%d matrix over %r"
+                              % (self.m, self.n, self.ring, other.m, other.n, other.ring))
         ring = self.ring
         bcols = other.transpose().rows
         rows = []
@@ -134,10 +142,6 @@ class Matrix:
         if j % ring.f == 0:
             return self
         return Matrix(ring, [[ring.frob(x, j) for x in r] for r in self.rows], n=self.n)
-
-    def hstack(self, other):
-        assert self.m == other.m
-        return Matrix(self.ring, [a + b for a, b in zip(self.rows, other.rows)], n=self.n + other.n)
 
     def __eq__(self, other):
         return (
@@ -200,20 +204,19 @@ class Matrix:
 
 class Smith:
     """M = U D W with D = diag(pi^vals), valuations ascending, U and W
-    invertible.  Keeps only W^-1 and the unit det = det U * det W, so a
-    square M has det M = det * pi^(sum vals)."""
+    invertible.  Keeps only the unit det = det U * det W, so a square M
+    has det M = det * pi^(sum vals)."""
 
-    __slots__ = ("vals", "Winv", "det")
+    __slots__ = ("vals", "det")
 
-    def __init__(self, vals, Winv, det):
-        self.vals, self.Winv, self.det = vals, Winv, det
+    def __init__(self, vals, det):
+        self.vals, self.det = vals, det
 
 
 def smith(M: Matrix) -> Smith:
     ring = M.ring
     m, n, cap = M.m, M.n, ring.capacity
     a = [list(r) for r in M.rows]
-    winv = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
     det = ring.one
     vals = []
     t = 0
@@ -234,101 +237,140 @@ def smith(M: Matrix) -> Smith:
         if bj != t:
             for r in a:
                 r[bj], r[t] = r[t], r[bj]
-            for r in winv:
-                r[bj], r[t] = r[t], r[bj]
             det = ring.neg(det)
         _, wu = ring.val_split(a[t][t])
         if wu != ring.one:
             c = ring.inv(wu)
             a[t] = [ring.mul(c, x) for x in a[t]]
             det = ring.mul(det, wu)
-        # clear the rest of column t (row ops), then of row t (col ops);
-        # column t of a is now zero off the pivot, so a col op changes only
-        # row t of a, which is never read again: apply it to winv alone
+        # clear the rest of column t (row ops); clearing row t would take
+        # col ops of determinant 1 that change only row t of a, which is
+        # never read again, so they are skipped
         for i in range(t + 1, m):
             y = a[i][t]
             if y != ring.zero:
                 b, wy = ring.val_split(y)
                 q = ring.mul(ring.pi_pow(b - v), wy)
                 a[i] = [ring.sub(x, ring.mul(q, z)) for x, z in zip(a[i], a[t])]
-        for j in range(t + 1, n):
-            y = a[t][j]
-            if y != ring.zero:
-                b, wy = ring.val_split(y)
-                q = ring.mul(ring.pi_pow(b - v), wy)
-                for r in winv:
-                    r[j] = ring.sub(r[j], ring.mul(q, r[t]))
         vals.append(v)
         t += 1
     while len(vals) < min(m, n):
         vals.append(cap)
-    return Smith(tuple(vals), Matrix(ring, winv, n=n), det)
+    return Smith(tuple(vals), det)
 
 
-def kernel_gens(M: Matrix):
-    """Generators of {x : M x = 0} in ring^n."""
-    ring = M.ring
-    cap = ring.capacity
-    s = smith(M)
-    gens = []
-    for i in range(M.n):
-        need = cap - s.vals[i] if i < len(s.vals) else 0
-        g = vscale(ring, ring.pi_pow(need), s.Winv.col(i))
-        if any(x != ring.zero for x in g):
-            gens.append(g)
-    return gens
+def _digits(ring) -> int:
+    """Flat k-coordinates per module coordinate: 1 over k, e over R."""
+    if ring.k is ring:
+        return 1
+    if not isinstance(ring, PiChain):
+        raise InvalidSpec("submodules live over k or R = k[pi]/(pi^e), not over %r" % (ring,))
+    return ring.e
 
 
-def _howell(ring, n, gens):
-    cap = ring.capacity
-    pool = [tuple(g) for g in gens if any(x != ring.zero for x in g)]
-    result, pivots = [], []
-    for j in range(n):
-        cands = [r for r in pool if r[j] != ring.zero]
-        if not cands:
-            continue
-        best = min(cands, key=lambda r: ring.val_split(r[j])[0])
-        v, wu = ring.val_split(best[j])
-        piv = vscale(ring, ring.inv(wu), best)
-        pool.remove(best)
-        newpool = []
-        for r in pool:
-            if r[j] != ring.zero:
-                b, wy = ring.val_split(r[j])
-                q = ring.mul(ring.pi_pow(b - v), wy)
-                r = vsub(ring, r, vscale(ring, q, piv))
-            if any(x != ring.zero for x in r):
-                newpool.append(r)
-        pool = newpool
-        if v > 0:
-            closure = vscale(ring, ring.pi_pow(cap - v), piv)
-            if any(x != ring.zero for x in closure):
-                pool.append(closure)
-        result.append(piv)
-        pivots.append((j, v))
-    # canonicalize entries sitting over later pivot columns; ascending order,
-    # so a reduction never touches a column that is already canonical
-    for idx in range(1, len(result)):
-        j, v = pivots[idx]
-        for idx2 in range(idx):
-            q, _ = div_rem_pi(ring, result[idx2][j], v)
-            if q != ring.zero:
-                result[idx2] = vsub(ring, result[idx2], vscale(ring, q, result[idx]))
-    return tuple(result), tuple(pivots)
+def restrict_vec(ring, v):
+    """ring^n -> k^(n*e): module coordinate m, pi-power s -> flat index m*e + s."""
+    if ring.k is ring:
+        return v
+    out = []
+    for x in v:
+        out.extend(x)
+    return out
+
+
+def unrestrict_vec(ring, kv):
+    if ring.k is ring:
+        return tuple(kv)
+    e = ring.e
+    if len(kv) % e:
+        raise InvalidSpec("a k-vector of length %d does not restrict from R^n with e = %d" % (len(kv), e))
+    return tuple(tuple(kv[i : i + e]) for i in range(0, len(kv), e))
+
+
+def _shift(v, e, s):
+    """pi^s on a flat vector: each block of e digits moves up by s."""
+    return [0 if t % e < s else v[t - s] for t in range(len(v))]
+
+
+def _reduce(k, rows, pivs, v):
+    """The canonical representative of v modulo the span of the reduced
+    echelon rows: v with every pivot column cleared."""
+    for p, r in zip(pivs, rows):
+        if v[p]:
+            v = k.sub_mul(v, v[p], r)
+    return v
+
+
+def _insert(k, rows, pivs, v) -> bool:
+    """Add v to the reduced echelon basis rows/pivs in place; False when v
+    already lies in their span."""
+    v = _reduce(k, rows, pivs, v)
+    lead = next((t for t, x in enumerate(v) if x), None)
+    if lead is None:
+        return False
+    if v[lead] != 1:
+        c = k.inv(v[lead])
+        v = [k.mul(c, x) for x in v]
+    # v vanishes on every pivot column; only rows pivoting left of lead
+    # can be nonzero on lead
+    at = bisect_left(pivs, lead)
+    for i in range(at):
+        if rows[i][lead]:
+            rows[i] = k.sub_mul(rows[i], rows[i][lead], v)
+    rows.insert(at, v)
+    pivs.insert(at, lead)
+    return True
 
 
 class Submodule:
-    """Submodule of ring^n in Howell canonical row form (rows generate)."""
+    """Submodule of ring^n, ring = k or R = k[pi]/(pi^e), stored as the
+    reduced echelon basis krows (pivot columns kpivots) of its restriction
+    to k^(n*e).  rows/pivots are its Howell form over the ring."""
 
-    __slots__ = ("ring", "n", "rows", "pivots")
+    __slots__ = ("ring", "n", "e", "krows", "kpivots")
 
-    def __init__(self, ring, n, rows, pivots):
-        self.ring, self.n, self.rows, self.pivots = ring, n, rows, pivots
+    def __init__(self, ring, n, krows, kpivots):
+        """krows must be the reduced echelon basis of a pi-stable subspace."""
+        self.ring, self.n, self.e = ring, n, _digits(ring)
+        self.krows, self.kpivots = tuple(map(tuple, krows)), tuple(kpivots)
 
     @classmethod
     def span(cls, ring, n, gens):
-        rows, pivots = _howell(ring, n, gens)
-        return cls(ring, n, rows, pivots)
+        e, k = _digits(ring), ring.k
+        rows, pivs = [], []
+        for g in gens:
+            v = restrict_vec(ring, g)
+            # the span so far is pi-stable, so once pi^s g falls inside it
+            # every higher pi-multiple of g does too
+            for s in range(e):
+                if s:
+                    v = _shift(v, e, 1)
+                if not _insert(k, rows, pivs, v):
+                    break
+        return cls(ring, n, rows, pivs)
+
+    @classmethod
+    def solutions(cls, ring, n, forms):
+        """The submodule whose restriction is the common zero set in
+        k^(n*e) of the flat k-linear forms, which the caller vouches is
+        pi-stable.  Eliminating the forms with each pivot at a row's last
+        nonzero entry makes the solution of free column f (1 at f, -r[f] at
+        the pivot of each row r) nonzero only at f and at pivots right of
+        f, so these solutions already form a reduced echelon basis."""
+        k, N = ring.k, n * _digits(ring)
+        rows, pivs = [], []
+        for c in forms:
+            _insert(k, rows, pivs, c[::-1])
+        pivot_rows = [(N - 1 - p, r[::-1]) for p, r in zip(pivs, rows)]
+        free = [f for f in range(N) if N - 1 - f not in pivs]
+        out = []
+        for f in free:
+            x = [0] * N
+            x[f] = 1
+            for q, r in pivot_rows:
+                x[q] = k.neg(r[f])
+            out.append(x)
+        return cls(ring, n, out, free)
 
     @classmethod
     def zero(cls, ring, n):
@@ -336,65 +378,117 @@ class Submodule:
 
     @classmethod
     def full(cls, ring, n):
-        return cls.span(ring, n, Matrix.identity(ring, n).rows)
+        return cls.solutions(ring, n, ())
+
+    def _howell(self):
+        """Indices of the Howell rows among krows: per module column, the
+        echelon row whose pivot has the least pi-power.  pi-stability puts
+        every digit above that pivot among the pivot columns, so its entry
+        there is exactly pi^v and earlier rows are reduced mod pi^v there."""
+        blocks = [p // self.e for p in self.kpivots]
+        return [i for i, b in enumerate(blocks) if i == 0 or blocks[i - 1] != b]
+
+    @property
+    def rows(self):
+        return tuple(unrestrict_vec(self.ring, self.krows[i]) for i in self._howell())
+
+    @property
+    def pivots(self):
+        """(module column, pi-power) of each Howell row."""
+        return tuple(divmod(self.kpivots[i], self.e) for i in self._howell())
+
+    def free(self):
+        """The flat columns that are not pivots."""
+        taken = set(self.kpivots)
+        return [t for t in range(self.n * self.e) if t not in taken]
 
     def reduce_vector(self, v):
         """Canonical representative of v modulo this submodule."""
         ring = self.ring
-        v = tuple(v)
-        for (j, a), row in zip(self.pivots, self.rows):
-            q, rem = div_rem_pi(ring, v[j], a)
-            if q != ring.zero:
-                v = vsub(ring, v, vscale(ring, q, row))
-        return v
+        return unrestrict_vec(ring, _reduce(ring.k, self.krows, self.kpivots, restrict_vec(ring, v)))
 
     def contains(self, v) -> bool:
         ring = self.ring
-        return all(x == ring.zero for x in self.reduce_vector(v))
+        return not any(_reduce(ring.k, self.krows, self.kpivots, restrict_vec(ring, v)))
+
+    def coords(self, kv):
+        """Coordinates of the member kv of k^(n*e) in the basis krows: the
+        rows have unit pivots and zeros under each other's pivots, so these
+        are plain pivot reads.  InvariantViolation when kv is no member."""
+        if any(_reduce(self.ring.k, self.krows, self.kpivots, kv)):
+            raise InvariantViolation("vector is not in the submodule")
+        return tuple(kv[p] for p in self.kpivots)
 
     def contains_sub(self, other) -> bool:
-        return all(self.contains(r) for r in other.rows)
+        k, rows, pivs = self.ring.k, self.krows, self.kpivots
+        return all(not any(_reduce(k, rows, pivs, other.krows[i])) for i in other._howell())
+
+    def _check_n(self, other, what):
+        if self.ring is not other.ring or self.n != other.n:
+            raise InvalidSpec("%s of submodules of %r^%d and %r^%d"
+                              % (what, self.ring, self.n, other.ring, other.n))
 
     def add_sub(self, other):
-        assert self.n == other.n
-        return Submodule.span(self.ring, self.n, self.rows + other.rows)
+        self._check_n(other, "sum")
+        rows, pivs = list(self.krows), list(self.kpivots)
+        for v in other.krows:
+            _insert(self.ring.k, rows, pivs, v)
+        return Submodule(self.ring, self.n, rows, pivs)
 
     def intersect(self, other):
-        assert self.n == other.n
-        ring, n = self.ring, self.n
-        s, t = len(self.rows), len(other.rows)
-        if s == 0 or t == 0:
-            return Submodule.zero(ring, n)
-        A = Matrix.from_cols(ring, list(self.rows), m=n)
-        B = Matrix.from_cols(ring, list(other.rows), m=n)
-        gens = [A.apply(g[:s]) for g in kernel_gens(A.hstack(B))]
-        return Submodule.span(ring, n, gens)
+        self._check_n(other, "intersection")
+        return Submodule(self.ring, self.n, *_solve(other, self.krows, (self.krows, self.kpivots)))
 
     def frob(self, j=1):
-        ring = self.ring
-        return Submodule.span(ring, self.n, [vfrob(ring, r, j) for r in self.rows])
+        k = self.ring.k
+        if j % k.f == 0:
+            return self
+        return Submodule(self.ring, self.n, [[k.frob(x, j) for x in r] for r in self.krows], self.kpivots)
 
     def scaled(self, c):
-        ring = self.ring
-        return Submodule.span(ring, self.n, [vscale(ring, c, r) for r in self.rows])
-
-    def howell_kdim(self) -> int:
-        """sum (capacity - val) over pivots; cross-check quantity."""
-        return sum(self.ring.capacity - a for _, a in self.pivots)
+        """c S = pi^v S for v the valuation of c: digit shifts."""
+        ring, e = self.ring, self.e
+        v = ring.val_split(c)[0]
+        if v == 0:
+            return self
+        rows, pivs = [], []
+        for r in self.krows if v < e else ():
+            _insert(ring.k, rows, pivs, _shift(r, e, v))
+        return Submodule(ring, self.n, rows, pivs)
 
     def __eq__(self, other):
         return (
             isinstance(other, Submodule)
             and self.ring is other.ring
             and self.n == other.n
-            and self.rows == other.rows
+            and self.krows == other.krows
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.n, self.rows))
+        return hash((id(self.ring), self.n, self.krows))
 
     def __repr__(self):
-        return "Submodule(%d gens in %r^%d)" % (len(self.rows), self.ring, self.n)
+        return "Submodule(%d gens in %r^%d)" % (len(self._howell()), self.ring, self.n)
+
+
+def _solve(T, images, basis=None):
+    """Echelon rows and pivots of {x = sum c_i basis_i : sum c_i images_i
+    in T}, basis an echelon (rows, pivots) pair or None for the standard
+    basis.  The c's solve one form per free column of T; x reads c off the
+    basis pivots, so the c's echelon basis maps to one of the x's."""
+    k, free = T.ring.k, T.free()
+    red = [_reduce(k, T.krows, T.kpivots, y) for y in images]
+    C = Submodule.solutions(k, len(red), list(zip(*[[r[t] for t in free] for r in red])))
+    if basis is None:
+        return C.krows, C.kpivots
+    xs = []
+    for c in C.krows:
+        x = [0] * len(basis[0][0])
+        for ci, row in zip(c, basis[0]):
+            if ci:
+                x = k.sub_mul(x, k.neg(ci), row)
+        xs.append(x)
+    return xs, [basis[1][i] for i in C.kpivots]
 
 
 def image(M: Matrix) -> Submodule:
@@ -402,18 +496,19 @@ def image(M: Matrix) -> Submodule:
 
 
 def kernel(M: Matrix) -> Submodule:
-    return Submodule.span(M.ring, M.n, kernel_gens(M))
+    return preimage(M, Submodule.zero(M.ring, M.m))
 
 
 def preimage(M: Matrix, S: Submodule) -> Submodule:
-    """{x : M x in S}; S lives in ring^m."""
-    assert S.n == M.m
+    """{x : M x in S}; S lives in ring^m.  The restriction of M sends the
+    k-basis vector pi^s e_j to the digit shift pi^s (column j)."""
     ring = M.ring
-    if not S.rows:
-        return kernel(M)
-    B = Matrix.from_cols(ring, list(S.rows), m=M.m)
-    gens = [g[: M.n] for g in kernel_gens(M.hstack(B))]
-    return Submodule.span(ring, M.n, gens)
+    if S.ring is not ring or S.n != M.m:
+        raise InvalidSpec("preimage under a %dx%d matrix over %r of a submodule of %r^%d"
+                          % (M.m, M.n, ring, S.ring, S.n))
+    e = _digits(ring)
+    cols = [_shift(restrict_vec(ring, M.col(j)), e, s) for j in range(M.n) for s in range(e)]
+    return Submodule(ring, M.n, *_solve(S, cols))
 
 
 class SemilinearMap:

@@ -164,6 +164,16 @@ class FiniteField:
     def neg(self, a: int) -> int:
         return self._neg[a]
 
+    def sub_mul(self, u, c: int, v) -> list:
+        """The list u - c*v for code sequences u, v of equal length and a
+        nonzero c: the row operation of field elimination."""
+        if self.f == 1:
+            p = self.p
+            return [(x - c * y) % p for x, y in zip(u, v)]
+        add, exp, log = self.add, self._exp, self._log
+        lc = log[self._neg[c]]
+        return [add(x, exp[lc + log[y]]) for x, y in zip(u, v)]
+
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self._neg[b])
 
@@ -197,9 +207,6 @@ class FiniteField:
     def res(self, a: int) -> int:
         """Image in the residue field (the identity here)."""
         return a
-
-    def lift_res(self, c: int) -> int:
-        return c
 
     def elements(self):
         return range(self.q)
@@ -281,8 +288,9 @@ class PiChain:
         return tuple(self.k.one if i == n else self.k.zero for i in range(self.e))
 
     def shift_down(self, a, s: int):
-        """The canonical solution z of pi^s z = a; requires val(a) >= s."""
-        assert all(c == self.k.zero for c in a[:s])
+        """The canonical solution z of pi^s z = a (0 <= s <= e), or InvariantViolation."""
+        if any(a[:s]):
+            raise InvariantViolation("%r is not divisible by pi^%d" % (a, s))
         return a[s:] + (self.k.zero,) * s
 
     def from_k(self, c: int):
@@ -293,9 +301,6 @@ class PiChain:
 
     def res(self, a) -> int:
         return a[0]
-
-    def lift_res(self, c: int):
-        return self.from_k(c)
 
     def elements(self):
         return itertools.product(self.k.elements(), repeat=self.e)
@@ -441,9 +446,6 @@ class WittLength2:
 
     def res(self, a) -> int:
         return self.reduce(a)
-
-    def lift_res(self, c: int):
-        return self.lift(c)
 
     def elements(self):
         return itertools.product(range(self.m), repeat=self.f)
@@ -604,9 +606,6 @@ class EisensteinLift(object):
     def res(self, a) -> int:
         return self.w2.reduce(a[0])
 
-    def lift_res(self, c: int):
-        return self.embed_w2(self.w2.lift(c))
-
     def elements(self):
         return itertools.product(self.w2.elements(), repeat=self.e)
 
@@ -639,35 +638,3 @@ class RingTower:
             "eisenstein": list(self.eisenstein),
         }
 
-
-def pi_digits(ring, x) -> list[int]:
-    """pi-adic digit expansion: k codes (d_0, ..., d_{cap-1}) with
-    x = sum_i pi^i * lift_res(d_i), exactly.  Unique by counting."""
-    out = []
-    for _ in range(ring.capacity):
-        c = ring.res(x)
-        out.append(c)
-        r = ring.sub(x, ring.lift_res(c))
-        if r == ring.zero:
-            x = ring.zero
-        else:
-            v, w = ring.val_split(r)
-            assert v >= 1
-            x = ring.mul(ring.pi_pow(v - 1), w)
-    return out
-
-
-def from_pi_digits(ring, digits):
-    acc = ring.zero
-    for i, c in enumerate(digits):
-        if c:
-            acc = ring.add(acc, ring.mul(ring.pi_pow(i), ring.lift_res(c)))
-    return acc
-
-
-def div_rem_pi(ring, x, a: int):
-    """(q, r) with x = pi^a q + r, r the canonical representative mod (pi^a)."""
-    if a <= 0:
-        return x, ring.zero
-    d = pi_digits(ring, x)
-    return from_pi_digits(ring, d[a:]), from_pi_digits(ring, d[:a])

@@ -2,11 +2,16 @@
 complementary-pair determinant identity."""
 
 import functools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from hasseforge.errors import NotComplementary, NotNested, WellDefinednessViolation
+import hasseforge
+from hasseforge.errors import (InvariantViolation, NotComplementary, NotNested,
+                               WellDefinednessViolation)
 from hasseforge.kspace import (
     QuotientPresentation,
     induced_from_fun,
@@ -30,6 +35,7 @@ from hasseforge.linalg import (
     vscale,
     vsub,
 )
+from hasseforge.oracle import submodule_set
 from hasseforge.rings import RingTower
 
 T32 = RingTower(3, 1, 2, eisenstein=[6, 0, 1])
@@ -65,7 +71,9 @@ def test_kdim_matches_howell_formula():
         R = t.R
         for _ in range(20):
             S = rand_rsub(R, 3, 2, rng)
-            assert kdim_rsub(R, S) == S.howell_kdim()
+            # Howell formula: a pivot pi^v contributes e - v dimensions
+            assert kdim_rsub(R, S) == sum(R.e - v for _, v in S.pivots)
+            assert len(submodule_set(S)) == R.k.q ** kdim_rsub(R, S)
 
 
 def test_residue_form_perfect_balanced_equivariant():
@@ -129,6 +137,37 @@ def test_quotient_nested_check():
     den = Submodule.full(R, 2)
     with pytest.raises(NotNested):
         QuotientPresentation(R, 2, num, den)
+
+
+OUTSIDE_NUM = """
+from hasseforge.errors import InvariantViolation
+from hasseforge.kspace import QuotientPresentation
+from hasseforge.linalg import Submodule
+from hasseforge.rings import RingTower
+
+R = RingTower(3, 1, 2, eisenstein=[6, 0, 1]).R
+num = Submodule.span(R, 2, [(R.uniformizer, R.zero)])
+qp = QuotientPresentation(R, 2, num, Submodule.zero(R, 2))
+try:
+    qp.coordinates_of_R((R.one, R.zero))
+except InvariantViolation:
+    print("typed")
+"""
+
+
+def test_coordinates_outside_num_is_a_typed_error():
+    # the guard must survive python -O, which strips asserts
+    R = T32.R
+    num = Submodule.span(R, 2, [(R.uniformizer, R.zero)])
+    qp = QuotientPresentation(R, 2, num, Submodule.zero(R, 2))
+    with pytest.raises(InvariantViolation):
+        qp.coordinates_of_R((R.one, R.zero))
+    env = dict(os.environ)
+    pkg_parent = os.path.dirname(os.path.dirname(hasseforge.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", OUTSIDE_NUM], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "typed"
 
 
 def test_with_lifts():

@@ -1,4 +1,4 @@
-"""Matrix/Smith/Howell/semilinear tests.  Small cases are checked against
+"""Matrix/Smith/submodule/semilinear tests.  Small cases are checked against
 brute force enumeration; determinants against permutation expansion."""
 
 import itertools
@@ -6,13 +6,14 @@ import random
 
 import pytest
 
+from hasseforge.errors import InvalidSpec
+from hasseforge.kspace import annihilator, kdim_rsub, residue_form, unrestrict_vec
 from hasseforge.linalg import (
     Matrix,
     SemilinearMap,
     Submodule,
     image,
     kernel,
-    kernel_gens,
     preimage,
     random_invertible,
     random_matrix,
@@ -20,8 +21,9 @@ from hasseforge.linalg import (
     vadd,
     vfrob,
     vscale,
-    zero_vec,
+    vsub,
 )
+from hasseforge.oracle import submodule_set
 from hasseforge.rings import RingTower
 
 TOWERS = {
@@ -46,6 +48,21 @@ def all_rings():
     ]
 
 
+def zero_vec(ring, n):
+    return (ring.zero,) * n
+
+
+def submodule_rings():
+    """The rings submodules live over: k, and R = k[pi]/(pi^e)."""
+    t = TOWERS
+    return [t["k_f2"].k, t["R_p2e2"].R, t["R_f2e2"].R]
+
+
+# the exhaustive tests: R^2 over F_2[pi]/(pi^2), and over F_4[pi]/(pi^2),
+# where frob is not the identity
+EXHAUSTIVE_R = [TOWERS["R_p2e2"].R, TOWERS["R_f2e2"].R]
+
+
 def det_perm(M):
     ring, n = M.ring, M.n
     total = ring.zero
@@ -56,6 +73,14 @@ def det_perm(M):
             term = ring.mul(term, M.rows[i][perm[i]])
         total = ring.add(total, term) if inv % 2 == 0 else ring.sub(total, term)
     return total
+
+
+def least_minor_val(M, i):
+    """Least valuation of an i x i minor of M; the capacity when all vanish."""
+    ring = M.ring
+    return min(ring.val_split(det_perm(Matrix(ring, [[M.rows[r][c] for c in cs] for r in rs])))[0]
+               for rs in itertools.combinations(range(M.m), i)
+               for cs in itertools.combinations(range(M.n), i))
 
 
 def brute_span(ring, n, gens):
@@ -114,39 +139,58 @@ def test_smith_decomposition():
                 M = random_matrix(ring, m, n, rng)
                 s = smith(M)
                 assert list(s.vals) == sorted(s.vals)
-                assert s.Winv.is_invertible()
-                # M Winv = U D: column j lies in pi^vals[j] R^m, later columns vanish
-                MW = M.mul(s.Winv)
-                for j in range(n):
-                    v = s.vals[j] if j < len(s.vals) else ring.capacity
-                    assert all(x == ring.zero or ring.val_split(x)[0] >= v for x in MW.col(j))
+                # U, W invertible: the i x i minors of M and of D generate
+                # the same ideal, (pi^(vals[0] + ... + vals[i-1]))
+                for i in range(1, min(m, n) + 1):
+                    assert min(sum(s.vals[:i]), ring.capacity) == least_minor_val(M, i)
                 if m == n:
                     assert ring.mul(s.det, ring.pi_pow(sum(s.vals))) == det_perm(M)
 
 
 def test_kernel():
     rng = random.Random(14)
-    for ring in all_rings():
+    for ring in submodule_rings():
         for m, n in [(2, 2), (3, 2), (2, 3)]:
             for _ in range(8):
                 M = random_matrix(ring, m, n, rng)
-                for g in kernel_gens(M):
+                for g in kernel(M).rows:
                     assert M.apply(g) == zero_vec(ring, m)
     # kernel is exhaustive on a tiny ring
-    t = TOWERS["R_p2e2"]
-    R = t.R
     rng = random.Random(15)
-    for _ in range(12):
-        M = random_matrix(R, 2, 2, rng)
-        K = kernel(M)
-        truth = {v for v in itertools.product(R.elements(), repeat=2) if M.apply(v) == zero_vec(R, 2)}
-        got = {v for v in itertools.product(R.elements(), repeat=2) if K.contains(v)}
-        assert got == truth
+    for R in EXHAUSTIVE_R:
+        for _ in range(12):
+            M = random_matrix(R, 2, 2, rng)
+            K = kernel(M)
+            truth = {v for v in itertools.product(R.elements(), repeat=2) if M.apply(v) == zero_vec(R, 2)}
+            assert submodule_set(K) == truth
+
+
+def test_submodules_live_over_k_and_R_only():
+    # nothing builds a submodule over the lifts; asking for one is a typed error
+    for ring in (TOWERS["W2_p3"].W2, TOWERS["W_p3e2"].W):
+        with pytest.raises(InvalidSpec):
+            Submodule.span(ring, 2, [(ring.one, ring.zero)])
+        with pytest.raises(InvalidSpec):
+            kernel(Matrix.identity(ring, 2))
+
+
+def assert_howell_form(S):
+    """Entries left of each pivot vanish, each pivot entry is exactly pi^v,
+    earlier rows are reduced mod pi^v in later pivot columns, and the pivot
+    columns strictly increase."""
+    R = S.ring
+    cols = [j for j, _ in S.pivots]
+    assert cols == sorted(set(cols))
+    for idx, (row, (j, v)) in enumerate(zip(S.rows, S.pivots)):
+        assert all(x == R.zero for x in row[:j])
+        assert row[j] == R.pi_pow(v)
+        for earlier in S.rows[:idx]:
+            assert all(d == R.k.zero for d in earlier[j][v:])
 
 
 def test_howell_canonical():
     rng = random.Random(16)
-    for ring in (TOWERS["R_p2e2"].R, TOWERS["W_p3e2"].W, TOWERS["R_f2e2"].R):
+    for ring in (TOWERS["R_p2e2"].R, TOWERS["R_f2e2"].R):
         for _ in range(10):
             n = 3
             gens = [tuple(ring.random_element(rng) for _ in range(n)) for _ in range(2)]
@@ -160,41 +204,64 @@ def test_howell_canonical():
             assert Submodule.span(ring, n, g2) == S
             # idempotent
             assert Submodule.span(ring, n, list(S.rows)) == S
+            assert_howell_form(S)
 
 
 def test_membership_exhaustive():
-    R = TOWERS["R_p2e2"].R
     rng = random.Random(17)
-    for _ in range(10):
-        gens = [tuple(R.random_element(rng) for _ in range(2)) for _ in range(2)]
-        S = Submodule.span(R, 2, gens)
-        truth = brute_span(R, 2, gens)
-        got = {v for v in itertools.product(R.elements(), repeat=2) if S.contains(v)}
-        assert got == truth
-        assert len(truth) == R.k.q ** S.howell_kdim()
-        # canonical reps: reduce_vector is constant on cosets and lands in the set it fixes
-        for v in list(truth)[:4]:
-            w = tuple(R.random_element(rng) for _ in range(2))
-            assert S.reduce_vector(vadd(R, w, v)) == S.reduce_vector(w)
+    for R in EXHAUSTIVE_R:
+        for _ in range(10):
+            gens = [tuple(R.random_element(rng) for _ in range(2)) for _ in range(2)]
+            S = Submodule.span(R, 2, gens)
+            truth = brute_span(R, 2, gens)
+            assert submodule_set(S) == truth
+            assert len(truth) == R.k.q ** kdim_rsub(R, S)
+            # the Howell rows generate S and have the Howell shape
+            assert brute_span(R, 2, list(S.rows)) == truth
+            assert_howell_form(S)
+            # canonical reps: reduce_vector is constant on cosets, its value
+            # lies in the coset, and it fixes its own values
+            for v in list(truth)[:4]:
+                w = tuple(R.random_element(rng) for _ in range(2))
+                red = S.reduce_vector(w)
+                assert S.reduce_vector(vadd(R, w, v)) == red
+                assert vsub(R, w, red) in truth
+                assert S.reduce_vector(red) == red
 
 
 def test_sum_intersect_preimage_exhaustive():
-    R = TOWERS["R_p2e2"].R
     rng = random.Random(18)
-    for _ in range(8):
-        gs = [tuple(R.random_element(rng) for _ in range(2)) for _ in range(2)]
-        gt = [tuple(R.random_element(rng) for _ in range(2)) for _ in range(2)]
-        S, T = Submodule.span(R, 2, gs), Submodule.span(R, 2, gt)
-        ss, tt = brute_span(R, 2, gs), brute_span(R, 2, gt)
-        union_span = brute_span(R, 2, gs + gt)
-        inter = ss & tt
-        assert {v for v in itertools.product(R.elements(), repeat=2) if S.add_sub(T).contains(v)} == union_span
-        assert {v for v in itertools.product(R.elements(), repeat=2) if S.intersect(T).contains(v)} == inter
-        M = random_matrix(R, 2, 2, rng)
-        P = preimage(M, S)
-        truth = {v for v in itertools.product(R.elements(), repeat=2) if tuple(M.apply(v)) in ss}
-        got = {v for v in itertools.product(R.elements(), repeat=2) if P.contains(v)}
-        assert got == truth
+    for R in EXHAUSTIVE_R:
+        for _ in range(8):
+            gs = [tuple(R.random_element(rng) for _ in range(2)) for _ in range(2)]
+            gt = [tuple(R.random_element(rng) for _ in range(2)) for _ in range(2)]
+            S, T = Submodule.span(R, 2, gs), Submodule.span(R, 2, gt)
+            ss, tt = brute_span(R, 2, gs), brute_span(R, 2, gt)
+            assert submodule_set(S.add_sub(T)) == {vadd(R, a, b) for a in ss for b in tt}
+            assert submodule_set(S.intersect(T)) == ss & tt
+            M = random_matrix(R, 2, 2, rng)
+            P = preimage(M, S)
+            truth = {v for v in itertools.product(R.elements(), repeat=2) if tuple(M.apply(v)) in ss}
+            assert submodule_set(P) == truth
+
+
+@pytest.mark.parametrize("R", EXHAUSTIVE_R, ids=["R_p2e2", "R_f2e2"])
+def test_frob_scale_annihilator_exhaustive(R):
+    rng = random.Random(22)
+    vecs = list(itertools.product(R.elements(), repeat=2))
+    for _ in range(6):
+        gens = [tuple(R.random_element(rng) for _ in range(2)) for _ in range(rng.randrange(3))]
+        S = Submodule.span(R, 2, gens)
+        ss = brute_span(R, 2, gens)
+        for j in (1, -1):
+            assert submodule_set(S.frob(j)) == {vfrob(R, v, j) for v in ss}
+        pi_s = S.scaled(R.uniformizer)
+        assert submodule_set(pi_s) == {vscale(R, R.uniformizer, v) for v in ss}
+        assert_howell_form(pi_s)
+        ann = annihilator(R, 2, S)
+        truth = {w for w in vecs if all(residue_form(R, u, w) == R.k.zero for u in ss)}
+        assert submodule_set(ann) == truth
+        assert kdim_rsub(R, S) + kdim_rsub(R, ann) == 2 * R.e
 
 
 def test_semilinear():
@@ -257,3 +324,26 @@ def test_image_of_twist_independence():
             # and the pointwise image set really is the column span
             S = Submodule.full(R, 3)
             assert phi.image_of(S) == image(A)
+
+
+K4 = TOWERS["k_f2"].k
+R4 = TOWERS["R_p2e2"].R
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Matrix(K4, [[0, 1], [1]]),
+    lambda: Matrix(K4, [[0, 1]], n=3),
+    lambda: Matrix.from_cols(K4, []),
+    lambda: Matrix.from_cols(K4, [(0, 1)], m=3),
+    lambda: Matrix.identity(K4, 2).apply((1, 0, 1)),
+    lambda: Matrix.identity(K4, 2).mul(Matrix.identity(K4, 3)),
+    lambda: Matrix.identity(K4, 2).mul(Matrix.identity(R4, 2)),
+    lambda: Submodule.full(R4, 2).add_sub(Submodule.full(R4, 3)),
+    lambda: Submodule.full(R4, 2).intersect(Submodule.full(R4, 3)),
+    lambda: preimage(Matrix.identity(R4, 2), Submodule.full(R4, 3)),
+    lambda: unrestrict_vec(R4, (0, 1, 0)),
+], ids=["ragged", "row-length", "no-columns", "column-length", "apply", "mul-shape",
+        "mul-ring", "add_sub", "intersect", "preimage", "unrestrict"])
+def test_shape_mismatch_is_a_typed_error(call):
+    with pytest.raises(InvalidSpec):
+        call()
