@@ -22,7 +22,7 @@ from .errors import InvalidDatum, InvalidLift, InvalidSpec
 from .flags import extended_flag
 from .kspace import annihilator, kdim_rsub
 from .linalg import Matrix, SemilinearMap, Submodule
-from .rings import SMALL_PRIMES, RingTower
+from .rings import RingTower
 
 
 class Params:
@@ -31,10 +31,6 @@ class Params:
     from the chosen (or default) moduli."""
 
     def __init__(self, p, f, e, h1, d1, field_modulus=None, eisenstein=None):
-        if p not in SMALL_PRIMES:
-            raise InvalidSpec("prime must be one of %s" % (SMALL_PRIMES,))
-        if f < 1 or e < 1:
-            raise InvalidSpec("f and e must be positive")
         if h1 < 1:
             raise InvalidSpec("h1 must be positive")
         if not 0 <= d1 <= h1:

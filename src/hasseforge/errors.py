@@ -5,6 +5,13 @@ assert the precise failure mode instead of matching message strings.
 """
 
 
+def require(cond, msg):
+    """Raise InvariantViolation(msg) unless cond: the check of an identity
+    that must hold exactly, kept under python -O, which strips asserts."""
+    if not cond:
+        raise InvariantViolation(msg)
+
+
 class HasseForgeError(Exception):
     """Base class for all library errors."""
 

@@ -153,22 +153,18 @@ def random_datum(params, rng, lifted=True):
 # named instances
 
 
-def _wmat(W, rows):
-    return Matrix(W, rows)
-
-
 def _ord_split(p=3):
     par = Params(p, 1, 1, 2, 1)
     W = par.W
-    F = _wmat(W, [[W.one, W.zero], [W.zero, W.from_int(p)]])
-    V = _wmat(W, [[W.from_int(p), W.zero], [W.zero, W.one]])
+    F = Matrix(W, [[W.one, W.zero], [W.zero, W.from_int(p)]])
+    V = Matrix(W, [[W.from_int(p), W.zero], [W.zero, W.one]])
     return LiftedDatum(par, [F], [V])
 
 
 def _ss(p=3):
     par = Params(p, 1, 1, 2, 1)
     W = par.W
-    M = _wmat(W, [[W.zero, W.one], [W.from_int(p), W.zero]])
+    M = Matrix(W, [[W.zero, W.one], [W.from_int(p), W.zero]])
     return LiftedDatum(par, [M], [M])
 
 
@@ -176,8 +172,8 @@ def _ram_split(p=3):
     par = Params(p, 1, 2, 2, 1, eisenstein=[(-p) % p**2, 0, 1])
     W = par.W
     pi2 = W.mul(W.uniformizer, W.uniformizer)
-    F = _wmat(W, [[W.one, W.zero], [W.zero, pi2]])
-    V = _wmat(W, [[W.from_int(p), W.zero], [W.zero, W.one]])
+    F = Matrix(W, [[W.one, W.zero], [W.zero, pi2]])
+    V = Matrix(W, [[W.from_int(p), W.zero], [W.zero, W.one]])
     R = par.R
     lvl1 = Submodule.span(R, 2, [(R.zero, R.uniformizer)])
     hodge = Submodule.span(R, 2, [(R.zero, R.one)])
@@ -188,7 +184,7 @@ def _ram_split(p=3):
 def _ram_ss(p=3):
     par = Params(p, 1, 2, 2, 1, eisenstein=[(-p) % p**2, 0, 1])
     W = par.W
-    M = _wmat(W, [[W.zero, W.one], [W.from_int(p), W.zero]])
+    M = Matrix(W, [[W.zero, W.one], [W.from_int(p), W.zero]])
     R = par.R
     flag = [Submodule.zero(R, 2),
             Submodule.span(R, 2, [(R.uniformizer, R.zero)]),
@@ -199,7 +195,7 @@ def _ram_ss(p=3):
 def _ram_pi(p=3):
     par = Params(p, 1, 2, 2, 1, eisenstein=[(-p) % p**2, 0, 1])
     W = par.W
-    M = _wmat(W, [[W.uniformizer, W.zero], [W.zero, W.uniformizer]])
+    M = Matrix(W, [[W.uniformizer, W.zero], [W.zero, W.uniformizer]])
     R = par.R
     flag = [Submodule.zero(R, 2),
             Submodule.span(R, 2, [(R.uniformizer, R.zero)]),
@@ -210,8 +206,8 @@ def _ram_pi(p=3):
 def _unram_f2(p=2):
     par = Params(p, 2, 1, 2, 1)
     W = par.W
-    F = _wmat(W, [[W.one, W.zero], [W.zero, W.from_int(p)]])
-    V = _wmat(W, [[W.from_int(p), W.zero], [W.zero, W.one]])
+    F = Matrix(W, [[W.one, W.zero], [W.zero, W.from_int(p)]])
+    V = Matrix(W, [[W.from_int(p), W.zero], [W.zero, W.one]])
     return LiftedDatum(par, [F, F], [V, V])
 
 

@@ -18,7 +18,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidSpec, InvariantViolation
+from .errors import InvalidSpec, require
 from .linalg import (Matrix, SemilinearMap, Submodule, unit_vec, vscale,
                      vsub)
 from .kspace import (QuotientPresentation, induced_from_fun,
@@ -60,11 +60,6 @@ class DualityVerdict:
     status: str = "ok"
 
 
-def _require(cond, msg):
-    if not cond:
-        raise InvariantViolation(msg)
-
-
 def _charp(D):
     return D.reduce() if isinstance(D, LiftedDatum) else D
 
@@ -84,7 +79,7 @@ def _kmul(K, *vals):
 
 
 def _unit(K, c, what):
-    _require(c != K.zero, what + " must be invertible")
+    require(c != K.zero, what + " must be invertible")
     return c
 
 
@@ -124,16 +119,36 @@ def _g_label(i, j):
 # deterministic presentations, shared by sections and verdicts
 
 
-def _qp(D, key, num, den):
+def _shared(D, key, build):
+    """_memo for what the ring and the submodules alone fix: quotient
+    presentations and the maps induced between them.  A datum and its dual
+    share the ring tower and this table (see _dual), so each is built once
+    for both."""
+    table = _memo(D, "shared", dict)
+    if key not in table:
+        table[key] = build()
+    return table[key]
+
+
+def _qp(D, num, den):
+    """num/den with its default lifts, keyed by the submodules themselves,
+    which compare by ring and echelon rows."""
     p = D.params
-    return _memo(D, ("qp",) + key,
-                 lambda: QuotientPresentation(p.R, p.h1, num, den))
+    return _shared(D, ("qp", num, den),
+                   lambda: QuotientPresentation(p.R, p.h1, num, den))
+
+
+def _induced(D, phi, src, dst):
+    """The map src -> dst induced by the R-semilinear phi, keyed by phi's
+    matrix and twist and by the two presentations."""
+    return _shared(D, ("map", phi.matrix, phi.twist, src, dst),
+                   lambda: induced_semilinear(phi, src, dst))
 
 
 def _qgr(D, i, j):
     """Graded piece level j of the extended flag at embedding i, 1 <= j <= 2e."""
     ext = extended_flag(D, i)
-    return _qp(D, ("gr", i, j), ext[j], ext[j - 1])
+    return _qp(D, ext[j], ext[j - 1])
 
 
 def _qb(D, i):
@@ -142,33 +157,22 @@ def _qb(D, i):
     p = D.params
 
     def build():
-        base = QuotientPresentation(p.R, p.h1, D.hodge(i), Submodule.zero(p.R, p.h1))
         lifts = [l for j in range(1, p.e + 1) for l in _qgr(D, i, j).lifts_R]
-        return base.with_lifts(lifts)
+        return _qp(D, D.hodge(i), Submodule.zero(p.R, p.h1)).with_lifts(lifts)
 
-    return _memo(D, ("qp", "hodge", i), build)
+    return _memo(D, ("qb", i), build)
 
 
 def _qab(D, i):
-    return _qp(D, ("co_hodge", i), Submodule.full(D.params.R, D.params.h1), D.hodge(i))
+    return _qp(D, Submodule.full(D.params.R, D.params.h1), D.hodge(i))
 
 
 def _qac(D, i):
-    return _qp(D, ("co_conj", i), Submodule.full(D.params.R, D.params.h1), D.conj(i))
+    return _qp(D, Submodule.full(D.params.R, D.params.h1), D.conj(i))
 
 
 def _qc(D, i):
-    return _qp(D, ("conj", i), D.conj(i), Submodule.zero(D.params.R, D.params.h1))
-
-
-def _qfull(D):
-    p = D.params
-    return _qp(D, ("amb",), Submodule.full(p.R, p.h1), Submodule.zero(p.R, p.h1))
-
-
-def _qtor(D):
-    p = D.params
-    return _qp(D, ("tor",), _torsion(p.R, p.h1, 1), Submodule.zero(p.R, p.h1))
+    return _qp(D, D.conj(i), Submodule.zero(D.params.R, D.params.h1))
 
 
 # ---------------------------------------------------------------------------
@@ -180,30 +184,37 @@ def _map_ha_pr(D, i, j):
     from the flag axioms alone; induced_semilinear re-checks it anyway."""
     p = D.params
     i1 = (i - 1) % p.f
-    return _memo(D, ("map", "ha_pr", i, j),
-                 lambda: induced_semilinear(D.V[i], _qgr(D, i, j), _qgr(D, i1, j)))
+    return _induced(D, D.V[i], _qgr(D, i, j), _qgr(D, i1, j))
 
 
 def _map_v_hodge(D, i):
     """V restricted to the Hodge submodule, in the flag-adapted bases.
     Verifies block-triangularity and that the diagonal blocks are exactly
-    the graded maps, which pins det == prod of graded dets."""
+    the graded maps, which pins det == prod of graded dets, and checks the
+    natural description: M is V on the conjugate quotient (a unit, Mv)
+    after the natural map nat from the Hodge submodule to that quotient.
+    Returns (M, Mv, nat)."""
     p = D.params
     K = p.k
     i1 = (i - 1) % p.f
 
     def build():
-        M = induced_semilinear(D.V[i], _qb(D, i), _qb(D, i1))
+        M = _induced(D, D.V[i], _qb(D, i), _qb(D, i1))
         d = p.d1
         for j in range(1, p.e + 1):
             diag = _block(K, M.matrix, (j - 1) * d, j * d, (j - 1) * d, j * d)
-            _require(diag == _map_ha_pr(D, i, j).matrix,
+            require(diag == _map_ha_pr(D, i, j).matrix,
                      "adapted V block (%d,%d) disagrees with the graded map" % (j, j))
             for l in range(j + 1, p.e + 1):
                 low = _block(K, M.matrix, (l - 1) * d, l * d, (j - 1) * d, j * d)
-                _require(low == Matrix.zeros(K, d, d),
+                require(low == Matrix.zeros(K, d, d),
                          "V does not respect the flag filtration")
-        return M
+        Mv = _induced(D, D.V[i], _qac(D, i), _qb(D, i1))
+        _unit(K, Mv.matrix.det(), "V on the conjugate quotient")
+        nat = _induced(D, SemilinearMap.identity(p.R, p.h1), _qb(D, i), _qac(D, i))
+        require(M.matrix == Mv.matrix.mul(nat.matrix.frob(-1)),
+                 "V on the Hodge submodule disagrees with its natural description")
+        return M, Mv, nat
 
     return _memo(D, ("map", "v_hodge", i), build)
 
@@ -215,14 +226,13 @@ def _map_m(D, i, j):
     p = D.params
 
     def build():
-        M = induced_semilinear(pi_map(p.R, p.h1, 1), _qgr(D, i, j), _qgr(D, i, j - 1))
+        M = _induced(D, pi_map(p.R, p.h1, 1), _qgr(D, i, j), _qgr(D, i, j - 1))
         aux = aux_flag(D, i)
-        ext = extended_flag(D, i)
-        qgrp = _qp(D, ("div_gr", i, j), aux[j - 1], aux[j - 2])
-        piiso = induced_semilinear(pi_map(p.R, p.h1, 1), qgrp, _qgr(D, i, j - 1))
+        qgrp = _qp(D, aux[j - 1], aux[j - 2])
+        piiso = _induced(D, pi_map(p.R, p.h1, 1), qgrp, _qgr(D, i, j - 1))
         _unit(p.k, piiso.matrix.det(), "pi-iso between divided and plain grades")
-        nat = induced_semilinear(SemilinearMap.identity(p.R, p.h1), _qgr(D, i, j), qgrp)
-        _require(M.matrix == piiso.matrix.mul(nat.matrix),
+        nat = _induced(D, SemilinearMap.identity(p.R, p.h1), _qgr(D, i, j), qgrp)
+        require(M.matrix == piiso.matrix.mul(nat.matrix),
                  "graded pi map disagrees with its boundary description")
         return M, piiso, nat
 
@@ -240,8 +250,10 @@ def _hasse_gate(D, i):
 def _map_hasse(D, i):
     """The boundary map: divide by pi^(e-1) inside the pi-torsion, apply V,
     project to the top graded piece at the previous embedding.  Returns
-    (map, gate) where gate says the natural-map comparison was available
-    and passed."""
+    (M, nat): nat is None when the conjugate-flag gate fails, and otherwise
+    the maps (Mq, Mp, Mn) of the natural description that was checked --
+    V on the conjugate-tail quotient, pi^(e-1) from it into the pi-torsion
+    mod conjugate level 1, and the natural map from graded piece 1 there."""
     p = D.params
     R = p.R
     i1 = (i - 1) % p.f
@@ -257,20 +269,20 @@ def _map_hasse(D, i):
                for m in range(p.h1)]
         M = induced_from_fun(fn, -1, src, dst, den_images=amb)
 
-        gate = _hasse_gate(D, i)
-        if gate:
-            ft = conj_flag(D, i)
-            qw = _qp(D, ("co_tail", i), Submodule.full(R, p.h1), ft[2 * p.e - 1])
-            qt1 = _qp(D, ("tor_mod_conj1", i), _torsion(R, p.h1, 1), ft[1])
-            Mq = induced_semilinear(D.V[i], qw, dst)
-            _unit(p.k, Mq.matrix.det(), "V on the conjugate-tail quotient")
-            Mp = induced_semilinear(pi_map(R, p.h1, p.e - 1), qw, qt1)
-            _unit(p.k, Mp.matrix.det(), "pi^(e-1) on the conjugate-tail quotient")
-            Mn = induced_semilinear(SemilinearMap.identity(R, p.h1), src, qt1)
-            lhs = Mp.matrix.mul(Mq.matrix.inverse().frob(1)).mul(M.matrix.frob(1))
-            _require(lhs == Mn.matrix,
-                     "boundary map disagrees with its natural description")
-        return M, gate
+        if not _hasse_gate(D, i):
+            return M, None
+        ft = conj_flag(D, i)
+        qw = _qp(D, Submodule.full(R, p.h1), ft[2 * p.e - 1])
+        qt1 = _qp(D, _torsion(R, p.h1, 1), ft[1])
+        Mq = _induced(D, D.V[i], qw, dst)
+        _unit(p.k, Mq.matrix.det(), "V on the conjugate-tail quotient")
+        Mp = _induced(D, pi_map(R, p.h1, p.e - 1), qw, qt1)
+        _unit(p.k, Mp.matrix.det(), "pi^(e-1) on the conjugate-tail quotient")
+        Mn = _induced(D, SemilinearMap.identity(R, p.h1), src, qt1)
+        lhs = Mp.matrix.mul(Mq.matrix.inverse().frob(1)).mul(M.matrix.frob(1))
+        require(lhs == Mn.matrix,
+                 "boundary map disagrees with its natural description")
+        return M, (Mq, Mp, Mn)
 
     return _memo(D, ("map", "hasse", i), build)
 
@@ -287,17 +299,8 @@ def partial_hasse(D, i) -> LineSection:
     p = D.params
     i %= p.f
     i1 = (i - 1) % p.f
-
-    def build():
-        M = _map_v_hodge(D, i)
-        Mv = induced_semilinear(D.V[i], _qac(D, i), _qb(D, i1))
-        _unit(p.k, Mv.matrix.det(), "V on the conjugate quotient")
-        nat = induced_semilinear(SemilinearMap.identity(p.R, p.h1), _qb(D, i), _qac(D, i))
-        _require(M.matrix == Mv.matrix.mul(nat.matrix.frob(-1)),
-                 "V on the Hodge submodule disagrees with its natural description")
-        return M.matrix.det()
-
-    scalar = _memo(D, ("sc", "ha_i", i), build)
+    M = _map_v_hodge(D, i)[0]
+    scalar = _memo(D, ("sc", "ha_i", i), lambda: M.matrix.det())
     line = ((_w_label(i1), p.p, 1), (_w_label(i), -1, 0))
     return LineSection("ha_i", i, None, scalar, line, scalar == p.k.zero)
 
@@ -460,6 +463,7 @@ def _dual(D):
     def build():
         dd = D.dualize()
         dd._cache["dualized"] = D
+        dd._cache["shared"] = _memo(D, "shared", dict)
         return dd
     return _memo(D, "dualized", build)
 
@@ -474,7 +478,7 @@ def _pairing_adjunction(p, Md, Mp, left, right, twist, name, what):
     P2 = pairing_matrix(form, *right)
     dP1 = _unit(p.k, P1.det(), name + " residue pairing")
     dP2 = _unit(p.k, P2.det(), name + " residue pairing")
-    _require(Md.matrix.transpose().mul(P2) == P1.mul(Mp.matrix).frob(twist), what)
+    require(Md.matrix.transpose().mul(P2) == P1.mul(Mp.matrix).frob(twist), what)
     return dP1, dP2
 
 
@@ -489,9 +493,9 @@ def _complementary_pair(K, qA, Bk, Ck, nat, nat2, names):
     t_cod = _transport_quot(K, qA, Ck, cod)
     t_dom2 = _transport_sub(K, qA, Ck, dom2)
     t_cod2 = _transport_quot(K, qA, Bk, cod2)
-    _require(K.mul(y, t_dom) == K.mul(t_cod, M.matrix.det()),
+    require(K.mul(y, t_dom) == K.mul(t_cod, M.matrix.det()),
              "transport of the %s natural det failed" % names[0])
-    _require(K.mul(x, t_dom2) == K.mul(t_cod2, M2.matrix.det()),
+    require(K.mul(x, t_dom2) == K.mul(t_cod2, M2.matrix.det()),
              "transport of the %s natural det failed" % names[1])
     return _kmul(K, t_dom, t_cod2, K.inv(_kmul(K, t_cod, iso, t_dom2)))
 
@@ -515,26 +519,26 @@ def _unit_ha_i(D, i):
 
     # the dual Hodge map is adjoint to the twisted F-map between co-Hodge
     # quotients
-    Mf = induced_semilinear(D.F[i], _qab(D, i1), _qab(D, i))
+    Mf = _induced(D, D.F[i], _qab(D, i1), _qab(D, i))
     dP1, dP2 = _pairing_adjunction(
-        p, _map_v_hodge(Dd, i), Mf, (_qb(Dd, i), _qab(D, i)), (_qb(Dd, i1), _qab(D, i1)),
+        p, _map_v_hodge(Dd, i)[0], Mf, (_qb(Dd, i), _qab(D, i)), (_qb(Dd, i1), _qab(D, i1)),
         -1, "Hodge", "pairing adjunction between the dual Hodge map and F failed")
 
     # factor the co-Hodge F-map through the conjugate submodule
-    Mfb = induced_semilinear(D.F[i], _qab(D, i1), _qc(D, i))
+    Mfb = _induced(D, D.F[i], _qab(D, i1), _qc(D, i))
     u_fb = _unit(K, Mfb.matrix.det(), "F onto the conjugate submodule")
-    MnatC = induced_semilinear(SemilinearMap.identity(R, p.h1), _qc(D, i), _qab(D, i))
-    _require(Mf.matrix == MnatC.matrix.mul(Mfb.matrix),
+    MnatC = _induced(D, SemilinearMap.identity(R, p.h1), _qc(D, i), _qab(D, i))
+    require(Mf.matrix == MnatC.matrix.mul(Mfb.matrix),
              "co-Hodge F-map does not factor through the conjugate submodule")
 
     # V-identification unit from the primal natural description
-    Mv = induced_semilinear(D.V[i], _qac(D, i), _qb(D, i1))
-    u_v = _unit(K, Mv.matrix.det(), "V on the conjugate quotient")
+    _, Mv, nat = _map_v_hodge(D, i)
+    u_v = Mv.matrix.det()
 
     # complementary pair (Hodge, conjugate) in the ambient restricted space
-    nat = induced_semilinear(SemilinearMap.identity(R, p.h1), _qb(D, i), _qac(D, i))
+    qA = _qp(D, Submodule.full(R, p.h1), Submodule.zero(R, p.h1))
     pair = _complementary_pair(
-        K, _qfull(D), ksub_from_rsub(R, D.hodge(i)), ksub_from_rsub(R, D.conj(i)),
+        K, qA, ksub_from_rsub(R, D.hodge(i)), ksub_from_rsub(R, D.conj(i)),
         (_qb(D, i), _qac(D, i), nat), (_qc(D, i), _qab(D, i), MnatC), ("Hodge", "conjugate"))
 
     inner = K.mul(pair, K.inv(K.mul(u_fb, dP1)))
@@ -555,7 +559,7 @@ def _unit_m(D, i, j):
     Dd = _dual(D)
     qup_hi = _qgr(D, i, 2 * e + 2 - j)
     qup_lo = _qgr(D, i, 2 * e + 1 - j)
-    Mhigh = induced_semilinear(pi_map(R, p.h1, 1), qup_hi, qup_lo)
+    Mhigh = _induced(D, pi_map(R, p.h1, 1), qup_hi, qup_lo)
     dP1, dP2 = _pairing_adjunction(
         p, _map_m(Dd, i, j)[0], Mhigh, (_qgr(Dd, i, j), qup_lo), (_qgr(Dd, i, j - 1), qup_hi),
         0, "graded", "pairing adjunction for the graded pi map failed")
@@ -563,19 +567,19 @@ def _unit_m(D, i, j):
     # pi^(e-j+1), pi^(e-j) carry the upper grades onto divided-flag quotients
     aux = aux_flag(D, i)
     ext = extended_flag(D, i)
-    qcq = _qp(D, ("div_c", i, j), aux[j - 2], ext[j - 1])
-    qabq = _qp(D, ("div_ab", i, j), aux[j - 1], ext[j])
-    Ma1 = induced_semilinear(pi_map(R, p.h1, e - j + 1), qup_hi, qcq)
+    qcq = _qp(D, aux[j - 2], ext[j - 1])
+    qabq = _qp(D, aux[j - 1], ext[j])
+    Ma1 = _induced(D, pi_map(R, p.h1, e - j + 1), qup_hi, qcq)
     u_a1 = _unit(K, Ma1.matrix.det(), "upper-grade pi-power iso")
-    Ma2 = induced_semilinear(pi_map(R, p.h1, e - j), qup_lo, qabq)
+    Ma2 = _induced(D, pi_map(R, p.h1, e - j), qup_lo, qabq)
     u_a2 = _unit(K, Ma2.matrix.det(), "upper-grade pi-power iso")
-    MnatCAB = induced_semilinear(SemilinearMap.identity(R, p.h1), qcq, qabq)
-    _require(Ma2.matrix.mul(Mhigh.matrix) == MnatCAB.matrix.mul(Ma1.matrix),
+    MnatCAB = _induced(D, SemilinearMap.identity(R, p.h1), qcq, qabq)
+    require(Ma2.matrix.mul(Mhigh.matrix) == MnatCAB.matrix.mul(Ma1.matrix),
              "pi-power isos do not intertwine the upper pi map with inclusion")
 
     # complementary pair inside the divided quotient at level j-1
-    qA = _qp(D, ("div_amb", i, j), aux[j - 1], ext[j - 1])
-    qgrp = _qp(D, ("div_gr", i, j), aux[j - 1], aux[j - 2])
+    qA = _qp(D, aux[j - 1], ext[j - 1])
+    qgrp = _qp(D, aux[j - 1], aux[j - 2])
     pair = _complementary_pair(
         K, qA, subspace_in_qp(qA, ext[j]), subspace_in_qp(qA, aux[j - 2]),
         (_qgr(D, i, j), qgrp, nat), (qcq, qabq, MnatCAB), ("graded", "divided"))
@@ -591,23 +595,22 @@ def _unit_hasse(D, i):
     K, R = p.k, p.R
     e = p.e
     i1 = (i - 1) % p.f
-    if not _map_hasse(D, i)[1]:
+    nat = _map_hasse(D, i)[1]
+    if nat is None:
         return None, False
 
     ft = conj_flag(D, i)
     ext_i = extended_flag(D, i)
-    qw = _qp(D, ("co_tail", i), Submodule.full(R, p.h1), ft[2 * e - 1])
-    qt1 = _qp(D, ("tor_mod_conj1", i), _torsion(R, p.h1, 1), ft[1])
-    qt2 = _qp(D, ("tor_mod_top1", i), _torsion(R, p.h1, 1), ext_i[1])
-    qw1 = _qp(D, ("conj1", i), ft[1], Submodule.zero(R, p.h1))
-    qe21 = _qp(D, ("co_top", i), Submodule.full(R, p.h1), ext_i[2 * e - 1])
+    qt1 = _qp(D, _torsion(R, p.h1, 1), ft[1])
+    qt2 = _qp(D, _torsion(R, p.h1, 1), ext_i[1])
+    qw1 = _qp(D, ft[1], Submodule.zero(R, p.h1))
+    qe21 = _qp(D, Submodule.full(R, p.h1), ext_i[2 * e - 1])
     qup = _qgr(D, i1, e + 1)
 
     # primal-side units from the natural description of the boundary map
-    Mq = induced_semilinear(D.V[i], qw, _qgr(D, i1, e))
-    u_v = _unit(K, Mq.matrix.det(), "V on the conjugate-tail quotient")
-    Mp = induced_semilinear(pi_map(R, p.h1, e - 1), qw, qt1)
-    u_p = _unit(K, Mp.matrix.det(), "pi^(e-1) on the conjugate-tail quotient")
+    Mq, Mp, Mn = nat
+    u_v = Mq.matrix.det()
+    u_p = Mp.matrix.det()
 
     # the dual boundary map corresponds to: F, exact division by pi^(e-1),
     # projection to the co-top quotient
@@ -615,12 +618,12 @@ def _unit_hasse(D, i):
         return _div_vec(R, D.F[i].apply(v), e - 1)
 
     Mg = induced_from_fun(gfun, +1, qup, qe21, den_images=())
-    Mu1 = induced_semilinear(D.F[i], qup, qw1)
+    Mu1 = _induced(D, D.F[i], qup, qw1)
     u_1 = _unit(K, Mu1.matrix.det(), "F onto the first conjugate level")
-    Mu2 = induced_semilinear(pi_map(R, p.h1, e - 1), qe21, qt2)
+    Mu2 = _induced(D, pi_map(R, p.h1, e - 1), qe21, qt2)
     u_2 = _unit(K, Mu2.matrix.det(), "pi^(e-1) on the co-top quotient")
-    Mnx = induced_semilinear(SemilinearMap.identity(R, p.h1), qw1, qt2)
-    _require(Mnx.matrix.mul(Mu1.matrix) == Mu2.matrix.mul(Mg.matrix),
+    Mnx = _induced(D, SemilinearMap.identity(R, p.h1), qw1, qt2)
+    require(Mnx.matrix.mul(Mu1.matrix) == Mu2.matrix.mul(Mg.matrix),
              "divided F-map disagrees with its natural description")
 
     # residue-pairing adjunction against the dual boundary map
@@ -630,8 +633,7 @@ def _unit_hasse(D, i):
         -1, "boundary", "pairing adjunction for the boundary map failed")
 
     # complementary pair (top level, first conjugate level) in the pi-torsion
-    qA = _qtor(D)
-    Mn = induced_semilinear(SemilinearMap.identity(R, p.h1), _qgr(D, i, 1), qt1)
+    qA = _qp(D, _torsion(R, p.h1, 1), Submodule.zero(R, p.h1))
     pair = _complementary_pair(
         K, qA, subspace_in_qp(qA, ext_i[1]), subspace_in_qp(qA, ft[1]),
         (_qgr(D, i, 1), qt1, Mn), (qw1, qt2, Mnx), ("boundary", "dual boundary"))
@@ -653,9 +655,9 @@ def _unit_ha_pr(D, i, j):
     h = duality_check(D, "hasse", i)
     if h.status != "ok":
         return None, False
-    _require(factorization_check(D, i, j),
+    require(factorization_check(D, i, j),
              "graded V map does not factor through the boundary map")
-    _require(factorization_check(_dual(D), i, j),
+    require(factorization_check(_dual(D), i, j),
              "dual graded V map does not factor through the boundary map")
     above, below = _m_levels_around(p, j)
     c = _kmul(K, h.canonical_iso_scalar,

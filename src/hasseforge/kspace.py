@@ -12,6 +12,11 @@ pi-power s to flat index m*e + s.
 An R-submodule is stored as the reduced echelon basis of its restriction
 (see linalg), which is exactly a Submodule over k: the underlying k-space
 is a read, and descent checks run on those echelon rows, a k-basis.
+
+Every induced map is built by induced_from_fun: it checks descent once,
+on that k-basis of the source's den, and then reads the images of the
+source's lifts in the target's coordinates.  induced_semilinear is the
+same constructor for an R-semilinear map.
 """
 
 from __future__ import annotations
@@ -74,12 +79,10 @@ class QuotientPresentation:
             raise NotNested("den is not contained in num")
         self.R, self.n = R, n
         self.num, self.den = num, den
-        self.numk = ksub_from_rsub(R, num)
-        self.denk = ksub_from_rsub(R, den)
         d = len(num.krows)
         # each den pivot is a num pivot (den <= num), so den's echelon rows
         # read at num's pivots are again a reduced echelon basis
-        dencoords = [self.numk.coords(r) for r in den.krows]
+        dencoords = [num.coords(r) for r in den.krows]
         self.den_in_num = Submodule(R.k, d, dencoords, [num.kpivots.index(p) for p in den.kpivots])
         self._free_idx = self.den_in_num.free()
         self.dim = len(self._free_idx)
@@ -87,7 +90,7 @@ class QuotientPresentation:
         self._post = None
 
     def coordinates_of_k(self, kv):
-        c = self.den_in_num.reduce_vector(self.numk.coords(kv))
+        c = self.den_in_num.reduce_vector(self.num.coords(kv))
         raw = tuple(c[t] for t in self._free_idx)
         return self._post.apply(raw) if self._post is not None else raw
 
@@ -116,34 +119,33 @@ def subspace_in_qp(qp: QuotientPresentation, S: Submodule) -> Submodule:
 
 
 def induced_semilinear(phi: SemilinearMap, src: QuotientPresentation, dst: QuotientPresentation) -> SemilinearMap:
-    """k-matrix of the map src -> dst induced by the R-semilinear phi.
-    Checks descent on R-generators; raises WellDefinednessViolation."""
-    k = src.R.k
-    for g in src.den.rows:
-        if not dst.den.contains(phi.apply(g)):
-            raise WellDefinednessViolation("phi does not map den into den")
-    for g in src.num.rows:
-        if not dst.num.contains(phi.apply(g)):
-            raise WellDefinednessViolation("phi does not map num into num")
-    cols = [dst.coordinates_of_R(phi.apply(l)) for l in src.lifts_R]
-    return SemilinearMap(Matrix.from_cols(k, cols, m=dst.dim), phi.twist)
+    """k-matrix of the map src -> dst induced by the R-semilinear phi;
+    raises WellDefinednessViolation when phi does not descend."""
+    return induced_from_fun(phi.apply, phi.twist, src, dst)
 
 
 def induced_from_fun(fn, twist, src: QuotientPresentation, dst: QuotientPresentation, den_images=()) -> SemilinearMap:
-    """Like induced_semilinear for a raw vector function fn that is only
-    k-semilinear (twist given by the caller).  Descent is checked on all
-    k-generators of src.den; den_images supplies extra ambient vectors
-    (e.g. images of a division's ambiguity) that must also die in dst."""
+    """k-matrix of the map src -> dst induced by a vector function fn that
+    is k-semilinear with the given twist.  Descent is checked on the k-basis
+    of src.den, which is complete for such an fn: src.num is src.den plus
+    the lifts, and each lift's image must lie in dst.num.  den_images
+    supplies extra ambient vectors (e.g. images of a division's ambiguity)
+    that must also die in dst.  Raises WellDefinednessViolation."""
     R = src.R
-    k = R.k
     for g in _kbasis(R, src.den):
         if not dst.den.contains(fn(g)):
-            raise WellDefinednessViolation("fn does not descend to the quotient")
+            raise WellDefinednessViolation("fn does not map den into den")
     for v in den_images:
         if not dst.den.contains(v):
             raise WellDefinednessViolation("fn is ambiguous modulo dst.den")
-    cols = [dst.coordinates_of_R(fn(l)) for l in src.lifts_R]
-    return SemilinearMap(Matrix.from_cols(k, cols, m=dst.dim), twist)
+    cols = []
+    for l in src.lifts_R:
+        w = fn(l)
+        try:
+            cols.append(dst.coordinates_of_R(w))
+        except InvariantViolation as exc:
+            raise WellDefinednessViolation("fn does not map num into num") from exc
+    return SemilinearMap(Matrix.from_cols(R.k, cols, m=dst.dim), twist)
 
 
 def pairing_matrix(form, left: QuotientPresentation, right: QuotientPresentation) -> Matrix:

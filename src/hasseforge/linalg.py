@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import InvalidSpec, InvariantViolation
+from .errors import InvalidSpec, InvariantViolation, RetryExhausted
 from .rings import PiChain
 
 
@@ -570,4 +570,4 @@ def random_invertible(ring, n, rng, tries=1000) -> Matrix:
         M = random_matrix(ring, n, n, rng)
         if M.is_invertible():
             return M
-    raise AssertionError("no invertible matrix found; the odds say the rng is broken")
+    raise RetryExhausted("no invertible matrix found; the odds say the rng is broken")

@@ -7,6 +7,8 @@ sparse tricks; degrees here stay tiny.
 
 from __future__ import annotations
 
+from .errors import InvariantViolation, require
+
 
 def trim(a: list[int]) -> list[int]:
     """Drop trailing zeros (the zero polynomial becomes [])."""
@@ -49,7 +51,7 @@ def mul(a: list[int], b: list[int], m: int) -> list[int]:
 
 def divmod_monic(a: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
     """Divide by monic g. Works over any Z/m since no leading-coeff inversion is needed."""
-    assert g and g[-1] == 1
+    require(g and g[-1] == 1, "divisor is not monic")
     r = list(a)
     dg = len(g) - 1
     q = [0] * max(0, len(r) - dg)
@@ -143,4 +145,4 @@ def smallest_irreducible(p: int, f: int) -> list[int]:
         g = coeffs + [1]
         if is_irreducible_fp(g, p):
             return g
-    raise AssertionError("no irreducible of degree %d over F_%d" % (f, p))
+    raise InvariantViolation("no irreducible of degree %d over F_%d" % (f, p))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from . import polyutil
-from .errors import InvalidSpec, InvariantViolation
+from .errors import InvalidSpec, InvariantViolation, require
 
 SMALL_PRIMES = (2, 3, 5, 7)
 # FiniteField keeps O(q) tables; a larger p^f is refused before any is built
@@ -270,7 +270,7 @@ class PiChain:
             if err == self.one:
                 return z
             z = self.mul(z, self.sub(two, err))
-        raise AssertionError("newton inversion failed to converge")
+        raise InvariantViolation("newton inversion failed to converge")
 
     def frob(self, a, j: int = 1):
         k = self.k
@@ -377,7 +377,7 @@ class WittLength2:
         # one newton step from the lifted k-inverse is exact: (a z0 - 1)^2 in (p^2) = 0
         z0 = self.lift(self.k.inv(self.reduce(a)))
         z = self.mul(z0, self.sub(self.from_int(2), self.mul(a, z0)))
-        assert self.mul(a, z) == self.one
+        require(self.mul(a, z) == self.one, "newton step did not invert a unit of W2")
         return z
 
     def _eval_poly(self, coeffs, at):
@@ -394,7 +394,8 @@ class WittLength2:
         gp_at = self._eval_poly(polyutil.deriv(self.ghat, m), s0)
         # g separable, so g'(x^p) is a unit and the hensel step is legal
         s = self.sub(self._pad(s0), self.mul(g_at, self.inv(gp_at)))
-        assert self._eval_poly(self.ghat, list(s)) == self.zero
+        require(self._eval_poly(self.ghat, list(s)) == self.zero,
+                "hensel lift of x^p is not a root of the field modulus")
 
         sig1_pows = [self.one]
         for _ in range(1, f):
@@ -416,7 +417,7 @@ class WittLength2:
                 pows.append(self.mul(pows[-1], cur))
             self._frob_pows.append(pows)
             cur = apply1(cur)
-        assert cur == xred  # sigma^f = id
+        require(cur == xred, "frobenius lift does not have order f")  # sigma^f = id
 
     def frob(self, a, j: int = 1):
         j %= self.f
@@ -502,15 +503,15 @@ class EisensteinLift(object):
         reps = [tuple(w2.one if i == 0 else w2.zero for i in range(e))]
         for _ in range(2 * e):
             reps.append(shift1(reps[-1]))
-        assert reps[2 * e] == self.zero  # pi^(2e) = p^2 * unit = 0
+        require(reps[2 * e] == self.zero, "pi^(2e) is not zero in W")  # pi^(2e) = p^2 * unit = 0
         self._pi_reps = reps
 
     def _compute_unit_u(self):
         w2, p = self.w2, self.p
         c = tuple(w2.from_int(-(Ej // p)) for Ej in self.E[:-1])
         self.unit_u = self.inv(c)
-        assert self.mul(self.unit_u, self._pi_reps[self.e]) == self.from_int(p)
-        assert self.frob(self.unit_u) == self.unit_u
+        require(self.mul(self.unit_u, self._pi_reps[self.e]) == self.from_int(p), "unit_u * pi^e is not p")
+        require(self.frob(self.unit_u) == self.unit_u, "unit_u is not fixed by frobenius")
 
     def add(self, a, b):
         w2 = self.w2
@@ -563,7 +564,7 @@ class EisensteinLift(object):
             if err == self.one:
                 return z
             z = self.mul(z, self.sub(two, err))
-        raise AssertionError("newton inversion failed to converge")
+        raise InvariantViolation("newton inversion failed to converge")
 
     def frob(self, a, j: int = 1):
         # E has Z/p^2 coefficients, so coefficientwise frobenius fixes pi
@@ -571,7 +572,7 @@ class EisensteinLift(object):
         return tuple(w2.frob(c, j) for c in a)
 
     def _div_p(self, a):
-        assert all(c % self.p == 0 for w in a for c in w)
+        require(all(c % self.p == 0 for w in a for c in w), "exact division by p of a non-multiple")
         return tuple(tuple(c // self.p for c in w) for w in a)
 
     def val_split(self, a):
@@ -585,13 +586,13 @@ class EisensteinLift(object):
             r = self.sub(a, self.mul(self._pi_reps[av], base))
             y = self._div_p(r)
             unit = self.add(base, self.mul(self.unit_u, self.mul(self._pi_reps[e - av], y)))
-            assert self.mul(self._pi_reps[av], unit) == a
+            require(self.mul(self._pi_reps[av], unit) == a, "val_split: pi^v * unit is not the input")
             return av, unit
         y = self._div_p(a)
         bv, wy = self.val_split(y)  # lands in the branch above
-        assert bv < e
+        require(bv < e, "val_split: the p-part of the valuation is not below e")
         unit = self.mul(self.unit_u, wy)
-        assert self.mul(self._pi_reps[e + bv], unit) == a
+        require(self.mul(self._pi_reps[e + bv], unit) == a, "val_split: pi^v * unit is not the input")
         return e + bv, unit
 
     def pi_pow(self, n: int):

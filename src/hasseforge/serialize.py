@@ -182,13 +182,3 @@ def loads(s: str, params=None):
         raise InvalidSpec("not valid JSON: %s" % exc) from exc
     return datum_from_dict(d, params=params)
 
-
-def save(D, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps(D))
-        fh.write("\n")
-
-
-def load(path, params=None):
-    with open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read(), params=params)

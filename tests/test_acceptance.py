@@ -223,7 +223,7 @@ def test_07_enumeration_oracle_equivalence():
             hodge = submodule_set(D0.hodge(0))
             brute_pre = {v for v in vecs if phi.apply(v) in hodge}
             assert submodule_set(phi.preimage(D0.hodge(0))) == brute_pre
-        assert partial_hasse(D0, 0).scalar == perm_det(_map_v_hodge(D0, 0).matrix)
+        assert partial_hasse(D0, 0).scalar == perm_det(_map_v_hodge(D0, 0)[0].matrix)
         assert primitive_m(D0, 0, 2).scalar == perm_det(_map_m(D0, 0, 2)[0].matrix)
         assert primitive_hasse(D0, 0).scalar == perm_det(_map_hasse(D0, 0)[0].matrix)
         for j in (1, 2):

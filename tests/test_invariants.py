@@ -1,7 +1,9 @@
+import collections
 import random
 
 import pytest
 
+from hasseforge import invariants, kspace
 from hasseforge.datum import DieudonneDatum, Params
 from hasseforge.errors import InvalidSpec
 from hasseforge.generate import named_instance, random_charp, random_lifted
@@ -187,6 +189,31 @@ def test_gate_fail_witness_behavior():
     assert factorization_check(D, 0, 1)
     assert factorization_check(D, 0, 2)
     assert product_identity_check(D)
+
+
+def test_verdicts_build_each_presentation_and_map_once(monkeypatch):
+    """all_verdicts, the dual datum's sections and verdicts included, builds
+    no quotient presentation twice for one (num, den) and no induced map
+    twice for one (matrix, twist, src, dst)."""
+    built = collections.Counter()
+    present = kspace.QuotientPresentation.__init__
+    induce = invariants.induced_semilinear
+
+    def counting_present(self, R, n, num, den):
+        built["qp", num, den] += 1
+        present(self, R, n, num, den)
+
+    def counting_induce(phi, src, dst):
+        built["map", phi.matrix, phi.twist, src, dst] += 1
+        return induce(phi, src, dst)
+
+    monkeypatch.setattr(kspace.QuotientPresentation, "__init__", counting_present)
+    monkeypatch.setattr(invariants, "induced_semilinear", counting_induce)
+    for D in (random_lifted(Params(3, 1, 3, 3, 1), random.Random(0)), gate_fail_witness()):
+        built.clear()
+        all_verdicts(D)
+        assert built
+        assert [key[0] for key, count in built.items() if count > 1] == []
 
 
 def test_gate_fail_witness_has_no_divisible_flag():

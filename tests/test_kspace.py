@@ -127,7 +127,7 @@ def test_quotient_presentation_basics():
             recon = (R.zero,) * n
             for a, l in zip(cv, qp.lifts_R):
                 recon = vadd(R, recon, vscale(R, R.from_k(a), l))
-            assert qp.denk.contains(restrict_vec(R, vsub(R, v, recon)))
+            assert qp.den.contains(vsub(R, v, recon))
 
 
 def test_quotient_nested_check():
@@ -259,6 +259,16 @@ def test_well_definedness_violation():
         fn = lambda v: tuple(R.shift_down(x, 1) if x[0] == R.k.zero else x for x in v)  # noqa: E731
         with pytest.raises(WellDefinednessViolation):
             induced_from_fun(fn, 0, qp1, qp2, den_images=[(R.one, R.one)])
+    # the identity carries den = pi R e1 into dst.den, but the lift e2 of
+    # src = R^2 / pi R e1 falls outside dst.num = R e1
+    pi = R.uniformizer
+    den = Submodule.span(R, n, [(pi, R.zero)])
+    src = QuotientPresentation(R, n, num1, den)
+    dst = QuotientPresentation(R, n, Submodule.span(R, n, [(R.one, R.zero)]), den)
+    with pytest.raises(WellDefinednessViolation):
+        induced_semilinear(phi, src, dst)
+    with pytest.raises(WellDefinednessViolation):
+        induced_from_fun(phi.apply, phi.twist, src, dst)
 
 
 def test_subspace_in_qp():

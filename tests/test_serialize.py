@@ -107,14 +107,6 @@ def test_wrong_format_rejected():
         ser.loads("{ not json")
 
 
-def test_file_round_trip(tmp_path):
-    D = named_instance("ord-split")
-    path = tmp_path / "datum.json"
-    ser.save(D, path)
-    assert ser.load(path, params=D.params) == D
-    assert ser.dumps(ser.load(path)) == ser.dumps(D)
-
-
 _DROP = object()
 
 
