@@ -1,15 +1,8 @@
-"""Exception types.
+"""Exception types, and require, the check that raises InvariantViolation.
 
 Everything mathematical that can go wrong gets its own class so tests can
 assert the precise failure mode instead of matching message strings.
 """
-
-
-def require(cond, msg):
-    """Raise InvariantViolation(msg) unless cond: the check of an identity
-    that must hold exactly, kept under python -O, which strips asserts."""
-    if not cond:
-        raise InvariantViolation(msg)
 
 
 class HasseForgeError(Exception):
@@ -46,3 +39,10 @@ class NotComplementary(HasseForgeError):
 
 class RetryExhausted(HasseForgeError):
     """Randomized constructor ran out of attempts."""
+
+
+def require(cond, msg):
+    """Raise InvariantViolation(msg) unless cond: the check of an identity
+    that must hold exactly, kept under python -O, which strips asserts."""
+    if not cond:
+        raise InvariantViolation(msg)

@@ -83,6 +83,8 @@ def test_params_validation():
     with pytest.raises(InvalidSpec):
         Params(3, 0, 1, 2, 1)
     with pytest.raises(InvalidSpec):
+        Params(3, 1, 0, 2, 1)
+    with pytest.raises(InvalidSpec):
         Params(3, 1, 1, 2, 3)
     with pytest.raises(InvalidSpec):
         Params(3, 1, 1, 0, 0)
