@@ -196,8 +196,7 @@ def cmd_verify(args) -> int:
         factor = all(factorization_check(D, *idx)
                      for idx in family_indices("ha_pr", p))
         if isinstance(D, LiftedDatum):
-            rng = random.Random(args.seed)
-            pidiv = all(check_pi_divisibility(D, i, rng) for i in range(p.f))
+            pidiv = all(check_pi_divisibility(D, i) for i in range(p.f))
         else:
             pidiv = None
         ok = equal_ok and product and factor and pidiv is not False
@@ -296,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run every checked identity")
     _add_io(sub)
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for the divisibility sampling")
     sub.add_argument("--strict", action="store_true",
                      help="treat not_applicable comparisons as failures")
     sub.set_defaults(func=cmd_verify)

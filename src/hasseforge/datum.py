@@ -93,21 +93,21 @@ class DieudonneDatum:
         self.pr_flags = tuple(tuple(level for level in flag) for flag in pr_flags)
         self.validate()
 
+    def memo(self, key, build):
+        """The value cached under key, built by build() on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     # -- distinguished submodules ------------------------------------
 
     def hodge(self, i: int) -> Submodule:
         i %= self.params.f
-        key = ("hodge", i)
-        if key not in self._cache:
-            self._cache[key] = self.V[(i + 1) % self.params.f].image()
-        return self._cache[key]
+        return self.memo(("hodge", i), lambda: self.V[(i + 1) % self.params.f].image())
 
     def conj(self, i: int) -> Submodule:
         i %= self.params.f
-        key = ("conj0", i)
-        if key not in self._cache:
-            self._cache[key] = self.F[i].image()
-        return self._cache[key]
+        return self.memo(("conj0", i), lambda: self.F[i].image())
 
     # -- validation ----------------------------------------------------
 

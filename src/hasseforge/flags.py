@@ -32,13 +32,14 @@ def extended_flag(datum, i: int):
     level 2e is all of E_i."""
     p = datum.params
     i %= p.f
-    key = ("ext", i)
-    if key not in datum._cache:
+
+    def build():
         levels = list(datum.pr_flags[i])
         for s in range(1, p.e + 1):
             levels.append(pi_map(p.R, p.h1, s).preimage(levels[p.e - s]))
-        datum._cache[key] = tuple(levels)
-    return datum._cache[key]
+        return tuple(levels)
+
+    return datum.memo(("ext", i), build)
 
 
 def aux_flag(datum, i: int):
@@ -47,11 +48,12 @@ def aux_flag(datum, i: int):
     pi^(e-j) E_i, which pins the preimage's k-dimension at h1 + j*d1."""
     p = datum.params
     i %= p.f
-    key = ("aux", i)
-    if key not in datum._cache:
+
+    def build():
         pi1 = pi_map(p.R, p.h1, 1)
-        datum._cache[key] = tuple(pi1.preimage(datum.pr_flags[i][j]) for j in range(p.e))
-    return datum._cache[key]
+        return tuple(pi1.preimage(datum.pr_flags[i][j]) for j in range(p.e))
+
+    return datum.memo(("aux", i), build)
 
 
 def conj_flag(datum, i: int):
@@ -61,15 +63,16 @@ def conj_flag(datum, i: int):
     im F = ker V and must agree."""
     p = datum.params
     i %= p.f
-    key = ("conj", i)
-    if key not in datum._cache:
+
+    def build():
         prev = extended_flag(datum, (i - 1) % p.f)
         lower = [datum.F[i].image_of(prev[p.e + j]) for j in range(p.e + 1)]
         upper = [datum.V[i].preimage(prev[j]) for j in range(p.e + 1)]
         if lower[p.e] != upper[0]:
             raise InvariantViolation("conjugate flag middle levels disagree at index %d" % i)
-        datum._cache[key] = tuple(lower + upper[1:])
-    return datum._cache[key]
+        return tuple(lower + upper[1:])
+
+    return datum.memo(("conj", i), build)
 
 
 def extended_dim(params, j: int) -> int:

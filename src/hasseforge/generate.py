@@ -16,6 +16,10 @@ from .kspace import ksub_from_rsub
 from .datum import DieudonneDatum, LiftedDatum, Params
 from .flags import pi_map
 
+_BETWEEN_TRIES = 200
+_FLAG_ATTEMPTS = 64
+_TWIST_TRIES = 200
+
 
 def _random_exponents(e, n, total, rng):
     """n integers in [0, e] summing to total."""
@@ -28,7 +32,7 @@ def _random_exponents(e, n, total, rng):
     return a
 
 
-def _random_between(R, low, high, kdim, rng, tries=200):
+def _random_between(R, low, high, kdim, rng):
     """Random R-submodule X with low <= X <= high of the given k-dimension,
     assuming pi * high <= low so that any intermediate k-subspace is
     R-stable.  None if the dimension window is infeasible."""
@@ -36,7 +40,7 @@ def _random_between(R, low, high, kdim, rng, tries=200):
     if not (len(low.krows) <= kdim <= len(high.krows)):
         return None
     X = ksub_from_rsub(R, low)
-    budget = tries
+    budget = _BETWEEN_TRIES
     while len(X.krows) < kdim:
         v = tuple(k.zero for _ in range(X.n))
         for row in high.krows:
@@ -50,12 +54,12 @@ def _random_between(R, low, high, kdim, rng, tries=200):
     return Submodule(R, low.n, X.krows, X.kpivots)
 
 
-def sample_flag(R, omega, d1, rng, budget=64):
+def sample_flag(R, omega, d1, rng):
     """Random flag 0 = flag[0] <= ... <= flag[e] = omega with k-dimensions
     j*d1 and pi * flag[j] <= flag[j-1]."""
     e = R.e
     n = omega.n
-    for _ in range(budget):
+    for _ in range(_FLAG_ATTEMPTS):
         flag = [Submodule.zero(R, n)]
         ok = True
         for j in range(1, e):
@@ -69,7 +73,7 @@ def sample_flag(R, omega, d1, rng, budget=64):
         if ok:
             flag.append(omega)
             return flag
-    raise RetryExhausted("could not sample a flag in %d attempts" % budget)
+    raise RetryExhausted("could not sample a flag in %d attempts" % _FLAG_ATTEMPTS)
 
 
 def random_lifted(params, rng) -> LiftedDatum:
@@ -96,11 +100,11 @@ def random_lifted(params, rng) -> LiftedDatum:
     return LiftedDatum(p, F_mats, V_mats, pr_flags=flags)
 
 
-def _stabilizing_twist(R, exps, rng, tries=200):
+def _stabilizing_twist(R, exps, rng):
     """Random invertible M with M (sum pi^exps[m] R) = sum pi^exps[m] R:
     entry (m, l) needs valuation at least exps[m] - exps[l]."""
     n = len(exps)
-    for _ in range(tries):
+    for _ in range(_TWIST_TRIES):
         rows = []
         for m in range(n):
             row = []
@@ -114,7 +118,7 @@ def _stabilizing_twist(R, exps, rng, tries=200):
         M = Matrix(R, rows)
         if M.is_invertible():
             return M
-    raise RetryExhausted("no invertible stabilizing twist in %d tries" % tries)
+    raise RetryExhausted("no invertible stabilizing twist in %d tries" % _TWIST_TRIES)
 
 
 def random_charp(params, rng) -> DieudonneDatum:

@@ -36,7 +36,7 @@ def kdim_rsub(R, S: Submodule) -> int:
     return len(S.krows)
 
 
-def _kbasis(R, S: Submodule):
+def kbasis(R, S: Submodule):
     """A k-basis of S as R-vectors: its echelon rows, unrestricted."""
     return [unrestrict_vec(R, kv) for kv in S.krows]
 
@@ -132,7 +132,7 @@ def induced_from_fun(fn, twist, src: QuotientPresentation, dst: QuotientPresenta
     supplies extra ambient vectors (e.g. images of a division's ambiguity)
     that must also die in dst.  Raises WellDefinednessViolation."""
     R = src.R
-    for g in _kbasis(R, src.den):
+    for g in kbasis(R, src.den):
         if not dst.den.contains(fn(g)):
             raise WellDefinednessViolation("fn does not map den into den")
     for v in den_images:
@@ -153,8 +153,8 @@ def pairing_matrix(form, left: QuotientPresentation, right: QuotientPresentation
     descending to left x right.  Descent is checked on k-generators."""
     R = left.R
     k = R.k
-    lden, rnum = _kbasis(R, left.den), _kbasis(R, right.num)
-    lnum, rden = _kbasis(R, left.num), _kbasis(R, right.den)
+    lden, rnum = kbasis(R, left.den), kbasis(R, right.num)
+    lnum, rden = kbasis(R, left.num), kbasis(R, right.den)
     for d in lden:
         for x in rnum:
             if form(d, x) != k.zero:

@@ -561,12 +561,16 @@ class SemilinearMap:
         return "SemilinearMap(%r, twist=%d)" % (self.matrix, self.twist)
 
 
+# a uniform square matrix over a local ring is invertible with probability > 1/4
+_INVERTIBLE_TRIES = 1000
+
+
 def random_matrix(ring, m, n, rng) -> Matrix:
     return Matrix(ring, [[ring.random_element(rng) for _ in range(n)] for _ in range(m)], n=n)
 
 
-def random_invertible(ring, n, rng, tries=1000) -> Matrix:
-    for _ in range(tries):
+def random_invertible(ring, n, rng) -> Matrix:
+    for _ in range(_INVERTIBLE_TRIES):
         M = random_matrix(ring, n, n, rng)
         if M.is_invertible():
             return M

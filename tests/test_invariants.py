@@ -6,6 +6,7 @@ import pytest
 from hasseforge import invariants, kspace
 from hasseforge.datum import DieudonneDatum, Params
 from hasseforge.errors import InvalidSpec
+from hasseforge.flags import pi_divisibility
 from hasseforge.generate import named_instance, random_charp, random_lifted
 from hasseforge.invariants import (DualityVerdict, LineSection, all_sections,
                                    all_verdicts, check_pi_divisibility,
@@ -14,7 +15,7 @@ from hasseforge.invariants import (DualityVerdict, LineSection, all_sections,
                                    partial_hasse_pr, primitive_hasse,
                                    primitive_m, product_identity_check,
                                    vanishing_pattern)
-from hasseforge.linalg import Matrix, Submodule
+from hasseforge.linalg import Matrix, SemilinearMap, Submodule
 
 
 def scalars(D):
@@ -191,6 +192,44 @@ def test_gate_fail_witness_behavior():
     assert product_identity_check(D)
 
 
+def test_pi_divisibility_fails_on_a_broken_division_identity():
+    # 2V has the same kernel, image and preimages as V, so the flags and
+    # their divisibility are untouched, but V(F(x)/pi^j) doubles
+    for L in (named_instance("ram-pi"), random_lifted(Params(3, 1, 2, 2, 1), random.Random(3))):
+        red = L.reduce()
+        R = red.params.R
+        assert check_pi_divisibility(L, 0)
+        red.V = tuple(SemilinearMap(v.matrix.scale(R.from_int(2)), -1) for v in red.V)
+        assert pi_divisibility(red, 0)
+        assert not check_pi_divisibility(L, 0)
+
+
+def test_pi_divisibility_is_checked_exactly_on_a_kbasis(monkeypatch):
+    """The division identity is applied once per k-basis vector of each
+    S_j = F^-1(pi^j R^h1), and never draws from a random source."""
+
+    class NoDraws:
+        def __getattribute__(self, name):
+            raise AssertionError("rng.%s was used" % name)
+
+    L = random_lifted(Params(3, 1, 3, 3, 1), random.Random(0))
+    red = L.reduce()
+    p = red.params
+    full = Submodule.full(p.R, p.h1)
+    basis = sum(len(red.F[0].preimage(full.scaled(p.R.pi_pow(j))).krows)
+                for j in range(1, p.e + 1))
+    on_v = []
+    apply = SemilinearMap.apply
+
+    def counting_apply(self, v):
+        on_v.append(self is red.V[0])
+        return apply(self, v)
+
+    monkeypatch.setattr(SemilinearMap, "apply", counting_apply)
+    assert check_pi_divisibility(L, 0, NoDraws())
+    assert on_v.count(True) == basis
+
+
 def test_verdicts_build_each_presentation_and_map_once(monkeypatch):
     """all_verdicts, the dual datum's sections and verdicts included, builds
     no quotient presentation twice for one (num, den) and no induced map
@@ -266,8 +305,7 @@ def test_random_campaign_verdicts():
                 for i in range(par.f):
                     assert factorization_check(D, i, par.e), (shape, i)
                     if lifted:
-                        assert check_pi_divisibility(
-                            D, i, rng=random.Random(1), samples=3), (shape, i)
+                        assert check_pi_divisibility(D, i), (shape, i)
 
 
 def test_vanishing_pattern_dual_invariance():
