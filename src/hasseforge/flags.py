@@ -75,23 +75,6 @@ def conj_flag(datum, i: int):
     return datum.memo(("conj", i), build)
 
 
-def extended_dim(params, j: int) -> int:
-    if j <= params.e:
-        return j * params.d1
-    s = j - params.e
-    return s * params.h1 + (params.e - s) * params.d1
-
-
-def conj_dim(params, j: int) -> int:
-    if j <= params.e:
-        return j * (params.h1 - params.d1)
-    return params.e * (params.h1 - params.d1) + (j - params.e) * params.d1
-
-
-def aux_dim(params, j: int) -> int:
-    return params.h1 + j * params.d1
-
-
 def pi_divisibility(datum, i: int) -> bool:
     """Whether pi^j carries conjugate level e+j onto conjugate level e-j
     for every j.  Holds whenever the datum is the reduction of a lift;

@@ -18,6 +18,13 @@ W2 elements f-tuples of ints mod p^2, W elements e-tuples of W2 elements.
 All layers share one protocol: capacity, zero, one, uniformizer, size,
 add/sub/neg/mul, is_unit, inv, frob(x, j), val_split(x) -> (val, unit),
 pi_pow(n), from_int, elements(), random_element(rng).
+
+A W element is read as the flat vector of its e*f coordinates, the
+coefficient of pi^i x^a at index i*f + a.  W multiplies on that vector
+alone: one integer convolution into (pi-power, x-power) slots, a fold of
+every slot past pi^(e-1) or x^(f-1) through a table of the reduced
+coordinates of pi^i x^a built once per tower, and one reduction mod p^2
+at the end.  The W2 product and the polynomial code only build tables.
 """
 
 from __future__ import annotations
@@ -460,6 +467,12 @@ class EisensteinLift(object):
 
     pi^e = p*c with c the unit -sum_j (E_j/p) pi^j; unit_u = c^{-1} turns
     powers of p into powers of pi: unit_u * pi^e = p exactly.
+
+    mul works on the flat (pi, x) coordinates (see _build_product_table):
+    it convolves the two coordinate vectors as plain ints, folds the slots
+    past pi^(e-1) or x^(f-1) through the tower's structure constants, and
+    reduces mod p^2 once.  inv starts its Newton steps from the lifted
+    inverse of the residue, so W arithmetic never multiplies in W2.
     """
 
     def __init__(self, w2: WittLength2, e: int, eisenstein):
@@ -483,6 +496,7 @@ class EisensteinLift(object):
         self.one = tuple([w2.one] + [w2.zero] * (e - 1))
         self.size = w2.size**e
         self._build_pi_table()
+        self._build_product_table()
         self.uniformizer = self._pi_reps[1]
         self._compute_unit_u()
 
@@ -491,20 +505,55 @@ class EisensteinLift(object):
 
     def _build_pi_table(self):
         w2, e = self.w2, self.e
-        rep_e = tuple(w2.from_int(-c) for c in self.E[:-1])
+        rep_e = tuple(-c for c in self.E[:-1])  # pi^e = -sum_j E_j pi^j
 
         def shift1(v):
             head = (w2.zero,) + v[:-1]
             top = v[-1]
             if top == w2.zero:
                 return head
-            return tuple(w2.add(h, w2.mul(top, c)) for h, c in zip(head, rep_e))
+            return tuple(w2.add(h, w2.scale_int(c, top)) for h, c in zip(head, rep_e))
 
         reps = [tuple(w2.one if i == 0 else w2.zero for i in range(e))]
         for _ in range(2 * e):
             reps.append(shift1(reps[-1]))
         require(reps[2 * e] == self.zero, "pi^(2e) is not zero in W")  # pi^(2e) = p^2 * unit = 0
         self._pi_reps = reps
+
+    def _build_product_table(self):
+        """The structure constants of mul on flat (pi, x) coordinates.
+
+        Coordinate i*f + a of an element is the coefficient of pi^i x^a.
+        A product of two coordinates lands in accumulator slot
+        i*(2f - 1) + a with i < 2e - 1 and a < 2f - 1, so the flat input
+        index i*f + a goes to slot _slots[i*f + a] and slots add.  _fold
+        holds, for each slot with i >= e or a >= f, the reduced
+        coordinates of pi^i x^a mod (E(pi), ghat(x)) as sparse
+        (flat index, coefficient) pairs: pi^i is _pi_reps[i], whose
+        coefficient r_j at pi^j times x^a is sum_b r_j[b] x^(a + b), with
+        each x^(a + b) reduced mod ghat.
+        """
+        w2, e, f, m = self.w2, self.e, self.f, self.m
+        width = 2 * f - 1
+        xpow = [[1] + [0] * (f - 1)]  # x^d mod ghat for d < 3f - 2
+        for _ in range(3 * f - 3):
+            top = xpow[-1][-1]
+            xpow.append([(c - top * g) % m for c, g in zip([0] + xpow[-1][:-1], w2.ghat)])
+        self._slots = [i * width + a for i in range(e) for a in range(f)]
+        self._acc_len = (2 * e - 1) * width
+        self._fold = []
+        for i in range(2 * e - 1):
+            for a in range(width):
+                if i < e and a < f:
+                    continue
+                coords = [0] * (e * f)
+                for j, r in enumerate(self._pi_reps[i]):
+                    for b, c in enumerate(r):
+                        if c:
+                            for t, x in enumerate(xpow[a + b]):
+                                coords[j * f + t] += c * x
+                self._fold.append((i * width + a,
+                                   tuple((n, c % m) for n, c in enumerate(coords) if c % m)))
 
     def _compute_unit_u(self):
         w2, p = self.w2, self.p
@@ -526,20 +575,23 @@ class EisensteinLift(object):
         return tuple(w2.neg(x) for x in a)
 
     def mul(self, a, b):
-        w2, e = self.w2, self.e
-        conv = [w2.zero] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if x != w2.zero:
-                for j, y in enumerate(b):
-                    if y != w2.zero:
-                        conv[i + j] = w2.add(conv[i + j], w2.mul(x, y))
-        out = conv[:e]
-        for d in range(e, 2 * e - 1):
-            c = conv[d]
-            if c != w2.zero:
-                rep = self._pi_reps[d]
-                out = [w2.add(o, w2.mul(c, r)) for o, r in zip(out, rep)]
-        return tuple(out)
+        slots = self._slots
+        acc = [0] * self._acc_len
+        flatten = itertools.chain.from_iterable
+        nonzero_b = [(t, y) for t, y in zip(slots, flatten(b)) if y]
+        for s, x in zip(slots, flatten(a)):
+            if x:
+                for t, y in nonzero_b:
+                    acc[s + t] += x * y
+        out = [acc[s] for s in slots]
+        for s, coords in self._fold:
+            c = acc[s]
+            if c:
+                for n, r in coords:
+                    out[n] += c * r
+        m = self.m
+        flat = iter([v % m for v in out])
+        return tuple(zip(*[flat] * self.f))  # runs of f coordinates
 
     def reduce(self, a):
         """Reduction W -> R, coefficientwise in pi."""
@@ -557,7 +609,8 @@ class EisensteinLift(object):
     def inv(self, a):
         if not self.is_unit(a):
             raise ZeroDivisionError("non-unit in %r" % self)
-        z = self.embed_w2(self.w2.inv(a[0]))
+        # a times the lifted inverse of its residue is 1 mod pi
+        z = self.embed_w2(self.w2.lift(self.k.inv(self.res(a))))
         two = self.from_int(2)
         for _ in range(self.capacity.bit_length() + 2):
             err = self.mul(a, z)

@@ -10,7 +10,7 @@ import random
 import time
 
 from hasseforge.datum import LiftedDatum, Params
-from hasseforge.flags import aux_flag, extended_dim, extended_flag
+from hasseforge.flags import aux_flag, extended_flag
 from hasseforge.generate import named_instance, random_datum
 from hasseforge.invariants import (all_sections, all_verdicts,
                                    check_pi_divisibility, duality_check,
@@ -24,6 +24,8 @@ from hasseforge.kspace import kdim_rsub, prop_dual
 from hasseforge.linalg import Submodule
 from hasseforge.oracle import (all_vectors, perm_det, run_all, submodule_set,
                                tiny_params)
+
+from flag_dims import extended_dim
 
 
 def _random_complementary_pair(K, r, rng):

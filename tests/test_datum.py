@@ -4,17 +4,11 @@ import pytest
 
 from hasseforge.datum import DieudonneDatum, LiftedDatum, Params
 from hasseforge.errors import InvalidDatum, InvalidLift, InvalidSpec
-from hasseforge.flags import (
-    aux_dim,
-    aux_flag,
-    conj_dim,
-    conj_flag,
-    extended_dim,
-    extended_flag,
-    pi_divisibility,
-)
+from hasseforge.flags import aux_flag, conj_flag, extended_flag, pi_divisibility
 from hasseforge.kspace import annihilator, kdim_rsub
 from hasseforge.linalg import Matrix, Submodule, random_matrix
+
+from flag_dims import aux_dim, conj_dim, extended_dim
 
 
 def wmat(W, rows):

@@ -4,12 +4,13 @@ import pytest
 
 from hasseforge.datum import DieudonneDatum, LiftedDatum, Params
 from hasseforge.errors import InvalidSpec
-from hasseforge.flags import extended_dim
 from hasseforge.generate import (NAMED_INSTANCES, named_instance,
                                  random_charp, random_datum, random_lifted,
                                  sample_flag)
 from hasseforge.invariants import hasse_invariant
 from hasseforge.kspace import kdim_rsub
+
+from flag_dims import extended_dim
 
 
 SHAPES = [

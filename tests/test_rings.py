@@ -9,7 +9,7 @@ import pytest
 from hasseforge import polyutil
 from hasseforge.errors import InvalidSpec, InvariantViolation
 from hasseforge.polyutil import is_irreducible_fp, smallest_irreducible
-from hasseforge.rings import MAX_FIELD_SIZE, FiniteField, RingTower
+from hasseforge.rings import MAX_FIELD_SIZE, FiniteField, RingTower, WittLength2
 
 
 def ring_axioms_exhaustive(ring):
@@ -346,3 +346,76 @@ def test_tower_lift_red_roundtrip():
         d = t.W.sub(xw, t.W.lift(t.W.reduce(xw)))
         v, _ = t.W.val_split(d)
         assert v >= t.e or d == t.W.zero
+
+
+def reference_w_mul(W, a, b):
+    """The product of W from its definition, independently of its tables:
+    convolve a and b as polynomials in pi whose coefficients are
+    polynomials in x over Z/p^2, reduce every pi-coefficient mod ghat(x),
+    then divide by the monic E(pi) by long division."""
+    m, e, ghat = W.m, W.e, W.w2.ghat
+    conv = [[] for _ in range(2 * e - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] = polyutil.add(conv[i + j], polyutil.mul(list(x), list(y), m), m)
+    conv = [polyutil.mod_monic(c, ghat, m) for c in conv]
+    for d in range(2 * e - 2, e - 1, -1):
+        top, conv[d] = conv[d], []
+        for j, ej in enumerate(W.E[:-1]):  # pi^d = -pi^(d-e) sum_j E_j pi^j
+            conv[d - e + j] = polyutil.sub(conv[d - e + j], polyutil.scal(ej, top, m), m)
+    return tuple(tuple(c + [0] * (W.f - len(c))) for c in conv[:e])
+
+
+def _special_w_elements(W, rng, n_random):
+    """Zero, one, every pi-power, p-multiples and random elements."""
+    p, m = W.p, W.m
+    out = [W.zero, W.one] + [W.pi_pow(n) for n in range(2 * W.e + 1)]
+    for _ in range(n_random):
+        a = W.random_element(rng)
+        out.append(a)
+        out.append(tuple(tuple(p * c % m for c in w) for w in a))
+    return out
+
+
+def test_eisenstein_mul_matches_reference():
+    W = RingTower(2, 1, 2).W
+    elems = list(W.elements())
+    assert len(elems) ** 2 == 256
+    for a, b in itertools.product(elems, repeat=2):
+        assert W.mul(a, b) == reference_w_mul(W, a, b)
+    rng = random.Random(11)
+    for p, f, e, E in [(5, 2, 3, None), (3, 2, 2, None), (2, 1, 3, [2, 2, 2, 1])]:
+        W = RingTower(p, f, e, eisenstein=E).W
+        special = _special_w_elements(W, rng, 6)
+        pairs = list(itertools.product(special, repeat=2))
+        pairs += [(W.random_element(rng), W.random_element(rng)) for _ in range(300)]
+        for a, b in pairs:
+            assert W.mul(a, b) == reference_w_mul(W, a, b)
+
+
+def test_w_product_path_avoids_polynomial_code(monkeypatch):
+    """W.mul, W.inv and W.val_split on a built tower run on the product
+    table alone: the generic polynomial code and the W2 product, which
+    only build the tower, must not come back into them."""
+    rng = random.Random(12)
+    cases = []
+    for p, f, e in [(2, 1, 2), (3, 2, 2), (5, 2, 3), (2, 3, 1)]:
+        W = RingTower(p, f, e).W
+        elems = _special_w_elements(W, rng, 8)
+        cases.append((W, elems, [(a, b, W.mul(a, b)) for a, b in zip(elems, reversed(elems))],
+                      [(a, W.inv(a)) for a in elems if W.is_unit(a)],
+                      [(a, W.val_split(a)) for a in elems]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the W product path called the polynomial code")
+
+    monkeypatch.setattr(polyutil, "mul", refuse)
+    monkeypatch.setattr(polyutil, "divmod_monic", refuse)
+    monkeypatch.setattr(WittLength2, "mul", refuse)
+    for W, elems, products, inverses, splits in cases:
+        for a, b, ab in products:
+            assert W.mul(a, b) == ab
+        for a, inv in inverses:
+            assert W.inv(a) == inv
+        for a, split in splits:
+            assert W.val_split(a) == split
