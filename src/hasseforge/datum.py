@@ -99,6 +99,16 @@ class DieudonneDatum:
             self._cache[key] = build()
         return self._cache[key]
 
+    def shared(self, key, build):
+        """memo for what the ring and the submodules alone fix: pi maps,
+        quotient presentations and the maps induced between them.  A datum
+        and its dual share the ring tower and this table (see
+        invariants._dual), so each is built once for both."""
+        table = self.memo("shared", dict)
+        if key not in table:
+            table[key] = build()
+        return table[key]
+
     # -- distinguished submodules ------------------------------------
 
     def hodge(self, i: int) -> Submodule:

@@ -21,9 +21,18 @@ from .errors import InvariantViolation
 from .linalg import Matrix, SemilinearMap
 
 
-def pi_map(R, n: int, s: int) -> SemilinearMap:
-    """Multiplication by pi^s on R^n."""
-    return SemilinearMap(Matrix.identity(R, n).scale(R.pi_pow(s)), 0)
+def scalar_map(datum, c) -> SemilinearMap:
+    """Multiplication by c in R on the datum's E_i, built once per document
+    for each c (a datum shares it with its dual), so that its restriction
+    to flat vectors is built once."""
+    p = datum.params
+    return datum.shared(("scalar", c),
+                        lambda: SemilinearMap(Matrix.identity(p.R, p.h1).scale(c), 0))
+
+
+def pi_map(datum, s: int) -> SemilinearMap:
+    """Multiplication by pi^s on the datum's E_i; s = 0 gives the identity."""
+    return scalar_map(datum, datum.params.R.pi_pow(s))
 
 
 def extended_flag(datum, i: int):
@@ -36,7 +45,7 @@ def extended_flag(datum, i: int):
     def build():
         levels = list(datum.pr_flags[i])
         for s in range(1, p.e + 1):
-            levels.append(pi_map(p.R, p.h1, s).preimage(levels[p.e - s]))
+            levels.append(pi_map(datum, s).preimage(levels[p.e - s]))
         return tuple(levels)
 
     return datum.memo(("ext", i), build)
@@ -50,7 +59,7 @@ def aux_flag(datum, i: int):
     i %= p.f
 
     def build():
-        pi1 = pi_map(p.R, p.h1, 1)
+        pi1 = pi_map(datum, 1)
         return tuple(pi1.preimage(datum.pr_flags[i][j]) for j in range(p.e))
 
     return datum.memo(("aux", i), build)

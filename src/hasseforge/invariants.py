@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidSpec, require
-from .linalg import (Matrix, SemilinearMap, Submodule, unit_vec, vscale,
-                     vsub)
+from .linalg import Matrix, Submodule, pi_divide, vsub
 from .kspace import (QuotientPresentation, induced_from_fun,
-                     induced_semilinear, kbasis, ksub_from_rsub,
-                     pairing_matrix, prop_dual, residue_form, subspace_in_qp)
+                     induced_semilinear, ksub_from_rsub, pairing_matrix,
+                     prop_dual, residue_form, subspace_in_qp)
 from .datum import LiftedDatum
-from .flags import aux_flag, conj_flag, extended_flag, pi_divisibility, pi_map
+from .flags import (aux_flag, conj_flag, extended_flag, pi_divisibility,
+                    pi_map, scalar_map)
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,6 @@ def _torsion(R, n, t):
     return Submodule.full(R, n).scaled(R.pi_pow(max(R.e - t, 0)))
 
 
-def _div_vec(R, v, s):
-    """Coordinatewise exact division by pi^s."""
-    return tuple(R.shift_down(c, s) for c in v)
-
-
 def _block(K, M, r0, r1, c0, c1):
     return Matrix(K, [row[c0:c1] for row in M.rows[r0:r1]], n=c1 - c0)
 
@@ -104,30 +99,24 @@ def _g_label(i, j):
 # deterministic presentations, shared by sections and verdicts
 
 
-def _shared(D, key, build):
-    """D.memo for what the ring and the submodules alone fix: quotient
-    presentations and the maps induced between them.  A datum and its dual
-    share the ring tower and this table (see _dual), so each is built once
-    for both."""
-    table = D.memo("shared", dict)
-    if key not in table:
-        table[key] = build()
-    return table[key]
-
-
 def _qp(D, num, den):
     """num/den with its default lifts, keyed by the submodules themselves,
     which compare by ring and echelon rows."""
     p = D.params
-    return _shared(D, ("qp", num, den),
-                   lambda: QuotientPresentation(p.R, p.h1, num, den))
+    return D.shared(("qp", num, den),
+                    lambda: QuotientPresentation(p.R, p.h1, num, den))
 
 
 def _induced(D, phi, src, dst):
     """The map src -> dst induced by the R-semilinear phi, keyed by phi's
     matrix and twist and by the two presentations."""
-    return _shared(D, ("map", phi.matrix, phi.twist, src, dst),
-                   lambda: induced_semilinear(phi, src, dst))
+    return D.shared(("map", phi.matrix, phi.twist, src, dst),
+                    lambda: induced_semilinear(phi, src, dst))
+
+
+def _ident(D):
+    """The identity of E_i, inducing the natural maps between quotients."""
+    return pi_map(D, 0)
 
 
 def _qgr(D, i, j):
@@ -142,7 +131,7 @@ def _qb(D, i):
     p = D.params
 
     def build():
-        lifts = [l for j in range(1, p.e + 1) for l in _qgr(D, i, j).lifts_R]
+        lifts = [l for j in range(1, p.e + 1) for l in _qgr(D, i, j).lifts]
         return _qp(D, D.hodge(i), Submodule.zero(p.R, p.h1)).with_lifts(lifts)
 
     return D.memo(("qb", i), build)
@@ -196,7 +185,7 @@ def _map_v_hodge(D, i):
                          "V does not respect the flag filtration")
         Mv = _induced(D, D.V[i], _qac(D, i), _qb(D, i1))
         _unit(K, Mv.matrix.det(), "V on the conjugate quotient")
-        nat = _induced(D, SemilinearMap.identity(p.R, p.h1), _qb(D, i), _qac(D, i))
+        nat = _induced(D, _ident(D), _qb(D, i), _qac(D, i))
         require(M.matrix == Mv.matrix.mul(nat.matrix.frob(-1)),
                  "V on the Hodge submodule disagrees with its natural description")
         return M, Mv, nat
@@ -211,12 +200,12 @@ def _map_m(D, i, j):
     p = D.params
 
     def build():
-        M = _induced(D, pi_map(p.R, p.h1, 1), _qgr(D, i, j), _qgr(D, i, j - 1))
+        M = _induced(D, pi_map(D, 1), _qgr(D, i, j), _qgr(D, i, j - 1))
         aux = aux_flag(D, i)
         qgrp = _qp(D, aux[j - 1], aux[j - 2])
-        piiso = _induced(D, pi_map(p.R, p.h1, 1), qgrp, _qgr(D, i, j - 1))
+        piiso = _induced(D, pi_map(D, 1), qgrp, _qgr(D, i, j - 1))
         _unit(p.k, piiso.matrix.det(), "pi-iso between divided and plain grades")
-        nat = _induced(D, SemilinearMap.identity(p.R, p.h1), _qgr(D, i, j), qgrp)
+        nat = _induced(D, _ident(D), _qgr(D, i, j), qgrp)
         require(M.matrix == piiso.matrix.mul(nat.matrix),
                  "graded pi map disagrees with its boundary description")
         return M, piiso, nat
@@ -246,12 +235,15 @@ def _map_hasse(D, i):
     def build():
         src = _qgr(D, i, 1)
         dst = _qgr(D, i1, p.e)
+        V, e = D.V[i], p.e
 
         def fn(v):
-            return D.V[i].apply(_div_vec(R, v, p.e - 1))
+            return V.apply_k(pi_divide(v, e, e - 1))
 
-        amb = [D.V[i].apply(vscale(R, R.uniformizer, unit_vec(R, p.h1, m)))
-               for m in range(p.h1)]
+        # the division is defined up to pi R^h1, spanned over R by the
+        # pi e_m at flat index m*e + 1, whose images are V's restricted
+        # columns there (pi = 0 when e = 1)
+        amb = V.kcols()[1::e] if e > 1 else ()
         M = induced_from_fun(fn, -1, src, dst, den_images=amb)
 
         if not _hasse_gate(D, i):
@@ -261,9 +253,9 @@ def _map_hasse(D, i):
         qt1 = _qp(D, _torsion(R, p.h1, 1), ft[1])
         Mq = _induced(D, D.V[i], qw, dst)
         _unit(p.k, Mq.matrix.det(), "V on the conjugate-tail quotient")
-        Mp = _induced(D, pi_map(R, p.h1, p.e - 1), qw, qt1)
+        Mp = _induced(D, pi_map(D, p.e - 1), qw, qt1)
         _unit(p.k, Mp.matrix.det(), "pi^(e-1) on the conjugate-tail quotient")
-        Mn = _induced(D, SemilinearMap.identity(R, p.h1), src, qt1)
+        Mn = _induced(D, _ident(D), src, qt1)
         lhs = Mp.matrix.mul(Mq.matrix.inverse().frob(1)).mul(M.matrix.frob(1))
         require(lhs == Mn.matrix,
                  "boundary map disagrees with its natural description")
@@ -391,8 +383,9 @@ def check_pi_divisibility(D, i, rng=None) -> bool:
     killed by pi^(e-j), V(F(x)/pi^j) agrees with pi^(e-j) * u * x modulo
     pi^(e-j) times the Hodge submodule.  Both sides are k-linear in x and
     the modulus is a k-subspace, so checking the echelon rows of those x,
-    a k-basis, decides the identity.  rng is accepted and ignored, for
-    callers that still pass one."""
+    a k-basis, decides the identity; F, V and the division act on flat
+    vectors.  rng is accepted and ignored, for callers that still pass
+    one."""
     red = _charp(D)
     p = red.params
     i %= p.f
@@ -400,18 +393,17 @@ def check_pi_divisibility(D, i, rng=None) -> bool:
         return False
     if not isinstance(D, LiftedDatum):
         return True
-    R = p.R
+    R, k, e = p.R, p.k, p.e
     i1 = (i - 1) % p.f
     ubar = p.W.reduce(p.tower.unit_u)
     F, V = red.F[i], red.V[i]
-    for j in range(1, p.e + 1):
-        S = F.preimage(_torsion(R, p.h1, p.e - j))
-        den = red.hodge(i1).scaled(R.pi_pow(p.e - j))
-        for x in kbasis(R, S):
-            w = _div_vec(R, F.apply(x), j)
-            lhs = V.apply(w)
-            rhs = vscale(R, R.mul(R.pi_pow(p.e - j), ubar), x)
-            if not den.contains(vsub(R, lhs, rhs)):
+    for j in range(1, e + 1):
+        S = F.preimage(_torsion(R, p.h1, e - j))
+        den = red.hodge(i1).scaled(R.pi_pow(e - j))
+        scale = scalar_map(red, R.mul(R.pi_pow(e - j), ubar))
+        for x in S.krows:
+            lhs = V.apply_k(pi_divide(F.apply_k(x), e, j))
+            if not den.contains_k(vsub(k, lhs, scale.apply_k(x))):
                 return False
     return True
 
@@ -423,7 +415,7 @@ def check_pi_divisibility(D, i, rng=None) -> bool:
 
 
 def _transport_sub(K, qpA, sub_k, qp):
-    cols = [sub_k.coords(qpA.coordinates_of_R(l)) for l in qp.lifts_R]
+    cols = [sub_k.coords(qpA.coordinates_of_k(l)) for l in qp.lifts]
     d = Matrix.from_cols(K, cols, m=len(sub_k.rows)).det()
     return _unit(K, d, "subspace basis transport")
 
@@ -431,8 +423,8 @@ def _transport_sub(K, qpA, sub_k, qp):
 def _transport_quot(K, qpA, sub_k, qp):
     free = sub_k.free()
     cols = []
-    for l in qp.lifts_R:
-        red = sub_k.reduce_vector(qpA.coordinates_of_R(l))
+    for l in qp.lifts:
+        red = sub_k.reduce_vector(qpA.coordinates_of_k(l))
         cols.append(tuple(red[c] for c in free))
     d = Matrix.from_cols(K, cols, m=len(free)).det()
     return _unit(K, d, "quotient basis transport")
@@ -448,7 +440,7 @@ def _dual(D):
     def build():
         dd = D.dualize()
         dd._cache["dualized"] = D
-        dd._cache["shared"] = D.memo("shared", dict)
+        dd._cache["shared"] = D.memo("shared", dict)  # see DieudonneDatum.shared
         return dd
     return D.memo("dualized", build)
 
@@ -512,7 +504,7 @@ def _unit_ha_i(D, i):
     # factor the co-Hodge F-map through the conjugate submodule
     Mfb = _induced(D, D.F[i], _qab(D, i1), _qc(D, i))
     u_fb = _unit(K, Mfb.matrix.det(), "F onto the conjugate submodule")
-    MnatC = _induced(D, SemilinearMap.identity(R, p.h1), _qc(D, i), _qab(D, i))
+    MnatC = _induced(D, _ident(D), _qc(D, i), _qab(D, i))
     require(Mf.matrix == MnatC.matrix.mul(Mfb.matrix),
              "co-Hodge F-map does not factor through the conjugate submodule")
 
@@ -544,7 +536,7 @@ def _unit_m(D, i, j):
     Dd = _dual(D)
     qup_hi = _qgr(D, i, 2 * e + 2 - j)
     qup_lo = _qgr(D, i, 2 * e + 1 - j)
-    Mhigh = _induced(D, pi_map(R, p.h1, 1), qup_hi, qup_lo)
+    Mhigh = _induced(D, pi_map(D, 1), qup_hi, qup_lo)
     dP1, dP2 = _pairing_adjunction(
         p, _map_m(Dd, i, j)[0], Mhigh, (_qgr(Dd, i, j), qup_lo), (_qgr(Dd, i, j - 1), qup_hi),
         0, "graded", "pairing adjunction for the graded pi map failed")
@@ -554,11 +546,11 @@ def _unit_m(D, i, j):
     ext = extended_flag(D, i)
     qcq = _qp(D, aux[j - 2], ext[j - 1])
     qabq = _qp(D, aux[j - 1], ext[j])
-    Ma1 = _induced(D, pi_map(R, p.h1, e - j + 1), qup_hi, qcq)
+    Ma1 = _induced(D, pi_map(D, e - j + 1), qup_hi, qcq)
     u_a1 = _unit(K, Ma1.matrix.det(), "upper-grade pi-power iso")
-    Ma2 = _induced(D, pi_map(R, p.h1, e - j), qup_lo, qabq)
+    Ma2 = _induced(D, pi_map(D, e - j), qup_lo, qabq)
     u_a2 = _unit(K, Ma2.matrix.det(), "upper-grade pi-power iso")
-    MnatCAB = _induced(D, SemilinearMap.identity(R, p.h1), qcq, qabq)
+    MnatCAB = _induced(D, _ident(D), qcq, qabq)
     require(Ma2.matrix.mul(Mhigh.matrix) == MnatCAB.matrix.mul(Ma1.matrix),
              "pi-power isos do not intertwine the upper pi map with inclusion")
 
@@ -600,14 +592,14 @@ def _unit_hasse(D, i):
     # the dual boundary map corresponds to: F, exact division by pi^(e-1),
     # projection to the co-top quotient
     def gfun(v):
-        return _div_vec(R, D.F[i].apply(v), e - 1)
+        return pi_divide(D.F[i].apply_k(v), e, e - 1)
 
     Mg = induced_from_fun(gfun, +1, qup, qe21, den_images=())
     Mu1 = _induced(D, D.F[i], qup, qw1)
     u_1 = _unit(K, Mu1.matrix.det(), "F onto the first conjugate level")
-    Mu2 = _induced(D, pi_map(R, p.h1, e - 1), qe21, qt2)
+    Mu2 = _induced(D, pi_map(D, e - 1), qe21, qt2)
     u_2 = _unit(K, Mu2.matrix.det(), "pi^(e-1) on the co-top quotient")
-    Mnx = _induced(D, SemilinearMap.identity(R, p.h1), qw1, qt2)
+    Mnx = _induced(D, _ident(D), qw1, qt2)
     require(Mnx.matrix.mul(Mu1.matrix) == Mu2.matrix.mul(Mg.matrix),
              "divided F-map disagrees with its natural description")
 

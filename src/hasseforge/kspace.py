@@ -7,16 +7,19 @@ along), and determinants of those matrices are the scalars the theory
 multiplies together.
 
 Restricted scalars convention: R^n -> k^(n*e) sends module coordinate m,
-pi-power s to flat index m*e + s.
+pi-power s to flat index m*e + s.  This layer works on flat vectors:
+restrict_vec/unrestrict_vec only serve callers that hold R-vectors.
 
 An R-submodule is stored as the reduced echelon basis of its restriction
 (see linalg), which is exactly a Submodule over k: the underlying k-space
 is a read, and descent checks run on those echelon rows, a k-basis.
 
-Every induced map is built by induced_from_fun: it checks descent once,
-on that k-basis of the source's den, and then reads the images of the
-source's lifts in the target's coordinates.  induced_semilinear is the
-same constructor for an R-semilinear map.
+Every induced map is built by induced_from_fun, on flat vectors end to
+end: it checks descent once, on that k-basis of the source's den, applies
+the map to the source's flat lifts and reads the images in the target's
+coordinates.  induced_semilinear is the same constructor for an
+R-semilinear map, applied through its cached restriction
+(SemilinearMap.apply_k).
 """
 
 from __future__ import annotations
@@ -86,8 +89,13 @@ class QuotientPresentation:
         self.den_in_num = Submodule(R.k, d, dencoords, [num.kpivots.index(p) for p in den.kpivots])
         self._free_idx = self.den_in_num.free()
         self.dim = len(self._free_idx)
-        self.lifts_R = [unrestrict_vec(R, num.krows[t]) for t in self._free_idx]
+        self.lifts = [num.krows[t] for t in self._free_idx]
         self._post = None
+
+    @property
+    def lifts_R(self):
+        """The lifts as R-vectors, for readers that work in R^n."""
+        return [unrestrict_vec(self.R, l) for l in self.lifts]
 
     def coordinates_of_k(self, kv):
         c = self.den_in_num.reduce_vector(self.num.coords(kv))
@@ -97,14 +105,15 @@ class QuotientPresentation:
     def coordinates_of_R(self, v):
         return self.coordinates_of_k(restrict_vec(self.R, v))
 
-    def with_lifts(self, lifts_R) -> "QuotientPresentation":
-        """Same quotient, custom lift basis (must be a basis mod den)."""
+    def with_lifts(self, lifts) -> "QuotientPresentation":
+        """Same quotient, custom lift basis: flat vectors of num that form
+        a basis mod den."""
         qp = copy.copy(self)
         # new coords = T^{-1} (old coords), so that coords(lift_t) = e_t
-        cols = [self.coordinates_of_R(l) for l in lifts_R]
+        cols = [self.coordinates_of_k(l) for l in lifts]
         T = Matrix.from_cols(self.R.k, cols, m=self.dim)
         qp._post = T.inverse() if self._post is None else T.inverse().mul(self._post)
-        qp.lifts_R = list(lifts_R)
+        qp.lifts = list(lifts)
         return qp
 
     def __repr__(self):
@@ -121,31 +130,30 @@ def subspace_in_qp(qp: QuotientPresentation, S: Submodule) -> Submodule:
 def induced_semilinear(phi: SemilinearMap, src: QuotientPresentation, dst: QuotientPresentation) -> SemilinearMap:
     """k-matrix of the map src -> dst induced by the R-semilinear phi;
     raises WellDefinednessViolation when phi does not descend."""
-    return induced_from_fun(phi.apply, phi.twist, src, dst)
+    return induced_from_fun(phi.apply_k, phi.twist, src, dst)
 
 
 def induced_from_fun(fn, twist, src: QuotientPresentation, dst: QuotientPresentation, den_images=()) -> SemilinearMap:
-    """k-matrix of the map src -> dst induced by a vector function fn that
-    is k-semilinear with the given twist.  Descent is checked on the k-basis
-    of src.den, which is complete for such an fn: src.num is src.den plus
-    the lifts, and each lift's image must lie in dst.num.  den_images
-    supplies extra ambient vectors (e.g. images of a division's ambiguity)
-    that must also die in dst.  Raises WellDefinednessViolation."""
-    R = src.R
-    for g in kbasis(R, src.den):
-        if not dst.den.contains(fn(g)):
+    """k-matrix of the map src -> dst induced by a function fn on flat
+    vectors that is k-semilinear with the given twist.  Descent is checked
+    on the k-basis of src.den, which is complete for such an fn: src.num is
+    src.den plus the lifts, and each lift's image must lie in dst.num.
+    den_images supplies extra flat vectors (e.g. images of a division's
+    ambiguity) that must also die in dst.  Raises WellDefinednessViolation."""
+    for g in src.den.krows:
+        if not dst.den.contains_k(fn(g)):
             raise WellDefinednessViolation("fn does not map den into den")
     for v in den_images:
-        if not dst.den.contains(v):
+        if not dst.den.contains_k(v):
             raise WellDefinednessViolation("fn is ambiguous modulo dst.den")
     cols = []
-    for l in src.lifts_R:
+    for l in src.lifts:
         w = fn(l)
         try:
-            cols.append(dst.coordinates_of_R(w))
+            cols.append(dst.coordinates_of_k(w))
         except InvariantViolation as exc:
             raise WellDefinednessViolation("fn does not map num into num") from exc
-    return SemilinearMap(Matrix.from_cols(R.k, cols, m=dst.dim), twist)
+    return SemilinearMap(Matrix.from_cols(src.R.k, cols, m=dst.dim), twist)
 
 
 def pairing_matrix(form, left: QuotientPresentation, right: QuotientPresentation) -> Matrix:

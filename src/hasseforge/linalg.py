@@ -7,14 +7,18 @@ R = k[pi]/(pi^e), is the same thing as a pi-stable k-subspace of k^(n*e)
 (module coordinate m, pi-power s at flat index m*e + s), and is stored as
 its reduced row echelon form; over k itself e = 1.  So every submodule
 operation is plain elimination over the residue field, a pi-multiple is a
-digit shift inside each block of e, and the kernels of an R-linear map's
+digit shift inside each block of e (and exact division by pi^s, pi_divide,
+the shift back), and the kernels of an R-linear map's
 restriction are pi-stable with no extra step.  The Howell form over R
 (the strong echelon form, canonical over a ring with zero divisors) is read
 off the echelon rows: per module column, the row of least pi-power.
 
-Semilinear maps x -> A sigma^a(x) carry their twist explicitly; the
-kernel/image/preimage conventions return submodules in untwisted
-coordinates:
+Semilinear maps x -> A sigma^a(x) carry their twist explicitly.  Each one
+restricts once, on first use, to its k-matrix on flat vectors (column
+m*e + s is the digit shift by s of restricted column m): apply_k, kernel,
+preimage and image_of all read that one cached restriction, so no flat
+vector goes back to R-coordinates.  The kernel/image/preimage conventions
+return submodules in untwisted coordinates:
 
     ker (A, a)      = sigma^{-a}(ker A)
     im  (A, a)      = column span of A
@@ -292,6 +296,15 @@ def _shift(v, e, s):
     return [0 if t % e < s else v[t - s] for t in range(len(v))]
 
 
+def pi_divide(v, e, s):
+    """The canonical z with pi^s z = v on a flat vector: each block of e
+    digits moves down by s.  InvariantViolation when v is no multiple of
+    pi^s, that is when a shifted-out digit is nonzero."""
+    if any(x for t, x in enumerate(v) if t % e < s):
+        raise InvariantViolation("vector is not divisible by pi^%d" % s)
+    return [0 if t % e >= e - s else v[t + s] for t in range(len(v))]
+
+
 def _reduce(k, rows, pivs, v):
     """The canonical representative of v modulo the span of the reduced
     echelon rows: v with every pivot column cleared."""
@@ -347,6 +360,15 @@ class Submodule:
                     v = _shift(v, e, 1)
                 if not _insert(k, rows, pivs, v):
                     break
+        return cls(ring, n, rows, pivs)
+
+    @classmethod
+    def kspan(cls, ring, n, kvecs):
+        """The submodule whose restriction is the k-span of the flat
+        vectors kvecs, which the caller vouches is pi-stable."""
+        rows, pivs = [], []
+        for v in kvecs:
+            _insert(ring.k, rows, pivs, v)
         return cls(ring, n, rows, pivs)
 
     @classmethod
@@ -408,8 +430,11 @@ class Submodule:
         return unrestrict_vec(ring, _reduce(ring.k, self.krows, self.kpivots, restrict_vec(ring, v)))
 
     def contains(self, v) -> bool:
-        ring = self.ring
-        return not any(_reduce(ring.k, self.krows, self.kpivots, restrict_vec(ring, v)))
+        return self.contains_k(restrict_vec(self.ring, v))
+
+    def contains_k(self, kv) -> bool:
+        """Membership of the flat vector kv in the restriction."""
+        return not any(_reduce(self.ring.k, self.krows, self.kpivots, kv))
 
     def coords(self, kv):
         """Coordinates of the member kv of k^(n*e) in the basis krows: the
@@ -496,56 +521,77 @@ def image(M: Matrix) -> Submodule:
 
 
 def kernel(M: Matrix) -> Submodule:
-    return preimage(M, Submodule.zero(M.ring, M.m))
+    return SemilinearMap(M, 0).kernel()
 
 
 def preimage(M: Matrix, S: Submodule) -> Submodule:
-    """{x : M x in S}; S lives in ring^m.  The restriction of M sends the
-    k-basis vector pi^s e_j to the digit shift pi^s (column j)."""
-    ring = M.ring
-    if S.ring is not ring or S.n != M.m:
-        raise InvalidSpec("preimage under a %dx%d matrix over %r of a submodule of %r^%d"
-                          % (M.m, M.n, ring, S.ring, S.n))
-    e = _digits(ring)
-    cols = [_shift(restrict_vec(ring, M.col(j)), e, s) for j in range(M.n) for s in range(e)]
-    return Submodule(ring, M.n, *_solve(S, cols))
+    """{x : M x in S}; S lives in ring^m."""
+    return SemilinearMap(M, 0).preimage(S)
 
 
 class SemilinearMap:
-    """x -> A sigma^a(x), stored as (matrix A, twist a)."""
+    """x -> A sigma^a(x), stored as (matrix A, twist a), with its
+    restriction to flat vectors cached on first use."""
 
-    __slots__ = ("matrix", "twist")
+    __slots__ = ("matrix", "twist", "_kcols")
 
     def __init__(self, matrix: Matrix, twist: int):
         self.matrix = matrix
         self.twist = twist
+        self._kcols = None
 
     @property
     def ring(self):
         return self.matrix.ring
 
-    @classmethod
-    def identity(cls, ring, n):
-        return cls(Matrix.identity(ring, n), 0)
+    def kcols(self):
+        """The columns of A restricted to k^(n*e) -> k^(m*e): the k-basis
+        vector pi^s e_j goes to the digit shift pi^s (column j), at flat
+        index j*e + s.  Built once per map."""
+        if self._kcols is None:
+            M = self.matrix
+            ring = M.ring
+            e = _digits(ring)
+            self._kcols = [_shift(restrict_vec(ring, M.col(j)), e, s)
+                           for j in range(M.n) for s in range(e)]
+        return self._kcols
 
     def apply(self, v):
         return self.matrix.apply(vfrob(self.ring, v, self.twist))
+
+    def apply_k(self, kv):
+        """The map on flat vectors: the restricted A applied to
+        sigma^a(kv), equal to restrict_vec(apply(unrestrict_vec(kv)))."""
+        k = self.ring.k
+        if self.twist % k.f:
+            kv = [k.frob(x, self.twist) for x in kv]
+        out = [0] * (self.matrix.m * _digits(self.ring))
+        for x, col in zip(kv, self.kcols()):
+            if x:
+                out = k.sub_mul(out, k.neg(x), col)
+        return out
 
     def compose(self, other: "SemilinearMap") -> "SemilinearMap":
         """self after other."""
         return SemilinearMap(self.matrix.mul(other.matrix.frob(self.twist)), self.twist + other.twist)
 
     def kernel(self) -> Submodule:
-        return kernel(self.matrix).frob(-self.twist)
+        return self.preimage(Submodule.zero(self.ring, self.matrix.m))
 
     def image(self) -> Submodule:
         return image(self.matrix)
 
     def preimage(self, T: Submodule) -> Submodule:
-        return preimage(self.matrix, T).frob(-self.twist)
+        M = self.matrix
+        if T.ring is not M.ring or T.n != M.m:
+            raise InvalidSpec("preimage under a %dx%d matrix over %r of a submodule of %r^%d"
+                              % (M.m, M.n, M.ring, T.ring, T.n))
+        return Submodule(M.ring, M.n, *_solve(T, self.kcols())).frob(-self.twist)
 
     def image_of(self, S: Submodule) -> Submodule:
-        return Submodule.span(self.ring, self.matrix.m, [self.apply(r) for r in S.rows])
+        """The images of S's echelon rows span the restriction of the
+        image, which is pi-stable because the map is R-semilinear."""
+        return Submodule.kspan(self.ring, self.matrix.m, [self.apply_k(r) for r in S.krows])
 
     def __eq__(self, other):
         return (

@@ -24,7 +24,8 @@ coefficient of pi^i x^a at index i*f + a.  W multiplies on that vector
 alone: one integer convolution into (pi-power, x-power) slots, a fold of
 every slot past pi^(e-1) or x^(f-1) through a table of the reduced
 coordinates of pi^i x^a built once per tower, and one reduction mod p^2
-at the end.  The W2 product and the polynomial code only build tables.
+at the end.  add, sub and neg are one pass mod p^2 over the same vector.
+The W2 product and the polynomial code only build tables.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from . import polyutil
 from .errors import InvalidSpec, InvariantViolation, require
 
 SMALL_PRIMES = (2, 3, 5, 7)
+# a W element's flat (pi, x) coordinates, in order
+_flatten = itertools.chain.from_iterable
 # FiniteField keeps O(q) tables; a larger p^f is refused before any is built
 MAX_FIELD_SIZE = 1 << 16
 
@@ -177,9 +180,13 @@ class FiniteField:
         if self.f == 1:
             p = self.p
             return [(x - c * y) % p for x, y in zip(u, v)]
-        add, exp, log = self.add, self._exp, self._log
+        exp, log, zech, n = self._exp, self._log, self._zech, self.q - 1
         lc = log[self._neg[c]]
-        return [add(x, exp[lc + log[y]]) for x, y in zip(u, v)]
+        # x + g^(lc + log y): nothing to add where y = 0, and one Zech step
+        # (the one in add, inlined) where x != 0
+        return [x if not y else exp[lc + log[y]] if not x
+                else exp[log[x] + zech[(lc + log[y] - log[x]) % n]]
+                for x, y in zip(u, v)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self._neg[b])
@@ -562,24 +569,28 @@ class EisensteinLift(object):
         require(self.mul(self.unit_u, self._pi_reps[self.e]) == self.from_int(p), "unit_u * pi^e is not p")
         require(self.frob(self.unit_u) == self.unit_u, "unit_u is not fixed by frobenius")
 
+    def _runs(self, coords):
+        """The element with flat coordinates coords: runs of f."""
+        flat = iter(coords)
+        return tuple(zip(*[flat] * self.f))
+
     def add(self, a, b):
-        w2 = self.w2
-        return tuple(w2.add(x, y) for x, y in zip(a, b))
+        m = self.m
+        return self._runs([(x + y) % m for x, y in zip(_flatten(a), _flatten(b))])
 
     def sub(self, a, b):
-        w2 = self.w2
-        return tuple(w2.sub(x, y) for x, y in zip(a, b))
+        m = self.m
+        return self._runs([(x - y) % m for x, y in zip(_flatten(a), _flatten(b))])
 
     def neg(self, a):
-        w2 = self.w2
-        return tuple(w2.neg(x) for x in a)
+        m = self.m
+        return self._runs([-x % m for x in _flatten(a)])
 
     def mul(self, a, b):
         slots = self._slots
         acc = [0] * self._acc_len
-        flatten = itertools.chain.from_iterable
-        nonzero_b = [(t, y) for t, y in zip(slots, flatten(b)) if y]
-        for s, x in zip(slots, flatten(a)):
+        nonzero_b = [(t, y) for t, y in zip(slots, _flatten(b)) if y]
+        for s, x in zip(slots, _flatten(a)):
             if x:
                 for t, y in nonzero_b:
                     acc[s + t] += x * y
@@ -590,8 +601,7 @@ class EisensteinLift(object):
                 for n, r in coords:
                     out[n] += c * r
         m = self.m
-        flat = iter([v % m for v in out])
-        return tuple(zip(*[flat] * self.f))  # runs of f coordinates
+        return self._runs([v % m for v in out])
 
     def reduce(self, a):
         """Reduction W -> R, coefficientwise in pi."""

@@ -219,15 +219,46 @@ def test_pi_divisibility_is_checked_exactly_on_a_kbasis(monkeypatch):
     basis = sum(len(red.F[0].preimage(full.scaled(p.R.pi_pow(j))).krows)
                 for j in range(1, p.e + 1))
     on_v = []
-    apply = SemilinearMap.apply
+    apply_k = SemilinearMap.apply_k
 
-    def counting_apply(self, v):
+    def counting_apply_k(self, kv):
         on_v.append(self is red.V[0])
-        return apply(self, v)
+        return apply_k(self, kv)
 
-    monkeypatch.setattr(SemilinearMap, "apply", counting_apply)
+    monkeypatch.setattr(SemilinearMap, "apply_k", counting_apply_k)
     assert check_pi_divisibility(L, 0, NoDraws())
     assert on_v.count(True) == basis
+
+
+def test_maps_are_applied_on_flat_vectors_only(monkeypatch):
+    """Induced maps, the boundary map and the pi-divisibility check apply
+    every semilinear map through its cached restriction, never entrywise
+    over R, and each map restricts once."""
+
+    def no_apply(self, v):
+        raise AssertionError("SemilinearMap.apply was called")
+
+    restrictions = collections.defaultdict(list)  # (matrix, twist) -> distinct ones
+    kcols = SemilinearMap.kcols
+
+    def recording_kcols(self):
+        cols = kcols(self)
+        seen = restrictions[self.matrix, self.twist]
+        if not any(c is cols for c in seen):
+            seen.append(cols)
+        return cols
+
+    for D in (random_lifted(Params(3, 1, 3, 3, 1), random.Random(0)),
+              random_lifted(Params(2, 2, 2, 2, 1), random.Random(1)), gate_fail_witness()):
+        monkeypatch.setattr(SemilinearMap, "apply", no_apply)
+        monkeypatch.setattr(SemilinearMap, "kcols", recording_kcols)
+        restrictions.clear()
+        all_verdicts(D)
+        all_sections(D)
+        for i in range(D.params.f):
+            check_pi_divisibility(D, i)
+        monkeypatch.undo()
+        assert restrictions and all(len(seen) == 1 for seen in restrictions.values())
 
 
 def test_verdicts_build_each_presentation_and_map_once(monkeypatch):

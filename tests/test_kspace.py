@@ -188,7 +188,8 @@ def test_with_lifts():
         for i in range(qp.dim):
             acc = vadd(R, acc, vscale(R, R.from_k(A.rows[i][j]), qp.lifts_R[i]))
         new_lifts.append(acc)
-    qp2 = qp.with_lifts(new_lifts)
+    qp2 = qp.with_lifts([restrict_vec(R, l) for l in new_lifts])
+    assert qp2.lifts_R == new_lifts
     for i, l in enumerate(qp2.lifts_R):
         assert qp2.coordinates_of_R(l) == tuple(k.one if j == i else k.zero for j in range(qp2.dim))
     # transition determinant: identity map qp -> qp2 has matrix A^{-1}
@@ -256,9 +257,11 @@ def test_well_definedness_violation():
         induced_semilinear(phi, qp1, qp2)
     # induced_from_fun: shift-down is only defined modulo the right den
     if R.e >= 2:
-        fn = lambda v: tuple(R.shift_down(x, 1) if x[0] == R.k.zero else x for x in v)  # noqa: E731
+        def fn(kv):
+            v = unrestrict_vec(R, kv)
+            return restrict_vec(R, [R.shift_down(x, 1) if x[0] == R.k.zero else x for x in v])
         with pytest.raises(WellDefinednessViolation):
-            induced_from_fun(fn, 0, qp1, qp2, den_images=[(R.one, R.one)])
+            induced_from_fun(fn, 0, qp1, qp2, den_images=[restrict_vec(R, (R.one, R.one))])
     # the identity carries den = pi R e1 into dst.den, but the lift e2 of
     # src = R^2 / pi R e1 falls outside dst.num = R e1
     pi = R.uniformizer
@@ -268,7 +271,7 @@ def test_well_definedness_violation():
     with pytest.raises(WellDefinednessViolation):
         induced_semilinear(phi, src, dst)
     with pytest.raises(WellDefinednessViolation):
-        induced_from_fun(phi.apply, phi.twist, src, dst)
+        induced_from_fun(phi.apply_k, phi.twist, src, dst)
 
 
 def test_subspace_in_qp():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hasseforge.errors import InvalidSpec
+from hasseforge.errors import InvalidSpec, InvariantViolation
 from hasseforge.kspace import annihilator, kdim_rsub, residue_form, unrestrict_vec
 from hasseforge.linalg import (
     Matrix,
@@ -14,9 +14,11 @@ from hasseforge.linalg import (
     Submodule,
     image,
     kernel,
+    pi_divide,
     preimage,
     random_invertible,
     random_matrix,
+    restrict_vec,
     smith,
     vadd,
     vfrob,
@@ -324,6 +326,65 @@ def test_image_of_twist_independence():
             # and the pointwise image set really is the column span
             S = Submodule.full(R, 3)
             assert phi.image_of(S) == image(A)
+
+
+# F_25[pi]/(pi^3): a nontrivial frobenius and e = 3, too large to enumerate
+R523 = RingTower(5, 2, 3).R
+
+
+def flat_test_vectors(R, n, rng):
+    """Every vector of R^n on the exhaustive rings, else 200 seeded ones."""
+    if R in EXHAUSTIVE_R:
+        return list(itertools.product(R.elements(), repeat=n))
+    return [tuple(R.random_element(rng) for _ in range(n)) for _ in range(200)]
+
+
+@pytest.mark.parametrize("R", EXHAUSTIVE_R + [R523], ids=["R_p2e2", "R_f2e2", "R_523"])
+def test_flat_apply_is_the_restricted_map(R):
+    """apply_k, through the cached restriction, is restrict_vec after apply
+    after unrestrict_vec, for every twist."""
+    rng = random.Random(40)
+    vecs = flat_test_vectors(R, 2, rng)
+    for twist in (-1, 0, 1, 2):
+        for _ in range(2):
+            phi = SemilinearMap(random_matrix(R, 3, 2, rng), twist)
+            for v in vecs:
+                assert phi.apply_k(restrict_vec(R, v)) == restrict_vec(R, phi.apply(v))
+
+
+@pytest.mark.parametrize("R", EXHAUSTIVE_R, ids=["R_p2e2", "R_f2e2"])
+def test_kernel_and_preimage_read_the_cached_restriction(R):
+    rng = random.Random(41)
+    vecs = list(itertools.product(R.elements(), repeat=2))
+    zero = zero_vec(R, 2)
+    for twist in (-1, 0, 1, 2):
+        for _ in range(3):
+            phi = SemilinearMap(random_matrix(R, 2, 2, rng), twist)
+            cols = phi.kcols()
+            T = Submodule.span(R, 2, [tuple(R.random_element(rng) for _ in range(2))])
+            tset = submodule_set(T)
+            assert submodule_set(phi.kernel()) == {v for v in vecs if phi.apply(v) == zero}
+            assert submodule_set(phi.preimage(T)) == {v for v in vecs if phi.apply(v) in tset}
+            assert phi.kcols() is cols
+
+
+@pytest.mark.parametrize("R", EXHAUSTIVE_R + [R523], ids=["R_p2e2", "R_f2e2", "R_523"])
+def test_flat_pi_division_is_exact(R):
+    """pi_divide is shift_down in every coordinate, and raises on a vector
+    that is no multiple of pi^s."""
+    rng = random.Random(42)
+    e = R.e
+    raised = 0
+    for v in flat_test_vectors(R, 2, rng):
+        for s in range(e + 1):
+            if all(R.val_split(x)[0] >= s for x in v):
+                want = restrict_vec(R, [R.shift_down(x, s) for x in v])
+                assert pi_divide(restrict_vec(R, v), e, s) == want
+            else:
+                raised += 1
+                with pytest.raises(InvariantViolation):
+                    pi_divide(restrict_vec(R, v), e, s)
+    assert raised
 
 
 K4 = TOWERS["k_f2"].k
