@@ -7,8 +7,9 @@ along), and determinants of those matrices are the scalars the theory
 multiplies together.
 
 Restricted scalars convention: R^n -> k^(n*e) sends module coordinate m,
-pi-power s to flat index m*e + s.  This layer works on flat vectors:
-restrict_vec/unrestrict_vec only serve callers that hold R-vectors.
+pi-power s to flat index m*e + s.  This layer works on flat vectors, the
+residue form and pairing matrices included: restrict_vec/unrestrict_vec
+only serve callers that hold R-vectors.
 
 An R-submodule is stored as the reduced echelon basis of its restriction
 (see linalg), which is exactly a Submodule over k: the underlying k-space
@@ -39,33 +40,26 @@ def kdim_rsub(R, S: Submodule) -> int:
     return len(S.krows)
 
 
-def kbasis(R, S: Submodule):
-    """A k-basis of S as R-vectors: its echelon rows, unrestricted."""
-    return [unrestrict_vec(R, kv) for kv in S.krows]
+def _reversed_blocks(e, v):
+    """v with the digits of each block of e reversed: flat index m*e + s
+    goes to m*e + e-1-s."""
+    return v if e == 1 else [x for m in range(0, len(v), e) for x in reversed(v[m : m + e])]
 
 
 def residue_form(R, u, w) -> int:
-    """<u, w> = coefficient of pi^(e-1) in sum_m u_m w_m.  k-bilinear,
-    R-balanced, perfect on R^n x R^n, and frobenius-equivariant."""
-    k, e = R.k, R.e
-    acc = k.zero
-    for x, y in zip(u, w):
-        for i in range(e):
-            if x[i] and y[e - 1 - i]:
-                acc = k.add(acc, k.mul(x[i], y[e - 1 - i]))
-    return acc
+    """<u, w> = coefficient of pi^(e-1) in sum_m u_m w_m, on flat vectors:
+    it pairs flat index m*e + s with m*e + e-1-s, so it is one k.dot with
+    w's blocks reversed.  k-bilinear, R-balanced, perfect on R^n x R^n,
+    and frobenius-equivariant."""
+    return R.k.dot(u, _reversed_blocks(R.e, w))
 
 
 def annihilator(R, n, S: Submodule) -> Submodule:
     """{w : <u, w> = 0 for all u in S} under the residue form, as an
     R-submodule of R^n (the form is R-balanced, so this is R-stable).
-    The form pairs flat index m*e + s with m*e + e-1-s, so each echelon
-    row of S, its digits reversed in every block, is one k-linear form
-    that the annihilator's restriction must satisfy."""
-    e = R.e
-    forms = [tuple(x for m in range(0, n * e, e) for x in reversed(kv[m : m + e]))
-             for kv in S.krows]
-    return Submodule.solutions(R, n, forms)
+    Each echelon row of S, its blocks reversed, is one k-linear form that
+    the annihilator's restriction must satisfy."""
+    return Submodule.solutions(R, n, [_reversed_blocks(R.e, kv) for kv in S.krows])
 
 
 class QuotientPresentation:
@@ -158,21 +152,18 @@ def induced_from_fun(fn, twist, src: QuotientPresentation, dst: QuotientPresenta
 
 def pairing_matrix(form, left: QuotientPresentation, right: QuotientPresentation) -> Matrix:
     """Matrix P[u][v] = form(left lift u, right lift v) of a k-bilinear form
-    descending to left x right.  Descent is checked on k-generators."""
-    R = left.R
-    k = R.k
-    lden, rnum = kbasis(R, left.den), kbasis(R, right.num)
-    lnum, rden = kbasis(R, left.num), kbasis(R, right.den)
-    for d in lden:
-        for x in rnum:
-            if form(d, x) != k.zero:
+    on flat vectors descending to left x right.  Descent is checked on the
+    echelon rows, k-bases of the four submodules."""
+    for d in left.den.krows:
+        for x in right.num.krows:
+            if form(d, x):
                 raise WellDefinednessViolation("pairing does not kill left.den")
-    for x in lnum:
-        for d in rden:
-            if form(x, d) != k.zero:
+    for x in left.num.krows:
+        for d in right.den.krows:
+            if form(x, d):
                 raise WellDefinednessViolation("pairing does not kill right.den")
-    rows = [[form(lu, rv) for rv in right.lifts_R] for lu in left.lifts_R]
-    return Matrix(k, rows, n=right.dim)
+    rows = tuple(tuple(form(lu, rv) for rv in right.lifts) for lu in left.lifts)
+    return Matrix._of(left.R.k, rows, right.dim)
 
 
 def prop_dual(k, r: int, B: Submodule, C: Submodule):

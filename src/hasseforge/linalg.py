@@ -1,17 +1,21 @@
 """Exact linear algebra over the chain-ring protocol.
 
-Matrices are immutable row-major tuples over one tower ring; determinants
-come from an exact Smith decomposition M = U D W that keeps only the
-valuations of D and one unit carrying det U * det W.  A submodule of R^n,
-R = k[pi]/(pi^e), is the same thing as a pi-stable k-subspace of k^(n*e)
-(module coordinate m, pi-power s at flat index m*e + s), and is stored as
-its reduced row echelon form; over k itself e = 1.  So every submodule
-operation is plain elimination over the residue field, a pi-multiple is a
-digit shift inside each block of e (and exact division by pi^s, pi_divide,
-the shift back), and the kernels of an R-linear map's
-restriction are pi-stable with no extra step.  The Howell form over R
-(the strong echelon form, canonical over a ring with zero divisors) is read
-off the echelon rows: per module column, the row of least pi-power.
+Matrices are immutable row-major tuples over one tower ring, and products
+and applications are one ring.dot per entry.  Determinants and inverses
+over the residue field k are elimination with FiniteField.sub_mul; over R
+and W determinants come from an exact Smith decomposition M = U D W that
+keeps only the valuations of D and one unit carrying det U * det W.
+
+A submodule of R^n, R = k[pi]/(pi^e), is the same thing as a pi-stable
+k-subspace of k^(n*e) (module coordinate m, pi-power s at flat index
+m*e + s), and is stored as its reduced row echelon form; over k itself
+e = 1.  So every submodule operation is plain elimination over the
+residue field, a pi-multiple is a digit shift inside each block of e (and
+exact division by pi^s, pi_divide, the shift back), and the kernels of an
+R-linear map's restriction are pi-stable with no extra step.  The Howell
+form over R (the strong echelon form, canonical over a ring with zero
+divisors) is read off the echelon rows: per module column, the row of
+least pi-power.
 
 Semilinear maps x -> A sigma^a(x) carry their twist explicitly.  Each one
 restricts once, on first use, to its k-matrix on flat vectors (column
@@ -55,14 +59,19 @@ def unit_vec(ring, n, i):
 
 
 class Matrix:
-    """Immutable matrix over a chain ring; rows of equal length."""
+    """Immutable matrix over a chain ring; rows of equal length.
 
-    __slots__ = ("ring", "m", "n", "rows")
+    Matrix(...) copies and checks the rows it is given; the library's own
+    products, transposes, inverses, pairings and the like build through
+    _of, which trusts them.  Every product is one ring.dot per entry."""
+
+    __slots__ = ("ring", "m", "n", "rows", "_hash")
 
     def __init__(self, ring, rows, n=None):
         self.ring = ring
         self.rows = tuple(tuple(r) for r in rows)
         self.m = len(self.rows)
+        self._hash = None
         if self.rows:
             self.n = len(self.rows[0])
             if n not in (None, self.n) or any(len(r) != self.n for r in self.rows):
@@ -71,12 +80,21 @@ class Matrix:
             self.n = 0 if n is None else n
 
     @classmethod
+    def _of(cls, ring, rows, n):
+        """The matrix on rows, a tuple of n-tuples built by the library:
+        no copy and no check."""
+        M = object.__new__(cls)
+        M.ring, M.rows, M.m, M.n, M._hash = ring, rows, len(rows), n, None
+        return M
+
+    @classmethod
     def identity(cls, ring, n):
-        return cls(ring, [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)], n=n)
+        one, zero = ring.one, ring.zero
+        return cls._of(ring, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, ring, m, n):
-        return cls(ring, [[ring.zero] * n for _ in range(m)], n=n)
+        return cls._of(ring, ((ring.zero,) * n,) * m, n)
 
     @classmethod
     def from_cols(cls, ring, cols, m=None):
@@ -84,11 +102,10 @@ class Matrix:
         if not cols:
             if m is None:
                 raise InvalidSpec("a matrix with no columns needs its row count")
-            return cls(ring, [()] * m, n=0)
-        mm = len(cols[0])
-        if m is not None and m != mm:
-            raise InvalidSpec("columns of length %d, expected %d" % (mm, m))
-        return cls(ring, [[c[i] for c in cols] for i in range(mm)], n=len(cols))
+            return cls._of(ring, ((),) * m, 0)
+        if m is not None and m != len(cols[0]):
+            raise InvalidSpec("columns of length %d, expected %d" % (len(cols[0]), m))
+        return cls._of(ring, tuple(zip(*cols)), len(cols))
 
     def col(self, j):
         return tuple(r[j] for r in self.rows)
@@ -97,55 +114,34 @@ class Matrix:
         return [self.col(j) for j in range(self.n)]
 
     def transpose(self):
-        if self.m == 0:
-            return Matrix(self.ring, [()] * self.n, n=0)
-        if self.n == 0:
-            return Matrix(self.ring, [], n=self.m)
-        return Matrix(self.ring, list(zip(*self.rows)))
+        return Matrix._of(self.ring, tuple(zip(*self.rows)) if self.m else ((),) * self.n, self.m)
 
     def apply(self, v):
-        ring = self.ring
         if len(v) != self.n:
             raise InvalidSpec("a %dx%d matrix applied to a vector of length %d" % (self.m, self.n, len(v)))
-        out = []
-        for row in self.rows:
-            acc = ring.zero
-            for a, x in zip(row, v):
-                if a != ring.zero and x != ring.zero:
-                    acc = ring.add(acc, ring.mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        dot = self.ring.dot
+        return tuple(dot(r, v) for r in self.rows)
 
     def mul(self, other):
         if self.ring is not other.ring or self.n != other.m:
             raise InvalidSpec("product of a %dx%d matrix over %r and a %dx%d matrix over %r"
                               % (self.m, self.n, self.ring, other.m, other.n, other.ring))
-        ring = self.ring
-        bcols = other.transpose().rows
-        rows = []
-        for r in self.rows:
-            row = []
-            for c in bcols:
-                acc = ring.zero
-                for a, b in zip(r, c):
-                    if a != ring.zero and b != ring.zero:
-                        acc = ring.add(acc, ring.mul(a, b))
-                row.append(acc)
-            rows.append(row)
-        return Matrix(ring, rows, n=other.n)
+        # row r of the product is other^T applied to row r
+        t = other.transpose()
+        return Matrix._of(self.ring, tuple(t.apply(r) for r in self.rows), other.n)
 
     def scale(self, c):
-        ring = self.ring
-        return Matrix(ring, [[ring.mul(c, x) for x in r] for r in self.rows], n=self.n)
+        mul = self.ring.mul
+        return Matrix._of(self.ring, tuple(tuple(mul(c, x) for x in r) for r in self.rows), self.n)
 
     def map(self, fn, ring=None):
-        return Matrix(ring or self.ring, [[fn(x) for x in r] for r in self.rows], n=self.n)
+        return Matrix._of(ring or self.ring, tuple(tuple(map(fn, r)) for r in self.rows), self.n)
 
     def frob(self, j=1):
         ring = self.ring
         if j % ring.f == 0:
             return self
-        return Matrix(ring, [[ring.frob(x, j) for x in r] for r in self.rows], n=self.n)
+        return self.map(lambda x: ring.frob(x, j))
 
     def __eq__(self, other):
         return (
@@ -157,34 +153,34 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.n, self.rows))
+        if self._hash is None:
+            self._hash = hash((id(self.ring), self.n, self.rows))
+        return self._hash
 
     def __repr__(self):
         return "Matrix(%dx%d over %r)" % (self.m, self.n, self.ring)
 
     def inverse(self):
-        """Gauss-Jordan with unit pivots; exact over any chain ring."""
+        """Gauss-Jordan on [M | I] with unit pivots; exact over any chain
+        ring, with FiniteField.sub_mul as the row operation over k."""
         if self.m != self.n:
             raise ZeroDivisionError("only square matrices invert")
         ring, n = self.ring, self.n
-        a = [list(r) for r in self.rows]
-        inv = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+        one, zero = ring.one, ring.zero
+        sub_mul = _row_op(ring)
+        a = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(self.rows)]
         for j in range(n):
             piv = next((i for i in range(j, n) if ring.is_unit(a[i][j])), None)
             if piv is None:
                 raise ZeroDivisionError("matrix is not invertible")
-            if piv != j:
-                a[j], a[piv] = a[piv], a[j]
-                inv[j], inv[piv] = inv[piv], inv[j]
-            c = ring.inv(a[j][j])
-            a[j] = [ring.mul(c, x) for x in a[j]]
-            inv[j] = [ring.mul(c, x) for x in inv[j]]
+            a[j], a[piv] = a[piv], a[j]
+            if a[j][j] != one:
+                c = ring.inv(a[j][j])
+                a[j] = [ring.mul(c, x) for x in a[j]]
             for i in range(n):
-                if i != j and a[i][j] != ring.zero:
-                    q = a[i][j]
-                    a[i] = [ring.sub(x, ring.mul(q, y)) for x, y in zip(a[i], a[j])]
-                    inv[i] = [ring.sub(x, ring.mul(q, y)) for x, y in zip(inv[i], inv[j])]
-        return Matrix(ring, inv)
+                if i != j and a[i][j] != zero:
+                    a[i] = sub_mul(a[i], a[i][j], a[j])
+        return Matrix._of(ring, tuple(tuple(r[n:]) for r in a), n)
 
     def is_invertible(self):
         """Decided over the residue field k: over a local ring a square
@@ -197,13 +193,40 @@ class Matrix:
         return red.det() != k.zero
 
     def det(self):
+        """Over k, elimination with FiniteField.sub_mul on the rows' tails
+        right of each pivot column; over R and W, read off smith."""
         if self.m != self.n:
             raise ValueError("determinant of a non-square matrix")
         ring = self.ring
-        if self.m == 0:
-            return ring.one
-        s = smith(self)
-        return ring.mul(s.det, ring.pi_pow(sum(s.vals)))
+        if ring.k is not ring:
+            if self.m == 0:
+                return ring.one
+            s = smith(self)
+            return ring.mul(s.det, ring.pi_pow(sum(s.vals)))
+        a = list(self.rows)
+        det = ring.one
+        for j in range(self.n):
+            piv = next((i for i in range(j, self.n) if a[i][0]), None)
+            if piv is None:
+                return ring.zero
+            if piv != j:
+                a[j], a[piv] = a[piv], a[j]
+                det = ring.neg(det)
+            det = ring.mul(det, a[j][0])
+            c, top = ring.inv(a[j][0]), a[j][1:]
+            for i in range(j + 1, self.n):
+                x = a[i][0]
+                a[i] = ring.sub_mul(a[i][1:], ring.mul(c, x), top) if x else a[i][1:]
+        return det
+
+
+def _row_op(ring):
+    """(u, c, v) -> u - c*v on rows, for a nonzero c: FiniteField.sub_mul
+    over k, entrywise over R and W."""
+    if ring.k is ring:
+        return ring.sub_mul
+    sub, mul = ring.sub, ring.mul
+    return lambda u, c, v: [sub(x, mul(c, y)) for x, y in zip(u, v)]
 
 
 class Smith:
@@ -220,6 +243,7 @@ class Smith:
 def smith(M: Matrix) -> Smith:
     ring = M.ring
     m, n, cap = M.m, M.n, ring.capacity
+    sub_mul = _row_op(ring)
     a = [list(r) for r in M.rows]
     det = ring.one
     vals = []
@@ -254,8 +278,7 @@ def smith(M: Matrix) -> Smith:
             y = a[i][t]
             if y != ring.zero:
                 b, wy = ring.val_split(y)
-                q = ring.mul(ring.pi_pow(b - v), wy)
-                a[i] = [ring.sub(x, ring.mul(q, z)) for x, z in zip(a[i], a[t])]
+                a[i] = sub_mul(a[i], ring.mul(ring.pi_pow(b - v), wy), a[t])
         vals.append(v)
         t += 1
     while len(vals) < min(m, n):
@@ -340,12 +363,13 @@ class Submodule:
     reduced echelon basis krows (pivot columns kpivots) of its restriction
     to k^(n*e).  rows/pivots are its Howell form over the ring."""
 
-    __slots__ = ("ring", "n", "e", "krows", "kpivots")
+    __slots__ = ("ring", "n", "e", "krows", "kpivots", "_hash")
 
     def __init__(self, ring, n, krows, kpivots):
         """krows must be the reduced echelon basis of a pi-stable subspace."""
         self.ring, self.n, self.e = ring, n, _digits(ring)
         self.krows, self.kpivots = tuple(map(tuple, krows)), tuple(kpivots)
+        self._hash = None
 
     @classmethod
     def span(cls, ring, n, gens):
@@ -400,7 +424,8 @@ class Submodule:
 
     @classmethod
     def full(cls, ring, n):
-        return cls.solutions(ring, n, ())
+        N = n * _digits(ring)
+        return cls(ring, n, [(0,) * i + (1,) + (0,) * (N - 1 - i) for i in range(N)], range(N))
 
     def _howell(self):
         """Indices of the Howell rows among krows: per module column, the
@@ -490,7 +515,9 @@ class Submodule:
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.n, self.krows))
+        if self._hash is None:
+            self._hash = hash((id(self.ring), self.n, self.krows))
+        return self._hash
 
     def __repr__(self):
         return "Submodule(%d gens in %r^%d)" % (len(self._howell()), self.ring, self.n)

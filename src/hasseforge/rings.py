@@ -16,21 +16,25 @@ k elements are integer codes in [0, p^f) whose base-p digits are the
 coefficients on the power basis.  R elements are e-tuples of k codes,
 W2 elements f-tuples of ints mod p^2, W elements e-tuples of W2 elements.
 All layers share one protocol: capacity, zero, one, uniformizer, size,
-add/sub/neg/mul, is_unit, inv, frob(x, j), val_split(x) -> (val, unit),
-pi_pow(n), from_int, elements(), random_element(rng).
+add/sub/neg/mul, dot(u, v) (the sum of the products u_t v_t), is_unit,
+inv, frob(x, j), val_split(x) -> (val, unit), pi_pow(n), from_int,
+elements(), random_element(rng).
 
 A W element is read as the flat vector of its e*f coordinates, the
 coefficient of pi^i x^a at index i*f + a.  W multiplies on that vector
 alone: one integer convolution into (pi-power, x-power) slots, a fold of
 every slot past pi^(e-1) or x^(f-1) through a table of the reduced
 coordinates of pi^i x^a built once per tower, and one reduction mod p^2
-at the end.  add, sub and neg are one pass mod p^2 over the same vector.
+at the end.  dot convolves every pair into the same slots before that one
+fold and reduction, which is the sum of the products since the fold is
+linear.  add, sub and neg are one pass mod p^2 over the same vector.
 The W2 product and the polynomial code only build tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import polyutil
 from .errors import InvalidSpec, InvariantViolation, require
@@ -188,6 +192,18 @@ class FiniteField:
                 else exp[log[x] + zech[(lc + log[y] - log[x]) % n]]
                 for x, y in zip(u, v)]
 
+    def dot(self, u, v) -> int:
+        """sum u_t v_t: one integer sum mod p when f = 1, else each
+        product on logs and the sum by Zech steps."""
+        if self.f == 1:
+            return sum(map(operator.mul, u, v)) % self.p
+        exp, log, add = self._exp, self._log, self.add
+        acc = 0
+        for x, y in zip(u, v):
+            if x and y:
+                acc = add(acc, exp[log[x] + log[y]])
+        return acc
+
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self._neg[b])
 
@@ -227,6 +243,16 @@ class FiniteField:
 
     def random_element(self, rng) -> int:
         return rng.randrange(self.q)
+
+
+def _accumulate(ring, u, v):
+    """sum u_t v_t by ring.add and ring.mul, skipping zero factors."""
+    add, mul, zero = ring.add, ring.mul, ring.zero
+    acc = zero
+    for x, y in zip(u, v):
+        if x != zero and y != zero:
+            acc = add(acc, mul(x, y))
+    return acc
 
 
 class PiChain:
@@ -270,6 +296,8 @@ class PiChain:
                     if b[j]:
                         out[i + j] = k.add(out[i + j], k.mul(x, b[j]))
         return tuple(out)
+
+    dot = _accumulate
 
     def is_unit(self, a) -> bool:
         return a[0] != self.k.zero
@@ -365,6 +393,8 @@ class WittLength2:
     def mul(self, a, b):
         prod = polyutil.mul(list(a), list(b), self.m)
         return self._pad(polyutil.mod_monic(prod, self.ghat, self.m))
+
+    dot = _accumulate
 
     def scale_int(self, c: int, a):
         m = self.m
@@ -587,13 +617,20 @@ class EisensteinLift(object):
         return self._runs([-x % m for x in _flatten(a)])
 
     def mul(self, a, b):
+        return self.dot((a,), (b,))
+
+    def dot(self, u, v):
+        """sum u_t v_t: every product convolved into one accumulator, then
+        one fold and one reduction mod p^2."""
         slots = self._slots
         acc = [0] * self._acc_len
-        nonzero_b = [(t, y) for t, y in zip(slots, _flatten(b)) if y]
-        for s, x in zip(slots, _flatten(a)):
-            if x:
-                for t, y in nonzero_b:
-                    acc[s + t] += x * y
+        for a, b in zip(u, v):
+            nonzero_b = [(t, y) for t, y in zip(slots, _flatten(b)) if y]
+            if nonzero_b:
+                for s, x in zip(slots, _flatten(a)):
+                    if x:
+                        for t, y in nonzero_b:
+                            acc[s + t] += x * y
         out = [acc[s] for s in slots]
         for s, coords in self._fold:
             c = acc[s]
@@ -601,7 +638,7 @@ class EisensteinLift(object):
                 for n, r in coords:
                     out[n] += c * r
         m = self.m
-        return self._runs([v % m for v in out])
+        return self._runs([x % m for x in out])
 
     def reduce(self, a):
         """Reduction W -> R, coefficientwise in pi."""

@@ -261,7 +261,9 @@ def test_frob_scale_annihilator_exhaustive(R):
         assert submodule_set(pi_s) == {vscale(R, R.uniformizer, v) for v in ss}
         assert_howell_form(pi_s)
         ann = annihilator(R, 2, S)
-        truth = {w for w in vecs if all(residue_form(R, u, w) == R.k.zero for u in ss)}
+        flat = [restrict_vec(R, u) for u in ss]
+        truth = {w for w in vecs
+                 if all(residue_form(R, u, restrict_vec(R, w)) == R.k.zero for u in flat)}
         assert submodule_set(ann) == truth
         assert kdim_rsub(R, S) + kdim_rsub(R, ann) == 2 * R.e
 
