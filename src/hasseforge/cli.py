@@ -5,7 +5,8 @@ so generate/verify/dualize compose through pipes.  Output is deterministic:
 fixed key order, fixed row order, no timestamps.
 
 Exit codes: 0 success, 1 a datum failed validation or a checked identity
-failed, 2 usage errors, malformed input, or the size cap.
+failed, 2 usage errors, malformed input, unreadable or unwritable files, or
+the size cap.
 """
 
 import argparse
@@ -61,18 +62,24 @@ def _parse_params(text: str) -> Params:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidSpec("cannot read %s: %s" % (path, exc))
 
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidSpec("cannot write %s: %s" % (path, exc))
 
 
 def _read_docs(path: str) -> list:

@@ -102,8 +102,8 @@ class DieudonneDatum:
     def shared(self, key, build):
         """memo for what the ring and the submodules alone fix: pi maps,
         quotient presentations and the maps induced between them.  A datum
-        and its dual share the ring tower and this table (see
-        invariants._dual), so each is built once for both."""
+        and its dual share the ring tower and this table (see dual), so
+        each is built once for both."""
         table = self.memo("shared", dict)
         if key not in table:
             table[key] = build()
@@ -166,6 +166,16 @@ class DieudonneDatum:
 
     def dualize(self) -> "DieudonneDatum":
         return DieudonneDatum(self.params.dual(), *_dual_matrices(self), pr_flags=self.dual_flags())
+
+    def dual(self) -> "DieudonneDatum":
+        """dualize, built once: the dual's dual is self, and the two share
+        the shared table."""
+        def build():
+            dd = self.dualize()
+            dd._cache["dualized"] = self
+            dd._cache["shared"] = self.memo("shared", dict)
+            return dd
+        return self.memo("dualized", build)
 
     # -- misc ------------------------------------------------------------
 

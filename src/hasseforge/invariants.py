@@ -268,70 +268,24 @@ def _map_hasse(D, i):
 # sections
 
 
-def partial_hasse(D, i) -> LineSection:
-    """det of V restricted to the Hodge submodule at embedding i, in the
-    flag-adapted basis.  Cross-checked against the natural map to the
-    conjugate-quotient composed with the V-identification."""
+def section(D, name, i=None, j=None) -> LineSection:
+    """The invariant name as a line section: the det of the family's map,
+    for ha the product of the ha_i, embeddings ascending (det of V on the
+    full Hodge space in the block-diagonal adapted basis).  name is a key
+    of FAMILIES; pass i, j as that family's index ranges require."""
     D = _charp(D)
     p = D.params
-    i %= p.f
-    i1 = (i - 1) % p.f
-    M = _map_v_hodge(D, i)[0]
-    scalar = D.memo(("sc", "ha_i", i), lambda: M.matrix.det())
-    line = ((_w_label(i1), p.p, 1), (_w_label(i), -1, 0))
-    return LineSection("ha_i", i, None, scalar, line, scalar == p.k.zero)
-
-
-def hasse_invariant(D) -> LineSection:
-    """Product of the per-embedding dets, embeddings ascending: det of V on
-    the full Hodge space in the block-diagonal adapted basis."""
-    D = _charp(D)
-    p = D.params
-    scalar = p.k.one
-    line = ()
-    for idx in family_indices("ha_i", p):
-        s = partial_hasse(D, *idx)
-        scalar = p.k.mul(scalar, s.scalar)
-        line = line + s.line
-    return LineSection("ha", None, None, scalar, line, scalar == p.k.zero)
-
-
-def primitive_m(D, i, j) -> LineSection:
-    """det of multiplication by pi between graded pieces j and j-1."""
-    D = _charp(D)
-    p = D.params
-    _check_level("m", p, j)
-    i %= p.f
-    M, _, _ = _map_m(D, i, j)
-    scalar = D.memo(("sc", "m", i, j), lambda: M.matrix.det())
-    line = ((_g_label(i, j - 1), 1, 0), (_g_label(i, j), -1, 0))
-    return LineSection("m", i, j, scalar, line, scalar == p.k.zero)
-
-
-def primitive_hasse(D, i) -> LineSection:
-    """det of the boundary map: divide by pi^(e-1), apply V, project to the
-    top graded piece at the previous embedding."""
-    D = _charp(D)
-    p = D.params
-    i %= p.f
-    i1 = (i - 1) % p.f
-    M, _ = _map_hasse(D, i)
-    scalar = D.memo(("sc", "hasse", i), lambda: M.matrix.det())
-    line = ((_g_label(i1, p.e), p.p, 1), (_g_label(i, 1), -1, 0))
-    return LineSection("hasse", i, None, scalar, line, scalar == p.k.zero)
-
-
-def partial_hasse_pr(D, i, j) -> LineSection:
-    """det of V between the level-j graded pieces."""
-    D = _charp(D)
-    p = D.params
-    _check_level("ha_pr", p, j)
-    i %= p.f
-    i1 = (i - 1) % p.f
-    M = _map_ha_pr(D, i, j)
-    scalar = D.memo(("sc", "ha_pr", i, j), lambda: M.matrix.det())
-    line = ((_g_label(i1, j), p.p, 1), (_g_label(i, j), -1, 0))
-    return LineSection("ha_pr", i, j, scalar, line, scalar == p.k.zero)
+    idx = _index(name, p, i, j)
+    fam = FAMILIES[name]
+    if fam.map is None:
+        parts = [section(D, "ha_i", *ix) for ix in family_indices("ha_i", p)]
+        scalar = _kmul(p.k, *[s.scalar for s in parts])
+        line = sum((s.line for s in parts), ())
+    else:
+        scalar = D.memo(("sc", name) + idx, lambda: fam.map(D, *idx).matrix.det())
+        line = fam.line(p, *idx)
+    i, j = (idx + (None, None))[:2]
+    return LineSection(name, i, j, scalar, line, scalar == p.k.zero)
 
 
 def factorization_check(D, i, j) -> bool:
@@ -340,8 +294,7 @@ def factorization_check(D, i, j) -> bool:
     Compared entrywise on the actual matrices in the shared bases."""
     D = _charp(D)
     p = D.params
-    _check_level("ha_pr", p, j)
-    i %= p.f
+    i, j = _index("ha_pr", p, i, j)
     i1 = (i - 1) % p.f
     K = p.k
 
@@ -369,12 +322,12 @@ def product_identity_check(D) -> bool:
     I, J = _ranges("ha_pr", p)
     total = K.one
     for i in I:
-        per = partial_hasse(D, i).scalar
-        graded = _kmul(K, *[partial_hasse_pr(D, i, j).scalar for j in J])
+        per = section(D, "ha_i", i).scalar
+        graded = _kmul(K, *[section(D, "ha_pr", i, j).scalar for j in J])
         if per != graded:
             return False
         total = K.mul(total, per)
-    return hasse_invariant(D).scalar == total
+    return section(D, "ha").scalar == total
 
 
 def check_pi_divisibility(D, i, rng=None) -> bool:
@@ -436,15 +389,6 @@ def _transport_quot(K, qpA, sub_k, qp):
 # applicable) and whether the sub-verdicts it was assembled from held.
 
 
-def _dual(D):
-    def build():
-        dd = D.dualize()
-        dd._cache["dualized"] = D
-        dd._cache["shared"] = D.memo("shared", dict)  # see DieudonneDatum.shared
-        return dd
-    return D.memo("dualized", build)
-
-
 def _pairing_adjunction(p, Md, Mp, left, right, twist, name, what):
     """Residue-pairing adjunction between a map Md on the dual datum and a
     map Mp on the primal one: Md^T P2 == (P1 Mp) twisted by frob(twist), P1
@@ -492,7 +436,7 @@ def _unit_ha_i(D, i):
     p = D.params
     K, R = p.k, p.R
     i1 = (i - 1) % p.f
-    Dd = _dual(D)
+    Dd = D.dual()
 
     # the dual Hodge map is adjoint to the twisted F-map between co-Hodge
     # quotients
@@ -533,7 +477,7 @@ def _unit_m(D, i, j):
     _, piiso, nat = _map_m(D, i, j)
 
     # pi is self-adjoint for the residue pairing
-    Dd = _dual(D)
+    Dd = D.dual()
     qup_hi = _qgr(D, i, 2 * e + 2 - j)
     qup_lo = _qgr(D, i, 2 * e + 1 - j)
     Mhigh = _induced(D, pi_map(D, 1), qup_hi, qup_lo)
@@ -604,7 +548,7 @@ def _unit_hasse(D, i):
              "divided F-map disagrees with its natural description")
 
     # residue-pairing adjunction against the dual boundary map
-    Dd = _dual(D)
+    Dd = D.dual()
     dP1, dP2 = _pairing_adjunction(
         p, _map_hasse(Dd, i)[0], Mg, (_qgr(Dd, i, 1), qe21), (_qgr(Dd, i1, e), qup),
         -1, "boundary", "pairing adjunction for the boundary map failed")
@@ -634,7 +578,7 @@ def _unit_ha_pr(D, i, j):
         return None, False
     require(factorization_check(D, i, j),
              "graded V map does not factor through the boundary map")
-    require(factorization_check(_dual(D), i, j),
+    require(factorization_check(D.dual(), i, j),
              "dual graded V map does not factor through the boundary map")
     above, below = _m_levels_around(p, j)
     c = _kmul(K, h.canonical_iso_scalar,
@@ -645,10 +589,9 @@ def _unit_ha_pr(D, i, j):
 
 def _verdict(D, name, idx) -> DualityVerdict:
     """The one path from a family's unit to its verdict."""
-    fam = FAMILIES[name]
-    sG = fam.section(D, *idx).scalar
-    sGD = fam.section(_dual(D), *idx).scalar
-    unit, held = fam.unit(D, *idx)
+    sG = section(D, name, *idx).scalar
+    sGD = section(D.dual(), name, *idx).scalar
+    unit, held = FAMILIES[name].unit(D, *idx)
     i, j = (idx + (None, None))[:2]
     if unit is None:
         return DualityVerdict(name, i, j, sG, sGD, None, False, status="not_applicable")
@@ -657,23 +600,48 @@ def _verdict(D, name, idx) -> DualityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# the invariant registry, in report order.  A family takes an embedding
-# index i in 0..f-1 when embedded, listed only for e >= min_e, and a level
-# index j in j_from..e when j_from is set.  At e = 1 the boundary map is the
-# whole graded V map, so hasse is listed from e = 2 on; primitive_hasse and
-# duality_check still answer for it at e = 1.
+# the invariant registry, in report order.  A family's section is the det of
+# its map, written in the line its line word names; ha has neither, being
+# the product of the ha_i, embeddings ascending.
+#   ha_i   V restricted to the Hodge submodule at embedding i, in the
+#          flag-adapted basis
+#   m      multiplication by pi from graded piece j to j-1
+#   hasse  the boundary map: divide by pi^(e-1), apply V, project to the
+#          top graded piece at the previous embedding
+#   ha_pr  V between the level-j graded pieces
+# A line word lists (label, exponent, frobenius twist) factors: the target's
+# det, a p-th power twisted once when the map is V, over the source's det.
+# A family takes an embedding index i in 0..f-1 when embedded, listed only
+# for e >= min_e, and a level index j in j_from..e when j_from is set.  At
+# e = 1 the boundary map is the whole graded V map, so hasse is listed from
+# e = 2 on; section and duality_check still answer for it at e = 1.
 
-_Family = namedtuple("_Family", "section unit embedded j_from min_e")
+
+def _line_ha_i(p, i):
+    return ((_w_label((i - 1) % p.f), p.p, 1), (_w_label(i), -1, 0))
+
+
+def _line_m(p, i, j):
+    return ((_g_label(i, j - 1), 1, 0), (_g_label(i, j), -1, 0))
+
+
+def _line_hasse(p, i):
+    return ((_g_label((i - 1) % p.f, p.e), p.p, 1), (_g_label(i, 1), -1, 0))
+
+
+def _line_ha_pr(p, i, j):
+    return ((_g_label((i - 1) % p.f, j), p.p, 1), (_g_label(i, j), -1, 0))
+
+
+_Family = namedtuple("_Family", "map line unit embedded j_from min_e")
 
 FAMILIES = {
-    "ha": _Family(hasse_invariant, _unit_ha, False, None, 1),
-    "ha_i": _Family(partial_hasse, _unit_ha_i, True, None, 1),
-    "m": _Family(primitive_m, _unit_m, True, 2, 1),
-    "hasse": _Family(primitive_hasse, _unit_hasse, True, None, 2),
-    "ha_pr": _Family(partial_hasse_pr, _unit_ha_pr, True, 1, 1),
+    "ha": _Family(None, None, _unit_ha, False, None, 1),
+    "ha_i": _Family(lambda D, i: _map_v_hodge(D, i)[0], _line_ha_i, _unit_ha_i, True, None, 1),
+    "m": _Family(lambda D, i, j: _map_m(D, i, j)[0], _line_m, _unit_m, True, 2, 1),
+    "hasse": _Family(lambda D, i: _map_hasse(D, i)[0], _line_hasse, _unit_hasse, True, None, 2),
+    "ha_pr": _Family(_map_ha_pr, _line_ha_pr, _unit_ha_pr, True, 1, 1),
 }
-
-VERDICT_NAMES = tuple(FAMILIES)
 
 
 def _ranges(name, p):
@@ -687,10 +655,25 @@ def _ranges(name, p):
     return I, J
 
 
-def _check_level(name, p, j):
+def _index(name, p, i, j):
+    """The index tuple of one member of a family: (i mod f,) and/or (j,).
+    InvalidSpec for an unknown family, a missing index, or a level j
+    outside j_from..e.  min_e is not checked: it only limits listing."""
+    if name not in FAMILIES:
+        raise InvalidSpec("unknown invariant %r" % name)
     J = _ranges(name, p)[1]
-    if j not in J:
-        raise InvalidSpec("level j must be in %d..e, got %d" % (J.start, j))
+    idx = ()
+    if FAMILIES[name].embedded:
+        if i is None:
+            raise InvalidSpec("invariant %r needs an embedding index" % name)
+        idx = (i % p.f,)
+    if J is not None:
+        if j is None:
+            raise InvalidSpec("invariant %r needs a level index" % name)
+        if j not in J:
+            raise InvalidSpec("level j must be in %d..e, got %d" % (J.start, j))
+        idx += (j,)
+    return idx
 
 
 def _m_levels_around(p, j):
@@ -716,26 +699,14 @@ def duality_check(D, name, i=None, j=None) -> DualityVerdict:
     p = D.params
     if not 0 < p.d1 < p.h1:
         raise InvalidSpec("duality verdicts need 0 < d1 < h1")
-    if name not in VERDICT_NAMES:
-        raise InvalidSpec("unknown invariant %r" % name)
-    fam = FAMILIES[name]
-    idx = ()
-    if fam.embedded:
-        if i is None:
-            raise InvalidSpec("invariant %r needs an embedding index" % name)
-        idx = (i % p.f,)
-    if fam.j_from is not None:
-        if j is None:
-            raise InvalidSpec("invariant %r needs a level index" % name)
-        _check_level(name, p, j)
-        idx += (j,)
+    idx = _index(name, p, i, j)
     return D.memo(("verdict", name) + idx, lambda: _verdict(D, name, idx))
 
 
 def all_sections(D) -> list:
     """Every invariant of the datum, deterministic order."""
     D = _charp(D)
-    return [fam.section(D, *idx) for name, fam in FAMILIES.items()
+    return [section(D, name, *idx) for name in FAMILIES
             for idx in family_indices(name, D.params)]
 
 
@@ -751,13 +722,12 @@ def vanishing_pattern(D) -> dict:
     a tuple over i, or a tuple over i of tuples over j."""
     D = _charp(D)
     pat = {}
-    for name, fam in FAMILIES.items():
+    for name in FAMILIES:
         I, J = _ranges(name, D.params)
-        sec = fam.section
         if I is None:
-            pat[name] = sec(D).vanished
+            pat[name] = section(D, name).vanished
         elif J is None:
-            pat[name] = tuple(sec(D, i).vanished for i in I)
+            pat[name] = tuple(section(D, name, i).vanished for i in I)
         else:
-            pat[name] = tuple(tuple(sec(D, i, j).vanished for j in J) for i in I)
+            pat[name] = tuple(tuple(section(D, name, i, j).vanished for j in J) for i in I)
     return pat

@@ -65,10 +65,12 @@ def annihilator(R, n, S: Submodule) -> Submodule:
 class QuotientPresentation:
     """num/den for nested R-submodules of R^n, as a k-space with chosen lifts.
 
-    The default basis: take the RREF basis of num's k-space, express den
-    in those coordinates, and keep the basis vectors away from den's
-    pivot set.  Their den-reduction is then a no-op, so the kept rows
-    are simultaneously canonical representatives and lifts.
+    The default basis: num's reduced echelon rows whose pivot is not a
+    pivot of den (each den pivot is a num pivot, as den <= num).  Those
+    rows vanish on den's pivots, so they are canonical representatives
+    mod den as well as lifts.  A vector's coordinates are read off its
+    den-reduction at the kept rows' pivots: the reduction lies in num and
+    vanishes on den's pivots, so it is a combination of the kept rows.
     """
 
     def __init__(self, R, n, num: Submodule, den: Submodule):
@@ -76,14 +78,10 @@ class QuotientPresentation:
             raise NotNested("den is not contained in num")
         self.R, self.n = R, n
         self.num, self.den = num, den
-        d = len(num.krows)
-        # each den pivot is a num pivot (den <= num), so den's echelon rows
-        # read at num's pivots are again a reduced echelon basis
-        dencoords = [num.coords(r) for r in den.krows]
-        self.den_in_num = Submodule(R.k, d, dencoords, [num.kpivots.index(p) for p in den.kpivots])
-        self._free_idx = self.den_in_num.free()
-        self.dim = len(self._free_idx)
-        self.lifts = [num.krows[t] for t in self._free_idx]
+        taken = set(den.kpivots)
+        self._kept = [t for t, c in enumerate(num.kpivots) if c not in taken]
+        self.dim = len(self._kept)
+        self.lifts = [num.krows[t] for t in self._kept]
         self._post = None
 
     @property
@@ -92,8 +90,10 @@ class QuotientPresentation:
         return [unrestrict_vec(self.R, l) for l in self.lifts]
 
     def coordinates_of_k(self, kv):
-        c = self.den_in_num.reduce_vector(self.num.coords(kv))
-        raw = tuple(c[t] for t in self._free_idx)
+        # num.coords raises InvariantViolation unless the kept rows reduce
+        # the den-reduction to zero
+        c = self.num.coords(self.den.reduce_k(kv))
+        raw = tuple(c[t] for t in self._kept)
         return self._post.apply(raw) if self._post is not None else raw
 
     def coordinates_of_R(self, v):

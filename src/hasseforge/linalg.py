@@ -451,21 +451,25 @@ class Submodule:
 
     def reduce_vector(self, v):
         """Canonical representative of v modulo this submodule."""
-        ring = self.ring
-        return unrestrict_vec(ring, _reduce(ring.k, self.krows, self.kpivots, restrict_vec(ring, v)))
+        return unrestrict_vec(self.ring, self.reduce_k(restrict_vec(self.ring, v)))
+
+    def reduce_k(self, kv):
+        """Canonical representative of the flat vector kv modulo the
+        restriction: kv with every pivot column cleared."""
+        return _reduce(self.ring.k, self.krows, self.kpivots, kv)
 
     def contains(self, v) -> bool:
         return self.contains_k(restrict_vec(self.ring, v))
 
     def contains_k(self, kv) -> bool:
         """Membership of the flat vector kv in the restriction."""
-        return not any(_reduce(self.ring.k, self.krows, self.kpivots, kv))
+        return not any(self.reduce_k(kv))
 
     def coords(self, kv):
         """Coordinates of the member kv of k^(n*e) in the basis krows: the
         rows have unit pivots and zeros under each other's pivots, so these
         are plain pivot reads.  InvariantViolation when kv is no member."""
-        if any(_reduce(self.ring.k, self.krows, self.kpivots, kv)):
+        if any(self.reduce_k(kv)):
             raise InvariantViolation("vector is not in the submodule")
         return tuple(kv[p] for p in self.kpivots)
 

@@ -255,6 +255,18 @@ def _accumulate(ring, u, v):
     return acc
 
 
+def _newton_inv(ring, a, z):
+    """The inverse of the unit a, by Newton steps z <- z (2 - a z) from z,
+    an inverse of a mod pi; each step doubles the pi-adic precision."""
+    two = ring.from_int(2)
+    for _ in range(ring.capacity.bit_length() + 2):
+        err = ring.mul(a, z)
+        if err == ring.one:
+            return z
+        z = ring.mul(z, ring.sub(two, err))
+    raise InvariantViolation("newton inversion failed to converge")
+
+
 class PiChain:
     """R = k[pi]/(pi^e) on little-endian e-tuples of k codes."""
 
@@ -305,14 +317,7 @@ class PiChain:
     def inv(self, a):
         if a[0] == self.k.zero:
             raise ZeroDivisionError("non-unit in %r" % self)
-        z = self.from_k(self.k.inv(a[0]))
-        two = self.from_int(2)
-        for _ in range(self.capacity.bit_length() + 2):
-            err = self.mul(a, z)
-            if err == self.one:
-                return z
-            z = self.mul(z, self.sub(two, err))
-        raise InvariantViolation("newton inversion failed to converge")
+        return _newton_inv(self, a, self.from_k(self.k.inv(a[0])))
 
     def frob(self, a, j: int = 1):
         k = self.k
@@ -445,13 +450,6 @@ class WittLength2:
         for _ in range(1, f):
             sig1_pows.append(self.mul(sig1_pows[-1], s))
 
-        def apply1(a):
-            acc = self.zero
-            for i, c in enumerate(a):
-                if c:
-                    acc = self.add(acc, self.scale_int(c, sig1_pows[i]))
-            return acc
-
         xred = self._pad(polyutil.mod_monic([0, 1], self.ghat, m))
         self._frob_pows = []  # [j][i] = (sigma^j x)^i
         cur = xred
@@ -460,19 +458,23 @@ class WittLength2:
             for _ in range(1, f):
                 pows.append(self.mul(pows[-1], cur))
             self._frob_pows.append(pows)
-            cur = apply1(cur)
+            cur = self._substitute(cur, sig1_pows)
         require(cur == xred, "frobenius lift does not have order f")  # sigma^f = id
 
-    def frob(self, a, j: int = 1):
-        j %= self.f
-        if j == 0:
-            return a
-        pows = self._frob_pows[j]
+    def _substitute(self, a, pows):
+        """a, a polynomial in x, at the element whose powers are pows:
+        sum_i a_i pows[i]."""
         acc = self.zero
         for i, c in enumerate(a):
             if c:
                 acc = self.add(acc, self.scale_int(c, pows[i]))
         return acc
+
+    def frob(self, a, j: int = 1):
+        j %= self.f
+        if j == 0:
+            return a
+        return self._substitute(a, self._frob_pows[j])
 
     def val_split(self, a):
         if self.reduce(a) != 0:
@@ -657,14 +659,7 @@ class EisensteinLift(object):
         if not self.is_unit(a):
             raise ZeroDivisionError("non-unit in %r" % self)
         # a times the lifted inverse of its residue is 1 mod pi
-        z = self.embed_w2(self.w2.lift(self.k.inv(self.res(a))))
-        two = self.from_int(2)
-        for _ in range(self.capacity.bit_length() + 2):
-            err = self.mul(a, z)
-            if err == self.one:
-                return z
-            z = self.mul(z, self.sub(two, err))
-        raise InvariantViolation("newton inversion failed to converge")
+        return _newton_inv(self, a, self.embed_w2(self.w2.lift(self.k.inv(self.res(a)))))
 
     def frob(self, a, j: int = 1):
         # E has Z/p^2 coefficients, so coefficientwise frobenius fixes pi

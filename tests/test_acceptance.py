@@ -14,12 +14,9 @@ from hasseforge.flags import aux_flag, extended_flag
 from hasseforge.generate import named_instance, random_datum
 from hasseforge.invariants import (all_sections, all_verdicts,
                                    check_pi_divisibility, duality_check,
-                                   factorization_check, hasse_invariant,
-                                   partial_hasse, partial_hasse_pr,
-                                   primitive_hasse, primitive_m,
-                                   product_identity_check, vanishing_pattern,
-                                   _map_ha_pr, _map_hasse, _map_m,
-                                   _map_v_hodge)
+                                   factorization_check, product_identity_check,
+                                   section, vanishing_pattern, _map_ha_pr,
+                                   _map_hasse, _map_m, _map_v_hodge)
 from hasseforge.kspace import kdim_rsub, prop_dual
 from hasseforge.linalg import Submodule
 from hasseforge.oracle import (all_vectors, perm_det, run_all, submodule_set,
@@ -85,7 +82,7 @@ def test_02_determinant_duality_unramified_single_embedding():
         D = random_datum(Params(p, 1, 1, h1, d1), rng, lifted=bool(t % 4 < 2))
         v = duality_check(D, "ha")
         assert v.status == "ok" and v.equal
-        sec = hasse_invariant(D)
+        sec = section(D, "ha")
         if sec.vanished:
             zero += 1
         else:
@@ -225,11 +222,11 @@ def test_07_enumeration_oracle_equivalence():
             hodge = submodule_set(D0.hodge(0))
             brute_pre = {v for v in vecs if phi.apply(v) in hodge}
             assert submodule_set(phi.preimage(D0.hodge(0))) == brute_pre
-        assert partial_hasse(D0, 0).scalar == perm_det(_map_v_hodge(D0, 0)[0].matrix)
-        assert primitive_m(D0, 0, 2).scalar == perm_det(_map_m(D0, 0, 2)[0].matrix)
-        assert primitive_hasse(D0, 0).scalar == perm_det(_map_hasse(D0, 0)[0].matrix)
+        assert section(D0, "ha_i", 0).scalar == perm_det(_map_v_hodge(D0, 0)[0].matrix)
+        assert section(D0, "m", 0, 2).scalar == perm_det(_map_m(D0, 0, 2)[0].matrix)
+        assert section(D0, "hasse", 0).scalar == perm_det(_map_hasse(D0, 0)[0].matrix)
         for j in (1, 2):
-            assert (partial_hasse_pr(D0, 0, j).scalar
+            assert (section(D0, "ha_pr", 0, j).scalar
                     == perm_det(_map_ha_pr(D0, 0, j).matrix))
     print("PASS: exhaustive oracle sweeps + 30 instances of scalar checks")
 
@@ -241,7 +238,7 @@ def test_08_named_instance_patterns():
     every named instance passes every duality comparison."""
     D = named_instance("ord-split")
     assert all(not s.vanished for s in all_sections(D))
-    assert hasse_invariant(named_instance("ss")).vanished
+    assert section(named_instance("ss"), "ha").vanished
     D = named_instance("ram-split")
     assert all(not s.vanished for s in all_sections(D))
     for name in ("ord-split", "ss", "ram-split", "ram-ss", "ram-pi",

@@ -183,6 +183,23 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_file_errors_exit_2(capsys, tmp_path):
+    # an unreadable --in or unwritable --out is a usage error: one error
+    # line, nothing on stdout, no traceback
+    nonascii = tmp_path / "latin.json"
+    nonascii.write_bytes(b'{"format": "caf\xc3\xa9"}\n')
+    good = tmp_path / "doc.json"
+    good.write_text(ser.dumps(named_instance("ss")) + "\n")
+    for argv in (("verify", "--in", str(tmp_path / "missing.json")),
+                 ("verify", "--in", str(tmp_path)),
+                 ("validate", "--in", str(nonascii)),
+                 ("verify", "--in", str(good), "--out", str(tmp_path)),
+                 ("generate", "--instance", "ss", "--out", str(tmp_path / "no" / "out.json"))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def _no_tower(*args, **kwargs):
     raise AssertionError("a ring tower was built for an over-cap shape")
 

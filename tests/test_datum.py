@@ -180,6 +180,15 @@ def test_dual_instances_and_biduality():
             assert Dd.conj(i) == annihilator(par.R, par.h1, D.conj(i))
 
 
+def test_dual_is_built_once_and_shares_its_table():
+    for make in ALL_INSTANCES:
+        D = make().reduce()
+        Dd = D.dual()
+        assert Dd is D.dual() and Dd.dual() is D
+        assert Dd == D.dualize()
+        assert Dd.memo("shared", dict) is D.memo("shared", dict)
+
+
 def test_dual_reduce_commute():
     for make in ALL_INSTANCES:
         L = make()

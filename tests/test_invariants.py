@@ -11,9 +11,7 @@ from hasseforge.generate import named_instance, random_charp, random_lifted
 from hasseforge.invariants import (DualityVerdict, LineSection, all_sections,
                                    all_verdicts, check_pi_divisibility,
                                    duality_check, factorization_check,
-                                   hasse_invariant, partial_hasse,
-                                   partial_hasse_pr, primitive_hasse,
-                                   primitive_m, product_identity_check,
+                                   product_identity_check, section,
                                    vanishing_pattern)
 from hasseforge.linalg import Matrix, SemilinearMap, Submodule
 
@@ -47,8 +45,8 @@ def test_ord_split_values():
 
 def test_ss_vanishes():
     D = named_instance("ss")
-    assert hasse_invariant(D).vanished
-    assert partial_hasse(D, 0).vanished
+    assert section(D, "ha").vanished
+    assert section(D, "ha_i", 0).vanished
 
 
 def test_ram_split_all_units():
@@ -80,43 +78,47 @@ def test_ram_pi_values():
 def test_unram_f2_values():
     D = named_instance("unram-f2")
     k = D.params.k
-    assert hasse_invariant(D).scalar == k.one
-    assert partial_hasse(D, 0).scalar == k.one
-    assert partial_hasse(D, 1).scalar == k.one
+    assert section(D, "ha").scalar == k.one
+    assert section(D, "ha_i", 0).scalar == k.one
+    assert section(D, "ha_i", 1).scalar == k.one
 
 
 def test_section_metadata():
     D = named_instance("ram-ss")
-    s = primitive_m(D, 0, 2)
+    s = section(D, "m", 0, 2)
     assert isinstance(s, LineSection)
     assert (s.name, s.i, s.j) == ("m", 0, 2)
     assert s.line and all(len(t) == 3 for t in s.line)
-    h = primitive_hasse(D, 0)
+    h = section(D, "hasse", 0)
     assert h.line[0][1] == D.params.p  # twisted factor carries the p-power
 
 
 def test_index_wrapping_and_ranges():
     D = named_instance("ram-split")
-    assert partial_hasse(D, 5).scalar == partial_hasse(D, 0).scalar
+    assert section(D, "ha_i", 5).scalar == section(D, "ha_i", 0).scalar
     with pytest.raises(InvalidSpec):
-        primitive_m(D, 0, 1)
+        section(D, "m", 0, 1)
     with pytest.raises(InvalidSpec):
-        primitive_m(D, 0, 3)
+        section(D, "m", 0, 3)
     e = D.params.e
-    for bad in (lambda: partial_hasse_pr(D, 0, 0),
-                lambda: partial_hasse_pr(D, 0, e + 1),
+    for bad in (lambda: section(D, "ha_pr", 0, 0),
+                lambda: section(D, "ha_pr", 0, e + 1),
                 lambda: factorization_check(D, 0, 0),
                 lambda: factorization_check(D, 0, e + 1),
                 lambda: duality_check(D, "nope"),
                 lambda: duality_check(D, "ha_i"),  # missing index
                 lambda: duality_check(D, "m", 0),  # missing level
                 lambda: duality_check(D, "m", 0, 1),
-                lambda: duality_check(D, "ha_pr", 0, e + 1)):
+                lambda: duality_check(D, "ha_pr", 0, e + 1),
+                lambda: section(D, "nope"),
+                lambda: section(D, "hasse"),  # missing index
+                lambda: section(D, "ha_pr", 0)):  # missing level
         with pytest.raises(InvalidSpec):
             bad()
     # hasse is not listed at e = 1 but still answers there
     v = duality_check(named_instance("ord-split"), "hasse", 0)
     assert v.status == "ok" and v.equal
+    assert section(named_instance("ord-split"), "hasse", 0).scalar == v.scalar_G
 
 
 def test_duality_needs_proper_rank():
@@ -152,7 +154,7 @@ def test_lifted_and_reduction_agree():
 def test_memoized_objects():
     D = named_instance("ram-split")
     assert duality_check(D, "ha_i", 0) is duality_check(D, "ha_i", 0)
-    assert partial_hasse(D, 0) == partial_hasse(D, 0)
+    assert section(D, "ha_i", 0) == section(D, "ha_i", 0)
 
 
 def test_pi_divisibility_named():
@@ -175,7 +177,7 @@ def test_gate_fail_witness_behavior():
     D = gate_fail_witness()
     assert not check_pi_divisibility(D, 0)
     # sections still compute
-    assert primitive_hasse(D, 0).scalar == D.params.k.zero
+    assert section(D, "hasse", 0).scalar == D.params.k.zero
     v = duality_check(D, "hasse", 0)
     assert v.status == "not_applicable"
     assert v.canonical_iso_scalar is None

@@ -143,6 +143,19 @@ def test_quotient_nested_check():
         QuotientPresentation(R, 2, num, den)
 
 
+def test_coordinates_outside_num_over_a_nonzero_den():
+    # the den-reduction of a vector outside num is not a combination of
+    # the kept rows
+    R = T32.R
+    num = Submodule.span(R, 2, [(R.one, R.zero), (R.zero, R.uniformizer)])
+    den = Submodule.span(R, 2, [(R.uniformizer, R.zero)])
+    qp = QuotientPresentation(R, 2, num, den)
+    assert qp.dim == 2
+    for v in ((R.zero, R.one), (R.uniformizer, R.one)):
+        with pytest.raises(InvariantViolation):
+            qp.coordinates_of_R(v)
+
+
 OUTSIDE_NUM = """
 from hasseforge.errors import InvariantViolation
 from hasseforge.kspace import QuotientPresentation
