@@ -22,7 +22,7 @@ from .errors import InvalidDatum, InvalidLift, InvalidSpec
 from .flags import extended_flag
 from .kspace import annihilator, kdim_rsub
 from .linalg import Matrix, SemilinearMap, Submodule
-from .rings import RingTower
+from .rings import FiniteField, RingTower
 
 
 class Params:
@@ -31,25 +31,32 @@ class Params:
     from the chosen (or default) moduli."""
 
     def __init__(self, p, f, e, h1, d1, field_modulus=None, eisenstein=None):
+        self._place(RingTower(FiniteField(p, f, field_modulus), e, eisenstein), h1, d1)
+
+    @classmethod
+    def on_tower(cls, tower: RingTower, h1, d1) -> "Params":
+        """Params of height h1 and hodge rank d1 on an existing tower.
+        Submodules and matrices compare by ring object, so data meant to
+        meet (a datum and its dual, loads of one description) share one."""
+        par = object.__new__(cls)
+        par._place(tower, h1, d1)
+        return par
+
+    def _place(self, tower, h1, d1):
         if h1 < 1:
             raise InvalidSpec("h1 must be positive")
         if not 0 <= d1 <= h1:
             raise InvalidSpec("need 0 <= d1 <= h1")
-        self.p, self.f, self.e, self.h1, self.d1 = p, f, e, h1, d1
-        self.tower = RingTower(p, f, e, field_modulus=field_modulus, eisenstein=eisenstein)
-        self.k = self.tower.k
-        self.R = self.tower.R
-        self.W2 = self.tower.W2
-        self.W = self.tower.W
+        self.p, self.f, self.e, self.h1, self.d1 = tower.p, tower.f, tower.e, h1, d1
+        self.tower = tower
+        self.k = tower.k
+        self.R = tower.R
+        self.W2 = tower.W2
+        self.W = tower.W
 
     def dual(self) -> "Params":
-        """Same shape with complementary hodge rank, sharing the ring tower
-        (submodules and matrices compare by ring object, so the dual must
-        not rebuild it)."""
-        other = object.__new__(Params)
-        other.__dict__.update(self.__dict__)
-        other.d1 = self.h1 - self.d1
-        return other
+        """Same shape with complementary hodge rank, on the same tower."""
+        return Params.on_tower(self.tower, self.h1, self.h1 - self.d1)
 
     def describe(self) -> dict:
         out = self.tower.describe()

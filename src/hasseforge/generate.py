@@ -50,7 +50,7 @@ def _random_between(R, low, high, kdim, rng):
         budget -= 1
         if budget < 0:
             return None
-    return Submodule(R, low.n, X.krows, X.kpivots)
+    return Submodule._of(R, low.n, R.e, X.krows, X.kpivots)
 
 
 def sample_flag(R, omega, d1, rng):

@@ -657,8 +657,8 @@ def _ranges(name, p):
 
 def _index(name, p, i, j):
     """The index tuple of one member of a family: (i mod f,) and/or (j,).
-    InvalidSpec for an unknown family, a missing index, or a level j
-    outside j_from..e.  min_e is not checked: it only limits listing."""
+    InvalidSpec for an unknown family, a missing or spare index, or a level
+    j outside j_from..e.  min_e is not checked: it only limits listing."""
     if name not in FAMILIES:
         raise InvalidSpec("unknown invariant %r" % name)
     J = _ranges(name, p)[1]
@@ -667,12 +667,16 @@ def _index(name, p, i, j):
         if i is None:
             raise InvalidSpec("invariant %r needs an embedding index" % name)
         idx = (i % p.f,)
+    elif i is not None:
+        raise InvalidSpec("invariant %r takes no embedding index, got %r" % (name, i))
     if J is not None:
         if j is None:
             raise InvalidSpec("invariant %r needs a level index" % name)
         if j not in J:
             raise InvalidSpec("level j must be in %d..e, got %d" % (J.start, j))
         idx += (j,)
+    elif j is not None:
+        raise InvalidSpec("invariant %r takes no level index, got %r" % (name, j))
     return idx
 
 

@@ -33,7 +33,7 @@ from .linalg import Matrix, SemilinearMap, Submodule, restrict_vec, unit_vec, un
 
 def ksub_from_rsub(R, S: Submodule) -> Submodule:
     """The underlying k-subspace of an R-submodule of R^n, inside k^(n*e)."""
-    return Submodule(R.k, S.n * R.e, S.krows, S.kpivots)
+    return Submodule._of(R.k, S.n * R.e, 1, S.krows, S.kpivots)
 
 
 def kdim_rsub(R, S: Submodule) -> int:

@@ -361,7 +361,11 @@ def _insert(k, rows, pivs, v) -> bool:
 class Submodule:
     """Submodule of ring^n, ring = k or R = k[pi]/(pi^e), stored as the
     reduced echelon basis krows (pivot columns kpivots) of its restriction
-    to k^(n*e).  rows/pivots are its Howell form over the ring."""
+    to k^(n*e).  rows/pivots are its Howell form over the ring.
+
+    Submodule(...) copies the rows it is given; the library's own spans,
+    sums, intersections and preimages build through _of, which trusts
+    them."""
 
     __slots__ = ("ring", "n", "e", "krows", "kpivots", "_hash")
 
@@ -370,6 +374,15 @@ class Submodule:
         self.ring, self.n, self.e = ring, n, _digits(ring)
         self.krows, self.kpivots = tuple(map(tuple, krows)), tuple(kpivots)
         self._hash = None
+
+    @classmethod
+    def _of(cls, ring, n, e, krows, kpivots):
+        """The submodule on an echelon basis the library built: krows a
+        tuple of tuples, kpivots a tuple and e = _digits(ring); no copy and
+        no check."""
+        S = object.__new__(cls)
+        S.ring, S.n, S.e, S.krows, S.kpivots, S._hash = ring, n, e, krows, kpivots, None
+        return S
 
     @classmethod
     def span(cls, ring, n, gens):
@@ -384,7 +397,7 @@ class Submodule:
                     v = _shift(v, e, 1)
                 if not _insert(k, rows, pivs, v):
                     break
-        return cls(ring, n, rows, pivs)
+        return cls._of(ring, n, e, tuple(map(tuple, rows)), tuple(pivs))
 
     @classmethod
     def kspan(cls, ring, n, kvecs):
@@ -393,7 +406,7 @@ class Submodule:
         rows, pivs = [], []
         for v in kvecs:
             _insert(ring.k, rows, pivs, v)
-        return cls(ring, n, rows, pivs)
+        return cls._of(ring, n, _digits(ring), tuple(map(tuple, rows)), tuple(pivs))
 
     @classmethod
     def solutions(cls, ring, n, forms):
@@ -403,7 +416,8 @@ class Submodule:
         nonzero entry makes the solution of free column f (1 at f, -r[f] at
         the pivot of each row r) nonzero only at f and at pivots right of
         f, so these solutions already form a reduced echelon basis."""
-        k, N = ring.k, n * _digits(ring)
+        e = _digits(ring)
+        k, N = ring.k, n * e
         rows, pivs = [], []
         for c in forms:
             _insert(k, rows, pivs, c[::-1])
@@ -415,17 +429,19 @@ class Submodule:
             x[f] = 1
             for q, r in pivot_rows:
                 x[q] = k.neg(r[f])
-            out.append(x)
-        return cls(ring, n, out, free)
+            out.append(tuple(x))
+        return cls._of(ring, n, e, tuple(out), tuple(free))
 
     @classmethod
     def zero(cls, ring, n):
-        return cls(ring, n, (), ())
+        return cls._of(ring, n, _digits(ring), (), ())
 
     @classmethod
     def full(cls, ring, n):
-        N = n * _digits(ring)
-        return cls(ring, n, [(0,) * i + (1,) + (0,) * (N - 1 - i) for i in range(N)], range(N))
+        e = _digits(ring)
+        N = n * e
+        return cls._of(ring, n, e, tuple((0,) * i + (1,) + (0,) * (N - 1 - i) for i in range(N)),
+                       tuple(range(N)))
 
     def _howell(self):
         """Indices of the Howell rows among krows: per module column, the
@@ -487,17 +503,18 @@ class Submodule:
         rows, pivs = list(self.krows), list(self.kpivots)
         for v in other.krows:
             _insert(self.ring.k, rows, pivs, v)
-        return Submodule(self.ring, self.n, rows, pivs)
+        return self._with(rows, pivs)
 
     def intersect(self, other):
         self._check_n(other, "intersection")
-        return Submodule(self.ring, self.n, *_solve(other, self.krows, (self.krows, self.kpivots)))
+        return self._with(*_solve(other, self.krows, (self.krows, self.kpivots)))
 
     def frob(self, j=1):
         k = self.ring.k
         if j % k.f == 0:
             return self
-        return Submodule(self.ring, self.n, [[k.frob(x, j) for x in r] for r in self.krows], self.kpivots)
+        return Submodule._of(self.ring, self.n, self.e,
+                             tuple(tuple([k.frob(x, j) for x in r]) for r in self.krows), self.kpivots)
 
     def scaled(self, c):
         """c S = pi^v S for v the valuation of c: digit shifts."""
@@ -508,7 +525,11 @@ class Submodule:
         rows, pivs = [], []
         for r in self.krows if v < e else ():
             _insert(ring.k, rows, pivs, _shift(r, e, v))
-        return Submodule(ring, self.n, rows, pivs)
+        return self._with(rows, pivs)
+
+    def _with(self, rows, pivs):
+        """A submodule of the same ring^n on the library's echelon lists."""
+        return Submodule._of(self.ring, self.n, self.e, tuple(map(tuple, rows)), tuple(pivs))
 
     def __eq__(self, other):
         return (
@@ -617,7 +638,8 @@ class SemilinearMap:
         if T.ring is not M.ring or T.n != M.m:
             raise InvalidSpec("preimage under a %dx%d matrix over %r of a submodule of %r^%d"
                               % (M.m, M.n, M.ring, T.ring, T.n))
-        return Submodule(M.ring, M.n, *_solve(T, self.kcols())).frob(-self.twist)
+        rows, pivs = _solve(T, self.kcols())
+        return Submodule._of(M.ring, M.n, T.e, rows, pivs).frob(-self.twist)
 
     def image_of(self, S: Submodule) -> Submodule:
         """The images of S's echelon rows span the restriction of the

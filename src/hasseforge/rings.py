@@ -710,18 +710,21 @@ class EisensteinLift(object):
 
 
 class RingTower:
-    """k, R, W2, W built from (p, f, e) and optional moduli; W.lift and
-    W.reduce are the maps between R and W."""
+    """R, W2 and W over the residue field k, for ramification e and an
+    optional Eisenstein polynomial; W.lift and W.reduce are the maps
+    between R and W.  Every ring holds only tables fixed at construction,
+    so towers over one k can share it."""
 
-    def __init__(self, p, f, e, field_modulus=None, eisenstein=None):
-        self.k = FiniteField(p, f, field_modulus)
-        self.R = PiChain(self.k, e)
-        self.W2 = WittLength2(self.k)
+    def __init__(self, k: FiniteField, e, eisenstein=None):
+        p = k.p
+        self.k = k
+        self.R = PiChain(k, e)
+        self.W2 = WittLength2(k)
         if eisenstein is None:
             eisenstein = [(-p) % p**2] + [0] * (e - 1) + [1]
         self.W = EisensteinLift(self.W2, e, eisenstein)
-        self.p, self.f, self.e = p, f, e
-        self.field_modulus = self.k.modulus
+        self.p, self.f, self.e = p, k.f, e
+        self.field_modulus = k.modulus
         self.eisenstein = self.W.E
         self.unit_u = self.W.unit_u
 

@@ -7,13 +7,20 @@ re-normalize to themselves on load.  dumps() output is stable: sorted keys,
 no whitespace, same string for equal data.
 """
 
+import functools
 import json
 
 from .errors import InvalidSpec
 from .datum import DieudonneDatum, LiftedDatum, Params
 from .linalg import Matrix, Submodule
+from .rings import FiniteField, RingTower
 
 FORMAT = "hasse-forge/1"
+# Loads of one description share one tower, and towers over one field share
+# the field.  A field keeps O(p^f) tables (about 15 MB at p^f = 2^16), so
+# both tables are bounded; see the README for the worst case.
+FIELD_TABLE_SIZE = 8
+TOWER_TABLE_SIZE = 16
 
 
 def _elt_out(x):
@@ -118,15 +125,34 @@ def doc_shape(d) -> tuple:
     return tuple(_shape_in(_key(_document(d), "params")))
 
 
+@functools.lru_cache(maxsize=FIELD_TABLE_SIZE)
+def interned_field(p, f, modulus):
+    """FiniteField(p, f, modulus), built once per key; modulus is a tuple
+    or None.  A build that raises is not kept, so it raises again."""
+    return FiniteField(p, f, modulus)
+
+
+@functools.lru_cache(maxsize=TOWER_TABLE_SIZE)
+def interned_tower(k, e, eisenstein):
+    """RingTower(k, e, eisenstein), built once per key; eisenstein is a
+    tuple or None.  k, a field from interned_field, keys by identity, so
+    every tower a load gets is over the field that table holds now: one
+    field serves every e, even after it was dropped and rebuilt."""
+    return RingTower(k, e, eisenstein)
+
+
 def params_in(d):
-    shape = _shape_in(d)
+    p, f, e, h1, d1 = _shape_in(d)
     moduli = []
     for key in ("field_modulus", "eisenstein"):
         v = _key(d, key)
-        if v is not None and any(type(c) is not int for c in _list(v, "params " + key)):
-            raise InvalidSpec("params %s must be a list of integers, got %.40r" % (key, v))
+        if v is not None:
+            if any(type(c) is not int for c in _list(v, "params " + key)):
+                raise InvalidSpec("params %s must be a list of integers, got %.40r" % (key, v))
+            v = tuple(v)
         moduli.append(v)
-    return Params(*shape, field_modulus=moduli[0], eisenstein=moduli[1])
+    k = interned_field(p, f, moduli[0])
+    return Params.on_tower(interned_tower(k, e, moduli[1]), h1, d1)
 
 
 def datum_to_dict(D) -> dict:
@@ -145,9 +171,10 @@ def datum_to_dict(D) -> dict:
 
 
 def datum_from_dict(d, params=None):
-    """Rebuild a datum.  Rings compare by identity, so a fresh load lives on
-    its own tower; pass params= to adopt an existing one (it must describe
-    the same shape)."""
+    """Rebuild a datum.  Rings compare by identity; loads of one
+    description share the tower that params_in interns for it, while data
+    built in-process keep their own.  Pass params= to adopt an existing
+    tower (it must describe the same shape)."""
     _document(d)
     if params is None:
         par = params_in(_key(d, "params"))

@@ -209,7 +209,11 @@ def test_size_cap(capsys, monkeypatch, tmp_path):
     doc.write_text(ser.dumps(named_instance("ram-split")) + "\n")
     monkeypatch.setenv("HASSE_FORGE_LIMIT", "3")
     with monkeypatch.context() as m:
+        # generate builds Params directly; verify and validate load through
+        # the interned tables, hit or miss
         m.setattr(datum_module, "RingTower", _no_tower)
+        m.setattr(ser, "interned_field", _no_tower)
+        m.setattr(ser, "interned_tower", _no_tower)
         for argv in (("generate", "--params", "3,1,2,2,1"),
                      ("generate", "--params", "2,1,3000,1,1"),
                      ("verify", "--in", str(doc)),

@@ -26,8 +26,8 @@ FIELDS = {
     "F_5": FiniteField(5, 1),
     "F_7^4": FiniteField(7, 4),
 }
-T322 = RingTower(3, 2, 2)
-T213 = RingTower(2, 1, 3)
+T322 = RingTower(FiniteField(3, 2), 2)
+T213 = RingTower(FiniteField(2, 1), 3)
 
 
 def _w2(w2):
@@ -97,7 +97,7 @@ def test_products_through_dot_match_the_entrywise_sum(layer, data):
     assert A.mul(B).rows == tuple(tuple(ref(r, c) for c in B.cols()) for r in A.rows)
 
 
-@pytest.mark.parametrize("tower", [RingTower(2, 1, 2), RingTower(2, 2, 2)], ids=["R_p2e2", "R_f2e2"])
+@pytest.mark.parametrize("tower", [RingTower(FiniteField(2, 1), 2), RingTower(FiniteField(2, 2), 2)], ids=["R_p2e2", "R_f2e2"])
 def test_flat_residue_form_is_the_top_coefficient_exhaustively(tower):
     R = tower.R
     vecs = list(itertools.product(R.elements(), repeat=2))
@@ -122,7 +122,7 @@ def test_verdicts_take_no_determinant_through_smith(monkeypatch, lifted):
 
 
 def test_pairing_matrix_stays_on_flat_vectors(monkeypatch):
-    R = RingTower(3, 1, 2).R
+    R = RingTower(FiniteField(3, 1), 2).R
     S = Submodule.span(R, 2, [(R.uniformizer, R.one)])
     left = QuotientPresentation(R, 2, S, Submodule.zero(R, 2))
     right = QuotientPresentation(R, 2, Submodule.full(R, 2), annihilator(R, 2, S))

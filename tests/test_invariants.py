@@ -112,7 +112,12 @@ def test_index_wrapping_and_ranges():
                 lambda: duality_check(D, "ha_pr", 0, e + 1),
                 lambda: section(D, "nope"),
                 lambda: section(D, "hasse"),  # missing index
-                lambda: section(D, "ha_pr", 0)):  # missing level
+                lambda: section(D, "ha_pr", 0),  # missing level
+                lambda: section(D, "ha", 3),  # spare embedding index
+                lambda: section(D, "ha_i", 0, 1),  # spare level
+                lambda: section(D, "hasse", 0, 2),
+                lambda: duality_check(D, "ha", None, 1),
+                lambda: duality_check(D, "ha_i", 0, 7)):
         with pytest.raises(InvalidSpec):
             bad()
     # hasse is not listed at e = 1 but still answers there

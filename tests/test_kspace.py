@@ -36,11 +36,11 @@ from hasseforge.linalg import (
     vsub,
 )
 from hasseforge.oracle import submodule_set
-from hasseforge.rings import RingTower
+from hasseforge.rings import FiniteField, RingTower
 
-T32 = RingTower(3, 1, 2, eisenstein=[6, 0, 1])
-T22 = RingTower(2, 2, 2)
-T21 = RingTower(2, 2, 1)
+T32 = RingTower(FiniteField(3, 1), 2, eisenstein=[6, 0, 1])
+T22 = RingTower(FiniteField(2, 2), 2)
+T21 = RingTower(FiniteField(2, 2), 1)
 
 
 def rand_rsub(R, n, count, rng):
@@ -160,9 +160,9 @@ OUTSIDE_NUM = """
 from hasseforge.errors import InvariantViolation
 from hasseforge.kspace import QuotientPresentation
 from hasseforge.linalg import Submodule
-from hasseforge.rings import RingTower
+from hasseforge.rings import FiniteField, RingTower
 
-R = RingTower(3, 1, 2, eisenstein=[6, 0, 1]).R
+R = RingTower(FiniteField(3, 1), 2, eisenstein=[6, 0, 1]).R
 num = Submodule.span(R, 2, [(R.uniformizer, R.zero)])
 qp = QuotientPresentation(R, 2, num, Submodule.zero(R, 2))
 try:

@@ -26,15 +26,15 @@ from hasseforge.linalg import (
     vsub,
 )
 from hasseforge.oracle import submodule_set
-from hasseforge.rings import RingTower
+from hasseforge.rings import FiniteField, RingTower
 
 TOWERS = {
-    "k_f2": RingTower(2, 2, 1),
-    "R_p2e2": RingTower(2, 1, 2),
-    "R_f2e2": RingTower(2, 2, 2),
-    "W2_p3": RingTower(3, 1, 1),
-    "W_p3e2": RingTower(3, 1, 2, eisenstein=[6, 0, 1]),
-    "W_p2e3": RingTower(2, 1, 3, eisenstein=[2, 0, 0, 1]),
+    "k_f2": RingTower(FiniteField(2, 2), 1),
+    "R_p2e2": RingTower(FiniteField(2, 1), 2),
+    "R_f2e2": RingTower(FiniteField(2, 2), 2),
+    "W2_p3": RingTower(FiniteField(3, 1), 1),
+    "W_p3e2": RingTower(FiniteField(3, 1), 2, eisenstein=[6, 0, 1]),
+    "W_p2e3": RingTower(FiniteField(2, 1), 3, eisenstein=[2, 0, 0, 1]),
 }
 
 
@@ -331,7 +331,7 @@ def test_image_of_twist_independence():
 
 
 # F_25[pi]/(pi^3): a nontrivial frobenius and e = 3, too large to enumerate
-R523 = RingTower(5, 2, 3).R
+R523 = RingTower(FiniteField(5, 2), 3).R
 
 
 def flat_test_vectors(R, n, rng):

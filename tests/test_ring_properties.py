@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hasseforge.rings import RingTower
+from hasseforge.rings import FiniteField, RingTower
 
-T322 = RingTower(3, 2, 2)
-T213 = RingTower(2, 1, 3)
+T322 = RingTower(FiniteField(3, 2), 2)
+T213 = RingTower(FiniteField(2, 1), 3)
 
 
 def _k_codes(k):

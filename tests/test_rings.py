@@ -200,7 +200,7 @@ def test_field_size_cap():
 def test_pichain():
     rng = random.Random(2)
     for p, f, e in [(2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 1, 3), (2, 1, 1)]:
-        R = RingTower(p, f, e).R
+        R = RingTower(FiniteField(p, f), e).R
         if R.size <= 16:
             ring_axioms_exhaustive(R)
         else:
@@ -229,7 +229,7 @@ def test_pichain():
 def test_witt_length2():
     rng = random.Random(3)
     for p, f in [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (7, 1)]:
-        t = RingTower(p, f, 1)
+        t = RingTower(FiniteField(p, f), 1)
         W2, k = t.W2, t.k
         assert W2.size == p ** (2 * f)
         if W2.size <= 16:
@@ -258,7 +258,7 @@ def test_witt_length2():
 def test_witt_frobenius_is_unique_lift():
     # against brute force: sigma on W2(F_4) is the only ring endomorphism
     # lifting y -> y^2 and fixing Z/4
-    t = RingTower(2, 2, 1)
+    t = RingTower(FiniteField(2, 2), 1)
     W2, k = t.W2, t.k
     elems = list(W2.elements())
     x = (0, 1)
@@ -284,7 +284,7 @@ def test_eisenstein_lift():
         (5, 1, 2, None),
     ]
     for p, f, e, E in cases:
-        t = RingTower(p, f, e, eisenstein=E)
+        t = RingTower(FiniteField(p, f), e, eisenstein=E)
         W, R = t.W, t.R
         assert W.capacity == 2 * e
         ring_axioms_random(W, rng)
@@ -311,33 +311,33 @@ def test_eisenstein_lift():
 
 def test_unit_u_pinned_values():
     # X^2 - 3 over p=3: pi^2 = 3, so u reduces to 1 in R
-    t = RingTower(3, 1, 2, eisenstein=[6, 0, 1])
+    t = RingTower(FiniteField(3, 1), 2, eisenstein=[6, 0, 1])
     assert t.W.reduce(t.unit_u)[0] == 1
     # X^2 + 3: pi^2 = -3, u reduces to -1 = 2
-    t = RingTower(3, 1, 2, eisenstein=[3, 0, 1])
+    t = RingTower(FiniteField(3, 1), 2, eisenstein=[3, 0, 1])
     assert t.W.reduce(t.unit_u)[0] == 2
     # X^3 - 2 over p=2: u reduces to 1
-    t = RingTower(2, 1, 3, eisenstein=[2, 0, 0, 1])
+    t = RingTower(FiniteField(2, 1), 3, eisenstein=[2, 0, 0, 1])
     assert t.W.reduce(t.unit_u)[0] == 1
 
 
 def test_eisenstein_validation():
     with pytest.raises(InvalidSpec):
-        RingTower(3, 1, 2, eisenstein=[6, 1, 1])  # middle coeff not divisible by p
+        RingTower(FiniteField(3, 1), 2, eisenstein=[6, 1, 1])  # middle coeff not divisible by p
     with pytest.raises(InvalidSpec):
-        RingTower(3, 1, 2, eisenstein=[0, 0, 1])  # constant term 0
+        RingTower(FiniteField(3, 1), 2, eisenstein=[0, 0, 1])  # constant term 0
     with pytest.raises(InvalidSpec):
-        RingTower(3, 1, 2, eisenstein=[6, 0, 2])  # not monic
+        RingTower(FiniteField(3, 1), 2, eisenstein=[6, 0, 2])  # not monic
     with pytest.raises(InvalidSpec):
-        RingTower(3, 1, 2, eisenstein=[6, 0, 0, 1])  # wrong degree
+        RingTower(FiniteField(3, 1), 2, eisenstein=[6, 0, 0, 1])  # wrong degree
     # accepted: every stated invariant holds even with nonzero middle coeffs
-    t = RingTower(2, 1, 3, eisenstein=[2, 2, 2, 1])
+    t = RingTower(FiniteField(2, 1), 3, eisenstein=[2, 2, 2, 1])
     assert t.W.mul(t.unit_u, t.W.pi_pow(3)) == t.W.from_int(2)
 
 
 def test_tower_lift_red_roundtrip():
     rng = random.Random(5)
-    t = RingTower(3, 2, 2)
+    t = RingTower(FiniteField(3, 2), 2)
     for _ in range(50):
         x = t.R.random_element(rng)
         assert t.W.reduce(t.W.lift(x)) == x
@@ -378,14 +378,14 @@ def _special_w_elements(W, rng, n_random):
 
 
 def test_eisenstein_mul_matches_reference():
-    W = RingTower(2, 1, 2).W
+    W = RingTower(FiniteField(2, 1), 2).W
     elems = list(W.elements())
     assert len(elems) ** 2 == 256
     for a, b in itertools.product(elems, repeat=2):
         assert W.mul(a, b) == reference_w_mul(W, a, b)
     rng = random.Random(11)
     for p, f, e, E in [(5, 2, 3, None), (3, 2, 2, None), (2, 1, 3, [2, 2, 2, 1])]:
-        W = RingTower(p, f, e, eisenstein=E).W
+        W = RingTower(FiniteField(p, f), e, eisenstein=E).W
         special = _special_w_elements(W, rng, 6)
         pairs = list(itertools.product(special, repeat=2))
         pairs += [(W.random_element(rng), W.random_element(rng)) for _ in range(300)]
@@ -400,7 +400,7 @@ def test_w_product_path_avoids_polynomial_code(monkeypatch):
     rng = random.Random(12)
     cases = []
     for p, f, e in [(2, 1, 2), (3, 2, 2), (5, 2, 3), (2, 3, 1)]:
-        W = RingTower(p, f, e).W
+        W = RingTower(FiniteField(p, f), e).W
         elems = _special_w_elements(W, rng, 8)
         cases.append((W, elems, [(a, b, W.mul(a, b)) for a, b in zip(elems, reversed(elems))],
                       [(a, W.inv(a)) for a in elems if W.is_unit(a)],

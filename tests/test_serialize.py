@@ -6,6 +6,7 @@ import pytest
 from hasseforge import serialize as ser
 from hasseforge.datum import LiftedDatum, Params
 from hasseforge.errors import InvalidSpec
+from hasseforge.cli import main
 from hasseforge.generate import NAMED_INSTANCES, named_instance, random_datum
 from hasseforge.invariants import all_sections, all_verdicts
 
@@ -171,3 +172,101 @@ def test_malformed_lifted_documents_raise_invalid_spec():
             ser.datum_from_dict(_malformed(doc, path, value))
     assert ser.dumps(ser.datum_from_dict(doc)) == json.dumps(doc, sort_keys=True,
                                                              separators=(",", ":"))
+
+
+# -- the interned tower table that params_in loads through ----------------
+
+
+def test_loads_of_one_description_share_a_tower():
+    s = ser.dumps(named_instance("ram-ss"))
+    A, B = ser.loads(s), ser.loads(s)
+    assert A.params is not B.params
+    assert A.params.tower is B.params.tower and A.params.k is B.params.k
+    assert A == B and A.params.describe() == B.params.describe()
+
+
+def test_ramifications_over_one_field_share_k():
+    rng = random.Random(2)
+    P1, P2 = (ser.loads(ser.dumps(random_datum(Params(5, 2, e, 2, 1), rng, lifted=False))).params
+              for e in (1, 2))
+    assert P1.tower is not P2.tower
+    assert P1.k is P2.k
+
+
+def test_each_modulus_gets_its_own_tower():
+    desc = Params(3, 2, 2, 2, 1).describe()
+    base = ser.params_in(desc)
+    other_field = ser.params_in(dict(desc, field_modulus=[2, 1, 1]))
+    other_eis = ser.params_in(dict(desc, eisenstein=[3, 0, 1]))
+    assert other_field.tower is not base.tower and other_field.k is not base.k
+    assert other_eis.tower is not base.tower and other_eis.k is base.k
+    assert other_field.describe()["field_modulus"] == [2, 1, 1]
+    assert other_eis.describe()["eisenstein"] == [3, 0, 1]
+    # a null modulus is its own key and loads the default
+    default = ser.params_in(dict(desc, field_modulus=None, eisenstein=None))
+    assert default.tower is not base.tower and default.describe() == desc
+
+
+def test_invalid_modulus_raises_on_every_load():
+    desc = Params(3, 2, 2, 2, 1).describe()
+    for bad in (dict(desc, field_modulus=[2, 0, 1]),  # x^2 - 1 is reducible
+                dict(desc, eisenstein=[6, 1, 1])):    # does not reduce to X^2
+        for _ in range(2):
+            with pytest.raises(InvalidSpec):
+                ser.params_in(bad)
+
+
+def test_tower_and_field_tables_evict():
+    ser.interned_field.cache_clear()
+    ser.interned_tower.cache_clear()
+    desc = Params(2, 1, 1, 2, 1).describe()
+    first = ser.params_in(desc)
+    for e in range(2, 2 + ser.TOWER_TABLE_SIZE):
+        ser.params_in(dict(desc, e=e, eisenstein=None))
+    assert ser.interned_tower.cache_info().currsize == ser.TOWER_TABLE_SIZE
+    assert ser.params_in(desc).tower is not first.tower
+    for f in range(2, 2 + ser.FIELD_TABLE_SIZE):
+        ser.interned_field(2, f, None)
+    assert ser.interned_field.cache_info().currsize == ser.FIELD_TABLE_SIZE
+    # the dropped field is rebuilt, and every tower a load gets is over it
+    again = ser.params_in(desc)
+    assert again.k is not first.k
+    assert ser.params_in(dict(desc, e=2, eisenstein=None)).k is again.k
+
+
+def test_loads_with_params_adopts_them():
+    D = named_instance("ram-ss")
+    s = ser.dumps(D)
+    assert ser.loads(s, params=D.params).params is D.params
+    assert ser.loads(s).params.tower is not D.params.tower
+
+
+def test_interned_batch_matches_fresh_towers(capsys, monkeypatch, tmp_path):
+    # 24 documents of one 7^4 shape: the CLI rows are byte-identical
+    # whether every load shares one tower or each builds its own
+    batch = tmp_path / "batch.json"
+    assert main(["generate", "--params", "7,4,2,2,1", "--count", "24", "--seed", "3",
+                 "--out", str(batch)]) == 0
+
+    def rows():
+        out = {}
+        for cmd in ("invariants", "verify"):
+            assert main([cmd, "--in", str(batch)]) == 0
+            out[cmd] = capsys.readouterr().out
+        return out
+
+    lines = batch.read_text().splitlines()
+    assert len({id(ser.loads(ln).params.tower) for ln in lines}) == 1
+    shared = rows()
+    interned, built = ser.interned_field, []
+
+    def fresh(*key):
+        interned.cache_clear()
+        ser.interned_tower.cache_clear()
+        built.append(interned(*key))
+        return built[-1]
+
+    monkeypatch.setattr(ser, "interned_field", fresh)
+    assert rows() == shared
+    assert len(built) == 2 * len(lines) and len({id(k) for k in built}) == len(built)
+    assert len(shared["verify"].splitlines()) == len(lines)

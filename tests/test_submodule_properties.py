@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hasseforge.linalg import Submodule, vadd, vscale
-from hasseforge.rings import RingTower
+from hasseforge.rings import FiniteField, RingTower
 
 RINGS = {
-    "R(2,1,2)": RingTower(2, 1, 2).R,
-    "R(2,2,2)": RingTower(2, 2, 2).R,
-    "R(5,2,3)": RingTower(5, 2, 3).R,
+    "R(2,1,2)": RingTower(FiniteField(2, 1), 2).R,
+    "R(2,2,2)": RingTower(FiniteField(2, 2), 2).R,
+    "R(5,2,3)": RingTower(FiniteField(5, 2), 3).R,
 }
 N = 3
 
