@@ -12,27 +12,54 @@ auxiliary one only 0..e-1):
 Everything here is untwisted submodule arithmetic; the frobenius twists
 of F and V only matter once maps between quotients get coordinates.
 Results are cached on the datum since the invariant chains revisit the
-same levels many times.
+same levels many times.  pi^s acts on flat vectors as a digit shift, and
+each pi-preimage is solved once per document: the datum and its dual
+share the table that holds them.
 """
 
 from __future__ import annotations
 
 from .errors import InvariantViolation
-from .linalg import Matrix, SemilinearMap
+from .linalg import Matrix, SemilinearMap, pi_shift
 
 
 def scalar_map(datum, c) -> SemilinearMap:
     """Multiplication by c in R on the datum's E_i, built once per document
     for each c (a datum shares it with its dual), so that its restriction
-    to flat vectors is built once."""
+    to flat vectors is built once.  A power of pi is pi_map's shift."""
     p = datum.params
+    s, unit = p.R.val_split(c)
+    if unit == p.R.one:
+        return pi_map(datum, s)
     return datum.shared(("scalar", c),
                         lambda: SemilinearMap(Matrix.identity(p.R, p.h1).scale(c), 0))
 
 
+class PiPower(SemilinearMap):
+    """Multiplication by pi^s: on flat vectors a digit shift, with the
+    restriction (kcols) built only for preimages."""
+
+    __slots__ = ("s",)
+
+    def __init__(self, R, n, s):
+        super().__init__(Matrix.identity(R, n).scale(R.pi_pow(s)), 0)
+        self.s = s
+
+    def apply_k(self, kv):
+        return pi_shift(kv, self.ring.e, self.s)
+
+
 def pi_map(datum, s: int) -> SemilinearMap:
     """Multiplication by pi^s on the datum's E_i; s = 0 gives the identity."""
-    return scalar_map(datum, datum.params.R.pi_pow(s))
+    p = datum.params
+    return datum.shared(("pi", s), lambda: PiPower(p.R, p.h1, s))
+
+
+def pi_preimage(datum, s: int, X):
+    """pi^(-s)(X), solved once per document for each (s, X): the stored
+    levels' preimages recur across the extended and auxiliary flags and
+    between a datum and its dual."""
+    return datum.shared(("pi-1", s, X), lambda: pi_map(datum, s).preimage(X))
 
 
 def extended_flag(datum, i: int):
@@ -45,7 +72,7 @@ def extended_flag(datum, i: int):
     def build():
         levels = list(datum.pr_flags[i])
         for s in range(1, p.e + 1):
-            levels.append(pi_map(datum, s).preimage(levels[p.e - s]))
+            levels.append(pi_preimage(datum, s, levels[p.e - s]))
         return tuple(levels)
 
     return datum.memo(("ext", i), build)
@@ -54,28 +81,26 @@ def extended_flag(datum, i: int):
 def aux_flag(datum, i: int):
     """Levels 0..e-1: the pi-preimage of each stored flag level.  Since
     level j of the stored flag is killed by pi^j it sits inside
-    pi^(e-j) E_i, which pins the preimage's k-dimension at h1 + j*d1."""
+    pi^(e-j) E_i, which pins the preimage's k-dimension at h1 + j*d1.
+    Level e-1 is extended level e+1."""
     p = datum.params
     i %= p.f
-
-    def build():
-        pi1 = pi_map(datum, 1)
-        return tuple(pi1.preimage(datum.pr_flags[i][j]) for j in range(p.e))
-
-    return datum.memo(("aux", i), build)
+    return datum.memo(("aux", i), lambda: tuple(pi_preimage(datum, 1, datum.pr_flags[i][j])
+                                                for j in range(p.e)))
 
 
 def conj_flag(datum, i: int):
     """Levels 0..2e: level j <= e is the F-image of the previous index's
     extended level e+j, level e+j is the V-preimage of the previous
     index's extended level j.  The two middle descriptions both compute
-    im F = ker V and must agree."""
+    im F = ker V and must agree; the F side is the datum's memoized
+    im F, since extended level 2e is all of E_(i-1)."""
     p = datum.params
     i %= p.f
 
     def build():
         prev = extended_flag(datum, (i - 1) % p.f)
-        lower = [datum.F[i].image_of(prev[p.e + j]) for j in range(p.e + 1)]
+        lower = [datum.F[i].image_of(prev[p.e + j]) for j in range(p.e)] + [datum.conj(i)]
         upper = [datum.V[i].preimage(prev[j]) for j in range(p.e + 1)]
         if lower[p.e] != upper[0]:
             raise InvariantViolation("conjugate flag middle levels disagree at index %d" % i)

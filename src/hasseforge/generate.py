@@ -77,6 +77,14 @@ def sample_flag(R, omega, d1, rng):
     raise RetryExhausted("could not sample a flag in %d attempts" % _FLAG_ATTEMPTS)
 
 
+def _times_diag(A, diag):
+    """A diag(diag): column l of A scaled by diag[l], one ring.mul per
+    entry.  Each entry of the full product is a one-term dot, which equals
+    that mul, so the result is the same matrix."""
+    mul = A.ring.mul
+    return Matrix._of(A.ring, tuple(tuple(mul(x, d) for x, d in zip(r, diag)) for r in A.rows), A.n)
+
+
 def random_lifted(params, rng) -> LiftedDatum:
     """Random mod-p^2 datum with exact F V = V F = p, plus random flags."""
     p = params
@@ -86,12 +94,10 @@ def random_lifted(params, rng) -> LiftedDatum:
         A = random_invertible(W, p.h1, rng)
         B = random_invertible(W, p.h1, rng)
         exps = _random_exponents(p.e, p.h1, p.e * p.d1, rng)
-        D = Matrix(W, [[W.pi_pow(exps[m]) if m == l else W.zero
-                        for l in range(p.h1)] for m in range(p.h1)])
-        Dc = Matrix(W, [[W.mul(W.unit_u, W.pi_pow(p.e - exps[m])) if m == l else W.zero
-                         for l in range(p.h1)] for m in range(p.h1)])
-        F_mats.append(A.mul(D).mul(B))
-        V_mats.append(B.inverse().mul(Dc).mul(A.inverse()).frob(-1))
+        D = [W.pi_pow(a) for a in exps]
+        Dc = [W.mul(W.unit_u, W.pi_pow(p.e - a)) for a in exps]
+        F_mats.append(_times_diag(A, D).mul(B))
+        V_mats.append(_times_diag(B.inverse(), Dc).mul(A.inverse()).frob(-1))
     flags = None
     if p.e > 1:
         flags = []
@@ -134,13 +140,11 @@ def random_charp(params, rng) -> DieudonneDatum:
         UH = random_invertible(R, p.h1, rng)
         UC = random_invertible(R, p.h1, rng)
         exps = _random_exponents(p.e, p.h1, p.e * (p.h1 - p.d1), rng)
-        D = Matrix(R, [[R.pi_pow(exps[m]) if m == l else R.zero
-                        for l in range(p.h1)] for m in range(p.h1)])
-        Dp = Matrix(R, [[R.pi_pow(p.e - exps[m]) if m == l else R.zero
-                         for l in range(p.h1)] for m in range(p.h1)])
+        D = [R.pi_pow(a) for a in exps]
+        Dp = [R.pi_pow(p.e - a) for a in exps]
         M = _stabilizing_twist(R, exps, rng)
-        V_mats.append(UH.mul(D).mul(UC.inverse().frob(-1)))
-        F_mats.append(UC.mul(Dp).mul(M).mul(UH.inverse().frob(1)))
+        V_mats.append(_times_diag(UH, D).mul(UC.inverse().frob(-1)))
+        F_mats.append(_times_diag(UC, Dp).mul(M).mul(UH.inverse().frob(1)))
     flags = None
     if p.e > 1:
         flags = []

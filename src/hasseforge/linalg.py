@@ -10,12 +10,12 @@ A submodule of R^n, R = k[pi]/(pi^e), is the same thing as a pi-stable
 k-subspace of k^(n*e) (module coordinate m, pi-power s at flat index
 m*e + s), and is stored as its reduced row echelon form; over k itself
 e = 1.  So every submodule operation is plain elimination over the
-residue field, a pi-multiple is a digit shift inside each block of e (and
-exact division by pi^s, pi_divide, the shift back), and the kernels of an
-R-linear map's restriction are pi-stable with no extra step.  The Howell
-form over R (the strong echelon form, canonical over a ring with zero
-divisors) is read off the echelon rows: per module column, the row of
-least pi-power.
+residue field, a pi-multiple is a digit shift inside each block of e
+(pi_shift; exact division by pi^s, pi_divide, is the shift back), and
+the kernels of an R-linear map's restriction are pi-stable with no extra
+step.  The Howell form over R (the strong echelon form, canonical over a
+ring with zero divisors) is read off the echelon rows: per module
+column, the row of least pi-power.
 
 Semilinear maps x -> A sigma^a(x) carry their twist explicitly.  Each one
 restricts once, on first use, to its k-matrix on flat vectors (column
@@ -314,7 +314,7 @@ def unrestrict_vec(ring, kv):
     return tuple(tuple(kv[i : i + e]) for i in range(0, len(kv), e))
 
 
-def _shift(v, e, s):
+def pi_shift(v, e, s):
     """pi^s on a flat vector: each block of e digits moves up by s."""
     return [0 if t % e < s else v[t - s] for t in range(len(v))]
 
@@ -394,7 +394,7 @@ class Submodule:
             # every higher pi-multiple of g does too
             for s in range(e):
                 if s:
-                    v = _shift(v, e, 1)
+                    v = pi_shift(v, e, 1)
                 if not _insert(k, rows, pivs, v):
                     break
         return cls._of(ring, n, e, tuple(map(tuple, rows)), tuple(pivs))
@@ -524,7 +524,7 @@ class Submodule:
             return self
         rows, pivs = [], []
         for r in self.krows if v < e else ():
-            _insert(ring.k, rows, pivs, _shift(r, e, v))
+            _insert(ring.k, rows, pivs, pi_shift(r, e, v))
         return self._with(rows, pivs)
 
     def _with(self, rows, pivs):
@@ -604,7 +604,7 @@ class SemilinearMap:
             M = self.matrix
             ring = M.ring
             e = _digits(ring)
-            self._kcols = [_shift(restrict_vec(ring, M.col(j)), e, s)
+            self._kcols = [pi_shift(restrict_vec(ring, M.col(j)), e, s)
                            for j in range(M.n) for s in range(e)]
         return self._kcols
 

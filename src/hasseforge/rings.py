@@ -58,11 +58,14 @@ class FiniteField:
         _zech  Z(i) = log_g(1 + g^i) for i in [0, n), read off _log, so
                Z(i) = 2n where 1 + g^i = 0
         _neg   -a for every code
-        _frob  [j][a] = a^(p^j) for j in [0, f)
+        _frob  [j][a] = a^(p^j) for j = 1 and j = f - 1 (sigma and its
+               inverse, the only twists the library applies); None for
+               the other j in [0, f)
 
-    all of size O(q) and built in O(q f).  mul is two lookups into _log
-    and one into _exp; inv one of each; neg and frob one; add (a Zech
-    step, a + b = g^la (1 + g^(lb - la))) four; sub is add(a, -b).
+    all of size O(q) and built in O(q).  mul is two lookups into _log and
+    one into _exp; inv one of each; neg one; frob one for j = +-1, else
+    a^(p^j) = exp[log a * p^j mod n]; add (a Zech step,
+    a + b = g^la (1 + g^(lb - la))) four; sub is add(a, -b).
     """
 
     capacity = 1
@@ -160,10 +163,11 @@ class FiniteField:
         half = n // 2 if p != 2 else 0  # -1 = g^(n/2) in odd characteristic
         self._neg = [0] + [exp[(i + half) % n] for i in log[1:]]
         # frob(., j) is y -> y^(p^j); on logs that is multiplication by p^j
-        self._frob = []
-        for j in range(f):
-            s = pow(p, j, n)
-            self._frob.append([0] + [exp[i * s % n] for i in log[1:]])
+        self._frob_logs = [pow(p, j, n) for j in range(f)]
+        self._frob = [None] * f
+        for j in ({1, f - 1} if f > 1 else ()):
+            s = self._frob_logs[j]
+            self._frob[j] = [0] + [exp[i * s % n] for i in log[1:]]
 
     def add(self, a: int, b: int) -> int:
         if not a:
@@ -221,7 +225,13 @@ class FiniteField:
         return self._exp[self.q - 1 - self._log[a]]
 
     def frob(self, a: int, j: int = 1) -> int:
-        return self._frob[j % self.f][a]
+        j %= self.f
+        table = self._frob[j]
+        if table is not None:
+            return table[a]
+        if not (a and j):
+            return a
+        return self._exp[self._log[a] * self._frob_logs[j] % (self.q - 1)]
 
     def val_split(self, a: int):
         if a == 0:

@@ -1,12 +1,15 @@
+import collections
 import random
 
 import pytest
 
 from hasseforge.datum import DieudonneDatum, LiftedDatum, Params
 from hasseforge.errors import InvalidDatum, InvalidLift, InvalidSpec
-from hasseforge.flags import aux_flag, conj_flag, extended_flag, pi_divisibility
+from hasseforge.flags import (PiPower, aux_flag, conj_flag, extended_flag, pi_divisibility,
+                              pi_map, scalar_map)
+from hasseforge.generate import random_datum
 from hasseforge.kspace import annihilator, kdim_rsub
-from hasseforge.linalg import Matrix, Submodule, random_matrix
+from hasseforge.linalg import Matrix, SemilinearMap, Submodule, random_matrix
 
 from flag_dims import aux_dim, conj_dim, extended_dim
 
@@ -257,3 +260,45 @@ def test_flag_duality():
             ftd = conj_flag(Dd, i)
             for j in range(2 * par.e + 1):
                 assert ftd[j] == annihilator(par.R, par.h1, ft[2 * par.e - j])
+
+
+def test_pi_power_is_a_digit_shift():
+    rng = random.Random(4)
+    for shape in [(3, 1, 3, 2, 1), (2, 2, 2, 3, 1), (5, 1, 1, 2, 1)]:
+        D = random_datum(Params(*shape), rng, lifted=False)
+        R, N = D.params.R, D.params.h1 * D.params.e
+        for s in range(R.e + 1):
+            pi = pi_map(D, s)
+            assert scalar_map(D, R.pi_pow(s)) is pi
+            dense = SemilinearMap(pi.matrix, 0)  # the restricted k-matrix
+            for _ in range(10):
+                v = [R.k.random_element(rng) for _ in range(N)]
+                assert pi.apply_k(v) == dense.apply_k(v)
+
+
+def test_pi_preimages_are_solved_once_per_document(monkeypatch):
+    """The extended and auxiliary flags of a datum and of its dual solve
+    each pi^(-s)(X) once: aux level e-1 is extended level e+1, and the dual
+    reuses pi^(-e)(0) and pi^(-1)(0)."""
+    solved = collections.Counter()
+    preimage = PiPower.preimage
+
+    def counting(self, T):
+        solved[self.s, T] += 1
+        return preimage(self, T)
+
+    monkeypatch.setattr(PiPower, "preimage", counting)
+    rng = random.Random(2)
+    for shape in [(3, 1, 3, 3, 1), (2, 2, 2, 2, 1)]:
+        D = random_datum(Params(*shape), rng, lifted=False)
+        solved.clear()
+        for datum in (D, D.dual()):
+            for i in range(D.params.f):
+                extended_flag(datum, i)
+                aux_flag(datum, i)
+        e = D.params.e
+        zero = Submodule.zero(D.params.R, D.params.h1)
+        assert solved[e, zero] == solved[1, zero] == 1
+        assert max(solved.values()) == 1
+        # per index and datum: e extended levels and e aux levels, one shared
+        assert sum(solved.values()) < 2 * D.params.f * (2 * e - 1)

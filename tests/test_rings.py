@@ -176,8 +176,29 @@ def test_field_codes_edge_cases():
 def test_field_tables_are_linear_in_q():
     for p, f in [(2, 1), (3, 2), (7, 4)]:
         k = FiniteField(p, f)
-        for table in [k._exp, k._log, k._zech, k._neg] + k._frob:
+        frob_tables = [t for t in k._frob if t is not None]
+        # sigma and its inverse only, whatever f is
+        assert len(frob_tables) <= 2
+        for table in [k._exp, k._log, k._zech, k._neg] + frob_tables:
             assert len(table) <= 3 * k.q
+
+
+def test_frob_every_power_is_iterated_sigma():
+    # powers other than +-1 are read off the log tables, not stored
+    for p, f in [(2, 1), (3, 2), (2, 4), (5, 3), (7, 4)]:
+        k = FiniteField(p, f)
+        pows = [list(range(k.q))]
+        for _ in range(f):
+            pows.append([_power(k, a, p) for a in pows[-1]])  # pows[j] = a^(p^j)
+        for j in range(-f, 2 * f + 1):
+            assert [k.frob(a, j) for a in range(k.q)] == pows[j % f]
+
+
+def _power(k, a, n):
+    acc = k.one
+    for _ in range(n):
+        acc = k.mul(acc, a)
+    return acc
 
 
 def test_field_rejects_non_primitive_generator():

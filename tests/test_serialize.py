@@ -17,6 +17,9 @@ SHAPES = [
     (3, 3, 1, 3, 2),
     (5, 1, 2, 2, 1),
     (7, 1, 1, 2, 1),
+    # f = 2 at e = 3 and at h1 = 3, d1 = 2: the dual is validated by rank
+    (3, 2, 3, 3, 1),
+    (5, 2, 2, 3, 2),
 ]
 
 
