@@ -130,6 +130,11 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _check_count(count) -> None:
+    if count < 1:
+        raise InvalidSpec("--count must be at least 1, got %d" % count)
+
+
 def cmd_generate(args) -> int:
     lines = []
     if args.instance is not None:
@@ -137,6 +142,7 @@ def cmd_generate(args) -> int:
             raise InvalidSpec("--instance emits exactly one datum")
         lines.append(serialize.dumps(named_instance(args.instance)))
     else:
+        _check_count(args.count)
         params = _parse_params(args.params)
         rng = random.Random(args.seed)
         for _ in range(args.count):
@@ -225,6 +231,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    _check_count(args.count)
     params = _parse_params(args.params)
     rng = random.Random(args.seed)
     tally = {}

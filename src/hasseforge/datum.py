@@ -164,7 +164,7 @@ class DieudonneDatum:
                     raise InvalidDatum("flag at index %d is not nested at level %d" % (i, j))
                 if kdim_rsub(p.R, flag[j]) != j * p.d1:
                     raise InvalidDatum("flag at index %d has wrong dimension at level %d" % (i, j))
-                if not flag[j - 1].contains_sub(flag[j].scaled(p.R.uniformizer)):
+                if not flag[j - 1].contains_sub(flag[j].pi_times(1)):
                     raise InvalidDatum("flag at index %d is not pi-compatible at level %d" % (i, j))
 
     # -- duality ---------------------------------------------------------

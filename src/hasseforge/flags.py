@@ -23,21 +23,10 @@ from .errors import InvariantViolation
 from .linalg import Matrix, SemilinearMap, pi_shift
 
 
-def scalar_map(datum, c) -> SemilinearMap:
-    """Multiplication by c in R on the datum's E_i, built once per document
-    for each c (a datum shares it with its dual), so that its restriction
-    to flat vectors is built once.  A power of pi is pi_map's shift."""
-    p = datum.params
-    s, unit = p.R.val_split(c)
-    if unit == p.R.one:
-        return pi_map(datum, s)
-    return datum.shared(("scalar", c),
-                        lambda: SemilinearMap(Matrix.identity(p.R, p.h1).scale(c), 0))
-
-
 class PiPower(SemilinearMap):
-    """Multiplication by pi^s: on flat vectors a digit shift, with the
-    restriction (kcols) built only for preimages."""
+    """Multiplication by pi^s as a map to induce between quotients: on flat
+    vectors a digit shift.  Its preimages are Submodule.pi_preimage, so it
+    is never restricted."""
 
     __slots__ = ("s",)
 
@@ -59,7 +48,7 @@ def pi_preimage(datum, s: int, X):
     """pi^(-s)(X), solved once per document for each (s, X): the stored
     levels' preimages recur across the extended and auxiliary flags and
     between a datum and its dual."""
-    return datum.shared(("pi-1", s, X), lambda: pi_map(datum, s).preimage(X))
+    return datum.shared(("pi-1", s, X), lambda: X.pi_preimage(s))
 
 
 def extended_flag(datum, i: int):
@@ -116,6 +105,6 @@ def pi_divisibility(datum, i: int) -> bool:
     p = datum.params
     ft = conj_flag(datum, i)
     for j in range(1, p.e + 1):
-        if ft[p.e + j].scaled(p.R.pi_pow(j)) != ft[p.e - j]:
+        if ft[p.e + j].pi_times(j) != ft[p.e - j]:
             return False
     return True

@@ -11,7 +11,7 @@ subspace is automatically pi-stable, hence an R-submodule.
 """
 
 from .errors import InvalidSpec, RetryExhausted
-from .linalg import Matrix, SemilinearMap, Submodule, image, random_invertible, vadd, vscale
+from .linalg import Matrix, Submodule, image, random_invertible, vadd, vscale
 from .kspace import ksub_from_rsub
 from .datum import DieudonneDatum, LiftedDatum, Params
 
@@ -58,14 +58,12 @@ def sample_flag(R, omega, d1, rng):
     j*d1 and pi * flag[j] <= flag[j-1]."""
     e = R.e
     n = omega.n
-    # multiplication by pi, restricted once for every preimage below
-    pi1 = SemilinearMap(Matrix.identity(R, n).scale(R.uniformizer), 0)
     for _ in range(_FLAG_ATTEMPTS):
         flag = [Submodule.zero(R, n)]
         ok = True
         for j in range(1, e):
-            low = flag[j - 1].add_sub(omega.scaled(R.pi_pow(e - j)))
-            high = omega.intersect(pi1.preimage(flag[j - 1]))
+            low = flag[j - 1].add_sub(omega.pi_times(e - j))
+            high = omega.intersect(flag[j - 1].pi_preimage(1))
             X = _random_between(R, low, high, j * d1, rng)
             if X is None:
                 ok = False

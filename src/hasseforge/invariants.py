@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidSpec, require
-from .linalg import Matrix, Submodule, pi_divide, vsub
+from .linalg import Matrix, Submodule, pi_divide, pi_shift, vsub
 from .kspace import (QuotientPresentation, induced_from_fun,
                      induced_semilinear, ksub_from_rsub, pairing_matrix,
-                     prop_dual, residue_form, subspace_in_qp)
+                     prop_dual, quotient_det, residue_form, subspace_in_qp)
 from .datum import LiftedDatum
-from .flags import (aux_flag, conj_flag, extended_flag, pi_divisibility,
-                    pi_map, scalar_map)
+from .flags import aux_flag, conj_flag, extended_flag, pi_divisibility, pi_map
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def _torsion(R, n, t):
     """Kernel of pi^t on R^n, which is pi^(e-t) R^n."""
     if t <= 0:
         return Submodule.zero(R, n)
-    return Submodule.full(R, n).scaled(R.pi_pow(max(R.e - t, 0)))
+    return Submodule.full(R, n).pi_times(max(R.e - t, 0))
 
 
 def _block(K, M, r0, r1, c0, c1):
@@ -218,7 +217,7 @@ def _hasse_gate(D, i):
     Automatic for reductions of lifted data; bare mod-p data may fail."""
     p = D.params
     ft = conj_flag(D, i)
-    return ft[1].contains_sub(ft[2 * p.e - 1].scaled(p.R.pi_pow(p.e - 1)))
+    return ft[1].contains_sub(ft[2 * p.e - 1].pi_times(p.e - 1))
 
 
 def _map_hasse(D, i):
@@ -336,9 +335,9 @@ def check_pi_divisibility(D, i, rng=None) -> bool:
     killed by pi^(e-j), V(F(x)/pi^j) agrees with pi^(e-j) * u * x modulo
     pi^(e-j) times the Hodge submodule.  Both sides are k-linear in x and
     the modulus is a k-subspace, so checking the echelon rows of those x,
-    a k-basis, decides the identity; F, V and the division act on flat
-    vectors.  rng is accepted and ignored, for callers that still pass
-    one."""
+    a k-basis, decides the identity; F, V, the division and u = sum of
+    u_t pi^t act on flat vectors.  rng is accepted and ignored, for
+    callers that still pass one."""
     red = _charp(D)
     p = red.params
     i %= p.f
@@ -352,35 +351,28 @@ def check_pi_divisibility(D, i, rng=None) -> bool:
     F, V = red.F[i], red.V[i]
     for j in range(1, e + 1):
         S = F.preimage(_torsion(R, p.h1, e - j))
-        den = red.hodge(i1).scaled(R.pi_pow(e - j))
-        scale = scalar_map(red, R.mul(R.pi_pow(e - j), ubar))
+        den = red.hodge(i1).pi_times(e - j)
         for x in S.krows:
             lhs = V.apply_k(pi_divide(F.apply_k(x), e, j))
-            if not den.contains_k(vsub(k, lhs, scale.apply_k(x))):
+            ux = [0] * len(x)
+            for t, c in enumerate(ubar):
+                if c:
+                    ux = k.sub_mul(ux, k.neg(c), pi_shift(x, e, t))
+            if not den.contains_k(vsub(k, lhs, pi_shift(ux, e, e - j))):
                 return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # transports: determinants relating a quotient presentation's basis to the
-# canonical bases prop_dual works in (reduced-echelon rows of the subspace,
-# free-index reads for the quotient)
+# canonical bases prop_dual works in (reduced-echelon rows of the subspace
+# here, free-index reads for the quotient in kspace.quotient_det)
 
 
 def _transport_sub(K, qpA, sub_k, qp):
     cols = [sub_k.coords(qpA.coordinates_of_k(l)) for l in qp.lifts]
     d = Matrix.from_cols(K, cols, m=len(sub_k.rows)).det()
     return _unit(K, d, "subspace basis transport")
-
-
-def _transport_quot(K, qpA, sub_k, qp):
-    free = sub_k.free()
-    cols = []
-    for l in qp.lifts:
-        red = sub_k.reduce_vector(qpA.coordinates_of_k(l))
-        cols.append(tuple(red[c] for c in free))
-    d = Matrix.from_cols(K, cols, m=len(free)).det()
-    return _unit(K, d, "quotient basis transport")
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +403,11 @@ def _complementary_pair(K, qA, Bk, Ck, nat, nat2, names):
     (dom, cod, M), (dom2, cod2, M2) = nat, nat2
     x, y, iso = prop_dual(K, qA.dim, Bk, Ck)
     t_dom = _transport_sub(K, qA, Bk, dom)
-    t_cod = _transport_quot(K, qA, Ck, cod)
+    t_cod = _unit(K, quotient_det(K, Ck, [qA.coordinates_of_k(l) for l in cod.lifts]),
+                  "quotient basis transport")
     t_dom2 = _transport_sub(K, qA, Ck, dom2)
-    t_cod2 = _transport_quot(K, qA, Bk, cod2)
+    t_cod2 = _unit(K, quotient_det(K, Bk, [qA.coordinates_of_k(l) for l in cod2.lifts]),
+                   "quotient basis transport")
     require(K.mul(y, t_dom) == K.mul(t_cod, M.matrix.det()),
              "transport of the %s natural det failed" % names[0])
     require(K.mul(x, t_dom2) == K.mul(t_cod2, M2.matrix.det()),

@@ -166,6 +166,15 @@ def pairing_matrix(form, left: QuotientPresentation, right: QuotientPresentation
     return Matrix._of(left.R.k, rows, right.dim)
 
 
+def quotient_det(k, S: Submodule, vecs):
+    """The determinant of the vectors vecs of k^r read in k^r/S, whose
+    canonical basis is the standard vectors at S's free columns: each
+    column is a vector's reduction mod S (reduce_k) at those columns."""
+    free = S.free()
+    cols = [tuple(S.reduce_k(v)[j] for j in free) for v in vecs]
+    return Matrix.from_cols(k, cols, m=len(free)).det()
+
+
 def prop_dual(k, r: int, B: Submodule, C: Submodule):
     """Complementary-pair determinant identity inside k^r.
 
@@ -176,20 +185,13 @@ def prop_dual(k, r: int, B: Submodule, C: Submodule):
 
     where s = dim B and Q_* are the standard lift columns.  iso is always
     a unit; x and y vanish together (exactly when B and C overlap)."""
-    s, t = len(B.rows), len(C.rows)
+    s, t = len(B.krows), len(C.krows)
     if s + t != r:
         raise NotComplementary("dim B + dim C = %d + %d != %d" % (s, t, r))
-
-    def quot_matrix(rows, S, free):
-        cols = [tuple(S.reduce_vector(v)[j] for j in free) for v in rows]
-        return Matrix.from_cols(k, cols, m=len(free))
-
-    freeB, freeC = B.free(), C.free()
-    x = quot_matrix(C.rows, B, freeB).det()
-    y = quot_matrix(B.rows, C, freeC).det()
-
-    dB = Matrix.from_cols(k, list(B.rows) + [unit_vec(k, r, j) for j in freeB], m=r).det()
-    dC = Matrix.from_cols(k, list(C.rows) + [unit_vec(k, r, j) for j in freeC], m=r).det()
+    x = quotient_det(k, B, C.krows)
+    y = quotient_det(k, C, B.krows)
+    dB = Matrix.from_cols(k, list(B.krows) + [unit_vec(k, r, j) for j in B.free()], m=r).det()
+    dC = Matrix.from_cols(k, list(C.krows) + [unit_vec(k, r, j) for j in C.free()], m=r).det()
     sign = k.from_int((-1) ** (s * (r - s)))
     iso = k.mul(sign, k.mul(dC, k.inv(dB)))
     if x != k.mul(iso, y):

@@ -11,11 +11,13 @@ k-subspace of k^(n*e) (module coordinate m, pi-power s at flat index
 m*e + s), and is stored as its reduced row echelon form; over k itself
 e = 1.  So every submodule operation is plain elimination over the
 residue field, a pi-multiple is a digit shift inside each block of e
-(pi_shift; exact division by pi^s, pi_divide, is the shift back), and
-the kernels of an R-linear map's restriction are pi-stable with no extra
-step.  The Howell form over R (the strong echelon form, canonical over a
-ring with zero divisors) is read off the echelon rows: per module
-column, the row of least pi-power.
+(pi_shift; exact division by pi^s, pi_divide, is the shift back; on a
+submodule, pi_times shifts the echelon rows and pi_preimage solves
+against the shifted standard basis), and the kernels of an R-linear
+map's restriction are pi-stable with no extra step.  The Howell form
+over R (the strong echelon form, canonical over a ring with zero
+divisors) is read off the echelon rows: per module column, the row of
+least pi-power.
 
 Semilinear maps x -> A sigma^a(x) carry their twist explicitly.  Each one
 restricts once, on first use, to its k-matrix on flat vectors (column
@@ -363,17 +365,10 @@ class Submodule:
     reduced echelon basis krows (pivot columns kpivots) of its restriction
     to k^(n*e).  rows/pivots are its Howell form over the ring.
 
-    Submodule(...) copies the rows it is given; the library's own spans,
-    sums, intersections and preimages build through _of, which trusts
-    them."""
+    Callers build through span, kspan, solutions, zero and full; every
+    one of those, and every operation, constructs through _of."""
 
     __slots__ = ("ring", "n", "e", "krows", "kpivots", "_hash")
-
-    def __init__(self, ring, n, krows, kpivots):
-        """krows must be the reduced echelon basis of a pi-stable subspace."""
-        self.ring, self.n, self.e = ring, n, _digits(ring)
-        self.krows, self.kpivots = tuple(map(tuple, krows)), tuple(kpivots)
-        self._hash = None
 
     @classmethod
     def _of(cls, ring, n, e, krows, kpivots):
@@ -465,10 +460,6 @@ class Submodule:
         taken = set(self.kpivots)
         return [t for t in range(self.n * self.e) if t not in taken]
 
-    def reduce_vector(self, v):
-        """Canonical representative of v modulo this submodule."""
-        return unrestrict_vec(self.ring, self.reduce_k(restrict_vec(self.ring, v)))
-
     def reduce_k(self, kv):
         """Canonical representative of the flat vector kv modulo the
         restriction: kv with every pivot column cleared."""
@@ -516,16 +507,24 @@ class Submodule:
         return Submodule._of(self.ring, self.n, self.e,
                              tuple(tuple([k.frob(x, j) for x in r]) for r in self.krows), self.kpivots)
 
-    def scaled(self, c):
-        """c S = pi^v S for v the valuation of c: digit shifts."""
-        ring, e = self.ring, self.e
-        v = ring.val_split(c)[0]
-        if v == 0:
+    def pi_times(self, s):
+        """pi^s S: the digit shifts of the echelon rows, which span it."""
+        e = self.e
+        if s == 0:
             return self
         rows, pivs = [], []
-        for r in self.krows if v < e else ():
-            _insert(ring.k, rows, pivs, pi_shift(r, e, v))
+        for r in self.krows if s < e else ():
+            _insert(self.ring.k, rows, pivs, pi_shift(r, e, s))
         return self._with(rows, pivs)
+
+    def pi_preimage(self, s):
+        """pi^(-s) S = {x : pi^s x in S}: one solve over the digit shifts
+        pi^s u_t of the flat standard basis vectors u_t, which are the
+        restricted columns of pi^s on ring^n."""
+        N = self.n * self.e
+        images = [pi_shift([int(u == t) for u in range(N)], self.e, s) for t in range(N)]
+        rows, pivs = _solve(self, images)
+        return Submodule._of(self.ring, self.n, self.e, rows, pivs)
 
     def _with(self, rows, pivs):
         """A submodule of the same ring^n on the library's echelon lists."""
@@ -574,11 +573,6 @@ def image(M: Matrix) -> Submodule:
 
 def kernel(M: Matrix) -> Submodule:
     return SemilinearMap(M, 0).kernel()
-
-
-def preimage(M: Matrix, S: Submodule) -> Submodule:
-    """{x : M x in S}; S lives in ring^m."""
-    return SemilinearMap(M, 0).preimage(S)
 
 
 class SemilinearMap:

@@ -171,7 +171,9 @@ def datum_to_dict(D) -> dict:
 
 
 def datum_from_dict(d, params=None):
-    """Rebuild a datum.  Rings compare by identity; loads of one
+    """Rebuild a datum, with every list length (f matrices for F and for
+    V, f flags of e+1 levels, h1 x h1 matrices) checked here: a wrong one
+    raises InvalidSpec.  Rings compare by identity; loads of one
     description share the tower that params_in interns for it, while data
     built in-process keep their own.  Pass params= to adopt an existing
     tower (it must describe the same shape)."""
@@ -187,13 +189,13 @@ def datum_from_dict(d, params=None):
         raise InvalidSpec("lifted must be true or false, got %.40r" % (lifted,))
     ring = par.W if lifted else par.R
     read = _elt_reader(par, lifted)
-    F = [matrix_in(ring, m, par.h1, read) for m in _list(_key(d, "F"), "F")]
-    V = [matrix_in(ring, m, par.h1, read) for m in _list(_key(d, "V"), "V")]
+    F = [matrix_in(ring, m, par.h1, read) for m in _list(_key(d, "F"), "F", par.f)]
+    V = [matrix_in(ring, m, par.h1, read) for m in _list(_key(d, "V"), "V", par.f)]
     flags = d.get("pr_flags")
     if flags is not None:
         read_R = _elt_reader(par, False)
-        flags = [[sub_in(par.R, par.h1, S, read_R) for S in _list(flag, "a flag")]
-                 for flag in _list(flags, "pr_flags")]
+        flags = [[sub_in(par.R, par.h1, S, read_R) for S in _list(flag, "a flag", par.e + 1)]
+                 for flag in _list(flags, "pr_flags", par.f)]
     cls = LiftedDatum if lifted else DieudonneDatum
     return cls(par, F, V, pr_flags=flags)
 

@@ -200,6 +200,15 @@ def test_file_errors_exit_2(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+@pytest.mark.parametrize("command", ["generate", "survey"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_count_below_one_is_a_usage_error(capsys, command, count):
+    # no blank "document" and no count of -3 in a survey: one error line
+    code, out, err = run_cli(capsys, command, "--params", "3,1,2,2,1", "--count", count)
+    assert code == 2 and out == ""
+    assert err == "error: --count must be at least 1, got %s\n" % count
+
+
 def _no_tower(*args, **kwargs):
     raise AssertionError("a ring tower was built for an over-cap shape")
 

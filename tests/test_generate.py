@@ -66,7 +66,7 @@ def test_sample_flag_properties():
         for j in range(1, par.e + 1):
             assert kdim_rsub(par.R, flag[j]) == j * par.d1
             assert flag[j].contains_sub(flag[j - 1])
-            assert flag[j - 1].contains_sub(flag[j].scaled(par.R.uniformizer))
+            assert flag[j - 1].contains_sub(flag[j].pi_times(1))
 
 
 def test_determinism():

@@ -223,7 +223,7 @@ def test_pi_divisibility_is_checked_exactly_on_a_kbasis(monkeypatch):
     red = L.reduce()
     p = red.params
     full = Submodule.full(p.R, p.h1)
-    basis = sum(len(red.F[0].preimage(full.scaled(p.R.pi_pow(j))).krows)
+    basis = sum(len(red.F[0].preimage(full.pi_times(j)).krows)
                 for j in range(1, p.e + 1))
     on_v = []
     apply_k = SemilinearMap.apply_k

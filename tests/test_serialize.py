@@ -177,6 +177,53 @@ def test_malformed_lifted_documents_raise_invalid_spec():
                                                              separators=(",", ":"))
 
 
+def test_list_lengths_are_checked_at_load(capsys, tmp_path):
+    # f = 2, e = 2: two matrices for F and for V, two flags of three levels
+    for lifted in (False, True):
+        doc = ser.datum_to_dict(random_datum(Params(3, 2, 2, 2, 1), random.Random(6),
+                                             lifted=lifted))
+        F, V, flags = doc["F"], doc["V"], doc["pr_flags"]
+        cases = [
+            (("F",), F + F[:1]),                        # f + 1 matrices for F
+            (("V",), V[:1]),                            # f - 1 matrices for V
+            (("pr_flags",), flags[:1]),                 # fewer than f flags
+            (("pr_flags",), flags + flags[:1]),         # more than f flags
+            (("pr_flags", 1), flags[1][:2]),            # a flag with e levels
+            (("pr_flags", 0), flags[0] + flags[0][-1:]),  # a flag with e + 2 levels
+        ]
+        for path, value in cases:
+            bad = _malformed(doc, path, value)
+            with pytest.raises(InvalidSpec):
+                ser.datum_from_dict(bad)
+            src = tmp_path / "bad.json"
+            src.write_text(json.dumps(bad) + "\n")
+            assert main(["validate", "--in", str(src)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# p in {5, 7} with f = 4, at f*e*h1 up to 24, inside the default work cap
+ROUND_TRIP_SHAPES = SHAPES + [
+    (5, 4, 1, 2, 1),
+    (7, 4, 1, 3, 1),
+    (5, 4, 2, 2, 1),
+    (7, 4, 2, 3, 2),
+]
+
+
+def test_round_trip_on_interned_towers():
+    """A datum built on the tower a load interns for its description reloads
+    to an equal datum, and its document to the same bytes, for both kinds."""
+    rng = random.Random(8)
+    for shape in ROUND_TRIP_SHAPES:
+        par = ser.params_in(Params(*shape).describe())
+        for lifted in (True, False):
+            D = random_datum(par, rng, lifted=lifted)
+            s = ser.dumps(D)
+            assert ser.dumps(ser.loads(s)) == s
+            assert ser.loads(ser.dumps(D)) == D
+
+
 # -- the interned tower table that params_in loads through ----------------
 
 
