@@ -86,13 +86,7 @@ def _read_docs(path: str) -> list:
     lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise InvalidSpec("no documents in input")
-    docs = []
-    for ln in lines:
-        try:
-            docs.append(json.loads(ln))
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec("malformed JSON document: %s" % exc)
-    return docs
+    return [serialize.parse(ln) for ln in lines]
 
 
 def _load_datum(d):
@@ -107,18 +101,6 @@ def _load_data(path: str) -> list:
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _section_row(s) -> dict:
-    return {"name": s.name, "i": s.i, "j": s.j, "scalar": s.scalar,
-            "vanished": s.vanished, "line": [list(t) for t in s.line]}
-
-
-def _verdict_row(v) -> dict:
-    return {"name": v.name, "i": v.i, "j": v.j,
-            "scalar_G": v.scalar_G, "scalar_GD": v.scalar_GD,
-            "canonical_iso_scalar": v.canonical_iso_scalar,
-            "equal": v.equal, "status": v.status}
 
 
 def _csv_text(header, rows) -> str:
@@ -181,7 +163,7 @@ def cmd_invariants(args) -> int:
         for idx, D in enumerate(data):
             lines.append(_dump_json({
                 "doc": idx,
-                "sections": [_section_row(s) for s in all_sections(D)],
+                "sections": [vars(s) for s in all_sections(D)],
                 "pattern": vanishing_pattern(D),
             }))
         text = "\n".join(lines) + "\n"
@@ -220,7 +202,7 @@ def cmd_verify(args) -> int:
         reports.append({
             "doc": idx,
             "ok": ok,
-            "verdicts": [_verdict_row(v) for v in verdicts],
+            "verdicts": [vars(v) for v in verdicts],
             "product_identity": product,
             "factorization": factor,
             "pi_divisibility": pidiv,
@@ -252,13 +234,6 @@ def cmd_survey(args) -> int:
                          for k, c in items],
         }) + "\n"
     _write_text(args.out, text)
-    return 0
-
-
-def cmd_oracle(args) -> int:
-    from .oracle import run_all
-    counts = run_all(quick=args.quick)
-    _write_text(args.out, _dump_json(counts) + "\n")
     return 0
 
 
@@ -319,11 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(sub, reads=False)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.set_defaults(func=cmd_survey)
-
-    sub = subs.add_parser("oracle", help="run the brute-force cross checks")
-    _add_io(sub, reads=False)
-    sub.add_argument("--quick", action="store_true")
-    sub.set_defaults(func=cmd_oracle)
 
     return ap
 

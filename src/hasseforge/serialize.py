@@ -204,10 +204,16 @@ def dumps(D) -> str:
     return json.dumps(datum_to_dict(D), sort_keys=True, separators=(",", ":"))
 
 
-def loads(s: str, params=None):
+def parse(text: str):
+    """The JSON value in text.  Anything json cannot decode, nesting too
+    deep for the decoder and integers too long to convert included, raises
+    InvalidSpec."""
     try:
-        d = json.loads(s)
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec("not valid JSON: %s" % exc) from exc
-    return datum_from_dict(d, params=params)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidSpec("malformed JSON document: %s" % exc) from exc
+
+
+def loads(s: str, params=None):
+    return datum_from_dict(parse(s), params=params)
 

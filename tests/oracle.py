@@ -10,11 +10,11 @@ and returns a dict of how many objects were checked.
 import itertools
 import random
 
-from .errors import InvariantViolation
-from .datum import Params
-from .generate import random_charp
-from .kspace import QuotientPresentation, kdim_rsub, prop_dual
-from .linalg import Matrix, SemilinearMap, Submodule, vadd, vscale
+from hasseforge.errors import InvariantViolation
+from hasseforge.datum import Params
+from hasseforge.generate import random_charp
+from hasseforge.kspace import QuotientPresentation, kdim_rsub, prop_dual
+from hasseforge.linalg import Matrix, SemilinearMap, Submodule, vadd, vscale
 
 
 def _fail(msg):
@@ -203,7 +203,7 @@ def check_quotients(par=None, rng=None, samples=6):
     rng = rng or random.Random(3)
     R, K = par.R, par.k
     count = 0
-    from .flags import extended_flag
+    from hasseforge.flags import extended_flag
     for _ in range(samples):
         D = random_charp(par, rng)
         ext = extended_flag(D, 0)

@@ -19,10 +19,9 @@ from hasseforge.invariants import (all_sections, all_verdicts,
                                    _map_hasse, _map_m, _map_v_hodge)
 from hasseforge.kspace import kdim_rsub, prop_dual
 from hasseforge.linalg import Submodule
-from hasseforge.oracle import (all_vectors, perm_det, run_all, submodule_set,
-                               tiny_params)
 
 from flag_dims import extended_dim
+from oracle import all_vectors, perm_det, run_all, submodule_set, tiny_params
 
 
 def _random_complementary_pair(K, r, rng):
@@ -60,7 +59,7 @@ def test_01_complementary_pair_isomorphism():
                 assert x == K.mul(iso, y)
                 done += 1
     assert done == 1000
-    from hasseforge.oracle import check_prop_dual_exhaustive
+    from oracle import check_prop_dual_exhaustive
     assert check_prop_dual_exhaustive() == 1677
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, "budget exceeded: %.1fs" % elapsed

@@ -11,7 +11,7 @@ import pytest
 
 from hasseforge import datum as datum_module
 from hasseforge import serialize as ser
-from hasseforge.cli import main
+from hasseforge.cli import build_parser, main
 from hasseforge.datum import Params
 from hasseforge.generate import named_instance, random_datum
 
@@ -245,11 +245,13 @@ def test_stdin_stdout_pipe(capsys, monkeypatch):
     assert json.loads(out)["ok"] is True
 
 
-def test_oracle_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "oracle", "--quick")
-    assert code == 0
-    counts = json.loads(out)
-    assert counts["prop_dual_pairs"] == 1677
+def test_subcommands_are_the_user_paths():
+    assert "{generate,validate,invariants,dualize,verify,survey}" in build_parser().format_help()
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle"])
+    assert exc.value.code == 2
+    with pytest.raises(ImportError):
+        importlib.import_module("hasseforge.oracle")
 
 
 def _seeded_corpus(capsys, tmp_path):

@@ -17,8 +17,9 @@ from hasseforge.generate import random_charp, random_lifted
 from hasseforge.invariants import all_verdicts
 from hasseforge.kspace import QuotientPresentation, annihilator, pairing_matrix, residue_form
 from hasseforge.linalg import Matrix, Submodule, restrict_vec, smith
-from hasseforge.oracle import perm_det
 from hasseforge.rings import FiniteField, RingTower
+
+from oracle import perm_det
 
 FIELDS = {
     "F_2": FiniteField(2, 1),

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from hasseforge import serialize
 from hasseforge.cli import main
 from hasseforge.datum import Params
+from hasseforge.errors import InvalidSpec
 from hasseforge.generate import random_datum
 
 DOCS = {kind: json.loads(serialize.dumps(random_datum(Params(2, 2, 2, 2, 1), random.Random(0),
@@ -87,9 +88,12 @@ def _mutate(doc, data):
 
 
 def _run(command, line):
+    """Exit code, stdout and stderr of one in-process CLI run on line."""
+    out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(line + "\n")), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main([command])
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command])
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("kind", list(DOCS))
@@ -102,9 +106,25 @@ def test_mutated_documents_exit_with_a_documented_code(kind, data):
         doc = _mutate(doc, data)
     line = json.dumps(doc)
     for command in ("verify", "invariants", "dualize"):
-        assert _run(command, line) in (0, 1, 2)
+        assert _run(command, line)[0] in (0, 1, 2)
 
 
 def test_unmutated_documents_pass():
     for doc in DOCS.values():
-        assert _run("verify", json.dumps(doc)) == 0
+        assert _run("verify", json.dumps(doc))[0] == 0
+
+
+# json itself refuses these two: one nests deeper than its decoder recurses,
+# the other holds an integer longer than int() converts
+UNDECODABLE = ["[" * 200_000,
+               '{"format":"%s","params":{"p":%s}}' % (serialize.FORMAT, "9" * 5000)]
+
+
+@pytest.mark.parametrize("line", UNDECODABLE, ids=["deep", "long-int"])
+def test_undecodable_lines_are_malformed_input(line):
+    with pytest.raises(InvalidSpec):
+        serialize.loads(line)
+    for command in ("verify", "invariants", "dualize", "validate"):
+        code, out, err = _run(command, line)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -35,8 +35,9 @@ from hasseforge.linalg import (
     vscale,
     vsub,
 )
-from hasseforge.oracle import submodule_set
 from hasseforge.rings import FiniteField, RingTower
+
+from oracle import submodule_set
 
 T32 = RingTower(FiniteField(3, 1), 2, eisenstein=[6, 0, 1])
 T22 = RingTower(FiniteField(2, 2), 2)

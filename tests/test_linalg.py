@@ -24,8 +24,9 @@ from hasseforge.linalg import (
     vscale,
     vsub,
 )
-from hasseforge.oracle import submodule_set
 from hasseforge.rings import FiniteField, RingTower
+
+from oracle import submodule_set
 
 TOWERS = {
     "k_f2": RingTower(FiniteField(2, 2), 1),

@@ -1,16 +1,16 @@
 """The exact layers never sample: every identity is decided by exact
-equality, so only the front end (seeds for generate and survey) and the
-brute-force oracle may import random."""
+equality, so only the front end (seeds for generate and survey) may
+import random."""
 
 import ast
 import pathlib
 
 import hasseforge
 
-ALLOWED = {"cli.py", "oracle.py"}
+ALLOWED = {"cli.py"}
 
 
-def test_only_cli_and_oracle_import_random():
+def test_only_cli_imports_random():
     pkg = pathlib.Path(hasseforge.__file__).parent
     found = []
     for path in sorted(pkg.glob("*.py")):

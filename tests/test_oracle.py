@@ -8,10 +8,10 @@ import pytest
 from hasseforge.datum import Params
 from hasseforge.errors import InvariantViolation
 from hasseforge.linalg import Matrix, Submodule
-from hasseforge.oracle import (all_subspaces, check_dets, check_kernels_images,
-                               check_prop_dual_exhaustive, check_quotients,
-                               oracle_prop_dual, perm_det, rref, run_all,
-                               tiny_params)
+
+from oracle import (all_subspaces, check_dets, check_kernels_images,
+                    check_prop_dual_exhaustive, check_quotients,
+                    oracle_prop_dual, perm_det, rref, run_all, tiny_params)
 
 
 def test_perm_det_matches_elimination():

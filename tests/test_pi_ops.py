@@ -16,8 +16,9 @@ from hasseforge.flags import PiPower
 from hasseforge.generate import random_lifted
 from hasseforge.invariants import all_verdicts, check_pi_divisibility
 from hasseforge.linalg import Matrix, SemilinearMap, Submodule, vscale
-from hasseforge.oracle import all_vectors, submodule_set
 from hasseforge.rings import FiniteField, RingTower
+
+from oracle import all_vectors, submodule_set
 
 # e in {1, 2, 3} and f in {1, 2}
 RINGS = {
