@@ -17,6 +17,10 @@ kernel/image axioms by the exact identities F V = V F = p.
 Duality transposes the matrices, swaps F and V with a one-step
 frobenius correction, and replaces every distinguished submodule by its
 annihilator under the residue form.
+
+Each datum class has two constructors: the class call places and then
+validates (loads, duals, named instances; the dual's validation is the
+duality statement), and _of only places, for generated data.
 """
 
 from __future__ import annotations
@@ -85,23 +89,37 @@ def _dual_matrices(D):
 
 
 class DieudonneDatum:
-    """Mod-p datum with its flag data.  Construction validates."""
+    """Mod-p datum with its flag data.  The constructor validates; _of
+    only places (see the module docstring)."""
 
     def __init__(self, params: Params, F_mats, V_mats, pr_flags=None):
+        self._place(params, F_mats, V_mats, pr_flags)
+        self.validate()
+
+    @classmethod
+    def _of(cls, params: Params, F_mats, V_mats, pr_flags, hodges) -> "DieudonneDatum":
+        """A datum placed without validate: one valid by construction, or
+        a lift's reduction, which the lift's validate checks.  hodges[i],
+        if given, must equal hodge(i), the image of V[i+1]; it seeds the
+        memo, so the e = 1 flags need no elimination."""
+        D = object.__new__(cls)
+        D._place(params, F_mats, V_mats, pr_flags, hodges)
+        return D
+
+    def _place(self, params, F_mats, V_mats, pr_flags, hodges=()):
         self.params = params
         f = params.f
         if len(F_mats) != f or len(V_mats) != f:
             raise InvalidDatum("expected %d matrices for F and for V" % f)
         self.F = tuple(SemilinearMap(m, +1) for m in F_mats)
         self.V = tuple(SemilinearMap(m, -1) for m in V_mats)
-        self._cache = {}
+        self._cache = {("hodge", i): h for i, h in enumerate(hodges)}
         if pr_flags is None:
             if params.e == 1:
                 pr_flags = _trivial_flags(params, [self.hodge(i) for i in range(f)])
             else:
                 raise InvalidDatum("flag data is required when e > 1")
         self.pr_flags = tuple(tuple(level for level in flag) for flag in pr_flags)
-        self.validate()
 
     def memo(self, key, build):
         """The value cached under key, built by build() on first use."""
@@ -213,6 +231,18 @@ class LiftedDatum:
     data for its reduction."""
 
     def __init__(self, params: Params, F_mats, V_mats, pr_flags=None):
+        self._place(params, F_mats, V_mats, pr_flags)
+        self.validate()
+
+    @classmethod
+    def _of(cls, params: Params, F_mats, V_mats, pr_flags, hodges) -> "LiftedDatum":
+        """A lift valid by construction, placed without validate; hodges
+        are its reduction's, as in DieudonneDatum._of."""
+        L = object.__new__(cls)
+        L._place(params, F_mats, V_mats, pr_flags, hodges)
+        return L
+
+    def _place(self, params, F_mats, V_mats, pr_flags, hodges=()):
         self.params = params
         f = params.f
         if len(F_mats) != f or len(V_mats) != f:
@@ -220,8 +250,8 @@ class LiftedDatum:
         self.F = tuple(SemilinearMap(m, +1) for m in F_mats)
         self.V = tuple(SemilinearMap(m, -1) for m in V_mats)
         self._pr_flags = pr_flags
+        self._hodges = hodges
         self._reduction = None
-        self.validate()
 
     def validate(self):
         p = self.params
@@ -238,17 +268,19 @@ class LiftedDatum:
             if VF.twist != 0 or VF.matrix != pI:
                 raise InvalidLift("V F != p at index %d" % i)
         try:
-            self.reduce()
+            self.reduce().validate()
         except InvalidDatum as exc:
             raise InvalidLift("reduction is not a valid datum: %s" % exc) from exc
 
     def reduce(self) -> DieudonneDatum:
+        """The mod-p datum, placed on first use; validate checks it along
+        with the lift."""
         if self._reduction is None:
             p = self.params
             red = p.W.reduce
             Fr = [self.F[i].matrix.map(red, p.R) for i in range(p.f)]
             Vr = [self.V[i].matrix.map(red, p.R) for i in range(p.f)]
-            self._reduction = DieudonneDatum(p, Fr, Vr, pr_flags=self._pr_flags)
+            self._reduction = DieudonneDatum._of(p, Fr, Vr, self._pr_flags, self._hodges)
         return self._reduction
 
     def dualize(self) -> "LiftedDatum":

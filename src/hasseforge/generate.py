@@ -8,6 +8,9 @@ diagonals, which forces ker F = im V and ker V = im F.  Flags are sampled
 greedily level by level; each level is a k-subspace pinched between the
 forced lower bound and the pi-preimage of the previous level, and any such
 subspace is automatically pi-stable, hence an R-submodule.
+
+The random data are valid by construction and placed with _of, unvalidated;
+each image of V is computed once, for the flags and the hodge submodules.
 """
 
 from .errors import InvalidSpec, RetryExhausted
@@ -75,6 +78,14 @@ def sample_flag(R, omega, d1, rng):
     raise RetryExhausted("could not sample a flag in %d attempts" % _FLAG_ATTEMPTS)
 
 
+def _random_flags(params, hodges, rng):
+    """One sampled flag per embedding up to hodges[i]; None at e = 1,
+    where the datum places the forced flags."""
+    if params.e == 1:
+        return None
+    return [sample_flag(params.R, h, params.d1, rng) for h in hodges]
+
+
 def _times_diag(A, diag):
     """A diag(diag): column l of A scaled by diag[l], one ring.mul per
     entry.  Each entry of the full product is a one-term dot, which equals
@@ -96,13 +107,8 @@ def random_lifted(params, rng) -> LiftedDatum:
         Dc = [W.mul(W.unit_u, W.pi_pow(p.e - a)) for a in exps]
         F_mats.append(_times_diag(A, D).mul(B))
         V_mats.append(_times_diag(B.inverse(), Dc).mul(A.inverse()).frob(-1))
-    flags = None
-    if p.e > 1:
-        flags = []
-        for i in range(p.f):
-            Vr = V_mats[(i + 1) % p.f].map(W.reduce, R)
-            flags.append(sample_flag(R, image(Vr), p.d1, rng))
-    return LiftedDatum(p, F_mats, V_mats, pr_flags=flags)
+    hodges = [image(V_mats[(i + 1) % p.f].map(W.reduce, R)) for i in range(p.f)]
+    return LiftedDatum._of(p, F_mats, V_mats, _random_flags(p, hodges, rng), hodges)
 
 
 def _stabilizing_twist(R, exps, rng):
@@ -143,13 +149,8 @@ def random_charp(params, rng) -> DieudonneDatum:
         M = _stabilizing_twist(R, exps, rng)
         V_mats.append(_times_diag(UH, D).mul(UC.inverse().frob(-1)))
         F_mats.append(_times_diag(UC, Dp).mul(M).mul(UH.inverse().frob(1)))
-    flags = None
-    if p.e > 1:
-        flags = []
-        for i in range(p.f):
-            hodge = image(V_mats[(i + 1) % p.f])
-            flags.append(sample_flag(R, hodge, p.d1, rng))
-    return DieudonneDatum(p, F_mats, V_mats, pr_flags=flags)
+    hodges = [image(V_mats[(i + 1) % p.f]) for i in range(p.f)]
+    return DieudonneDatum._of(p, F_mats, V_mats, _random_flags(p, hodges, rng), hodges)
 
 
 def random_datum(params, rng, lifted=True):

@@ -271,17 +271,23 @@ def section(D, name, i=None, j=None) -> LineSection:
     """The invariant name as a line section: the det of the family's map,
     for ha the product of the ha_i, embeddings ascending (det of V on the
     full Hodge space in the block-diagonal adapted basis).  name is a key
-    of FAMILIES; pass i, j as that family's index ranges require."""
+    of FAMILIES; pass i, j as that family's index ranges require.  Built
+    once per datum and index, after _index has checked that index."""
     D = _charp(D)
+    idx = _index(name, D.params, i, j)
+    return D.memo(("section", name) + idx, lambda: _section(D, name, idx))
+
+
+def _section(D, name, idx) -> LineSection:
+    """section's body for a normalized index tuple idx."""
     p = D.params
-    idx = _index(name, p, i, j)
     fam = FAMILIES[name]
     if fam.map is None:
         parts = [section(D, "ha_i", *ix) for ix in family_indices("ha_i", p)]
         scalar = _kmul(p.k, *[s.scalar for s in parts])
         line = sum((s.line for s in parts), ())
     else:
-        scalar = D.memo(("sc", name) + idx, lambda: fam.map(D, *idx).matrix.det())
+        scalar = fam.map(D, *idx).matrix.det()
         line = fam.line(p, *idx)
     i, j = (idx + (None, None))[:2]
     return LineSection(name, i, j, scalar, line, scalar == p.k.zero)

@@ -164,7 +164,9 @@ class Matrix:
 
     def inverse(self):
         """Gauss-Jordan on [M | I] with unit pivots; exact over any chain
-        ring, with FiniteField.sub_mul as the row operation over k."""
+        ring, with FiniteField.sub_mul as the row operation over k.  Left
+        of pivot column j the pivot row is zero, so scaling starts at j
+        and the row operations (see _row_op) skip those entries."""
         if self.m != self.n:
             raise ZeroDivisionError("only square matrices invert")
         ring, n = self.ring, self.n
@@ -178,7 +180,7 @@ class Matrix:
             a[j], a[piv] = a[piv], a[j]
             if a[j][j] != one:
                 c = ring.inv(a[j][j])
-                a[j] = [ring.mul(c, x) for x in a[j]]
+                a[j][j:] = [ring.mul(c, x) for x in a[j][j:]]
             for i in range(n):
                 if i != j and a[i][j] != zero:
                     a[i] = sub_mul(a[i], a[i][j], a[j])
@@ -224,11 +226,11 @@ class Matrix:
 
 def _row_op(ring):
     """(u, c, v) -> u - c*v on rows, for a nonzero c: FiniteField.sub_mul
-    over k, entrywise over R and W."""
+    over k, entrywise over R and W, skipping the entries where v is zero."""
     if ring.k is ring:
         return ring.sub_mul
-    sub, mul = ring.sub, ring.mul
-    return lambda u, c, v: [sub(x, mul(c, y)) for x, y in zip(u, v)]
+    sub, mul, zero = ring.sub, ring.mul, ring.zero
+    return lambda u, c, v: [x if y == zero else sub(x, mul(c, y)) for x, y in zip(u, v)]
 
 
 class Smith:

@@ -9,6 +9,7 @@ no whitespace, same string for equal data.
 
 import functools
 import json
+import sys
 
 from .errors import InvalidSpec
 from .datum import DieudonneDatum, LiftedDatum, Params
@@ -210,8 +211,13 @@ def parse(text: str):
     InvalidSpec."""
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidSpec("malformed JSON document: %s" % exc) from exc
+    except ValueError as exc:
+        # the one other ValueError of json.loads: int()'s digit limit, whose
+        # own message names a call a document's author cannot make
+        raise InvalidSpec("malformed JSON document: an integer has more than %d digits"
+                          % sys.get_int_max_str_digits()) from exc
 
 
 def loads(s: str, params=None):

@@ -128,3 +128,5 @@ def test_undecodable_lines_are_malformed_input(line):
         code, out, err = _run(command, line)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        # the limit is reported in the document's terms, not as Python's advice
+        assert "set_int_max_str_digits" not in err
