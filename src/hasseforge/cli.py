@@ -1,8 +1,11 @@
 """Command line front end.
 
 Data travels as JSON documents, one per line when a stream carries several,
-so generate/verify/dualize compose through pipes.  Output is deterministic:
-fixed key order, fixed row order, no timestamps.
+so generate/verify/dualize compose through pipes.  A reading subcommand
+parses and shape-checks every document, then builds and processes one datum
+at a time; its output is written once, at the end, so a failure writes
+nothing.  Output is deterministic: fixed key order, fixed row order, no
+timestamps.
 
 Exit codes: 0 success, 1 a datum failed validation or a checked identity
 failed, 2 usage errors, malformed input, unreadable or unwritable files, or
@@ -16,6 +19,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 
 from . import serialize
 from .datum import LiftedDatum, Params
@@ -71,45 +75,56 @@ def _read_text(path: str) -> str:
         raise InvalidSpec("cannot read %s: %s" % (path, exc))
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InvalidSpec("cannot write %s: %s" % (path, exc))
-
-
-def _read_docs(path: str) -> list:
+def _documents(path: str) -> list:
+    """Every document of the input, parsed and shape-checked against the
+    work cap before any datum is built: a malformed line or an over-cap
+    shape anywhere exits 2 with nothing built."""
     lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise InvalidSpec("no documents in input")
-    return [serialize.parse(ln) for ln in lines]
+    docs = [serialize.parse(ln) for ln in lines]
+    for d in docs:
+        _, f, e, h1, _ = serialize.doc_shape(d)
+        _check_size(f, e, h1)
+    return docs
 
 
-def _load_datum(d):
-    _, f, e, h1, _ = serialize.doc_shape(d)
-    _check_size(f, e, h1)
-    return serialize.datum_from_dict(d)
+def _data(path: str):
+    """(index, datum) per document, each datum built only when the loop
+    reaches it, so no earlier datum need outlive its rows."""
+    for idx, d in enumerate(_documents(path)):
+        yield idx, serialize.datum_from_dict(d)
 
 
-def _load_data(path: str) -> list:
-    return [_load_datum(d) for d in _read_docs(path)]
+def _random_data(args, params):
+    """args.count random data of args.kind from args.seed."""
+    rng = random.Random(args.seed)
+    for _ in range(args.count):
+        yield random_datum(params, rng, lifted=(args.kind == "lifted"))
 
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _csv_text(header, rows) -> str:
+def _csv_line(row) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(["" if x is None else x for x in row])
+    csv.writer(buf, lineterminator="").writerow(["" if x is None else x for x in row])
     return buf.getvalue()
+
+
+def _emit(path: str, lines, failed=False) -> int:
+    """Write the lines once, joined, and return the exit code."""
+    text = "".join(ln + "\n" for ln in lines)
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidSpec("cannot write %s: %s" % (path, exc))
+    return 1 if failed else 0
 
 
 def _check_count(count) -> None:
@@ -118,123 +133,89 @@ def _check_count(count) -> None:
 
 
 def cmd_generate(args) -> int:
-    lines = []
     if args.instance is not None:
         if args.count != 1:
             raise InvalidSpec("--instance emits exactly one datum")
-        lines.append(serialize.dumps(named_instance(args.instance)))
+        data = [named_instance(args.instance)]
     else:
         _check_count(args.count)
-        params = _parse_params(args.params)
-        rng = random.Random(args.seed)
-        for _ in range(args.count):
-            D = random_datum(params, rng, lifted=(args.kind == "lifted"))
-            lines.append(serialize.dumps(D))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+        data = _random_data(args, _parse_params(args.params))
+    return _emit(args.out, map(serialize.dumps, data))
 
 
 def cmd_validate(args) -> int:
-    reports = []
-    bad = 0
-    for idx, d in enumerate(_read_docs(args.infile)):
+    rows = []
+    for idx, d in enumerate(_documents(args.infile)):
         try:
-            _load_datum(d)
-            reports.append({"doc": idx, "ok": True, "error": None})
+            serialize.datum_from_dict(d)
+            rows.append({"doc": idx, "ok": True, "error": None})
         except InvalidSpec:
             raise
         except HasseForgeError as exc:
-            bad += 1
-            reports.append({"doc": idx, "ok": False, "error": str(exc)})
-    _write_text(args.out, "\n".join(_dump_json(r) for r in reports) + "\n")
-    return 1 if bad else 0
+            rows.append({"doc": idx, "ok": False, "error": str(exc)})
+    return _emit(args.out, map(_dump_json, rows), not all(r["ok"] for r in rows))
 
 
 def cmd_invariants(args) -> int:
-    data = _load_data(args.infile)
     if args.format == "csv":
-        rows = []
-        for idx, D in enumerate(data):
-            for s in all_sections(D):
-                rows.append((idx, s.name, s.i, s.j, s.scalar, int(s.vanished)))
-        text = _csv_text(("doc", "name", "i", "j", "scalar", "vanished"), rows)
+        lines = [_csv_line(("doc", "name", "i", "j", "scalar", "vanished"))]
+        lines += (_csv_line((idx, s.name, s.i, s.j, s.scalar, int(s.vanished)))
+                  for idx, D in _data(args.infile) for s in all_sections(D))
     else:
-        lines = []
-        for idx, D in enumerate(data):
-            lines.append(_dump_json({
-                "doc": idx,
-                "sections": [vars(s) for s in all_sections(D)],
-                "pattern": vanishing_pattern(D),
-            }))
-        text = "\n".join(lines) + "\n"
-    _write_text(args.out, text)
-    return 0
+        lines = [_dump_json({"doc": idx, "sections": [vars(s) for s in all_sections(D)],
+                             "pattern": vanishing_pattern(D)})
+                 for idx, D in _data(args.infile)]
+    return _emit(args.out, lines)
 
 
 def cmd_dualize(args) -> int:
-    data = _load_data(args.infile)
-    lines = [serialize.dumps(D.dualize()) for D in data]
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+    return _emit(args.out, [serialize.dumps(D.dualize()) for _, D in _data(args.infile)])
+
+
+def _verify_row(idx, D, strict) -> dict:
+    p = D.params
+    verdicts = all_verdicts(D)
+    n_a = sum(1 for v in verdicts if v.status == "not_applicable")
+    equal_ok = all(v.equal for v in verdicts if v.status == "ok")
+    product = product_identity_check(D)
+    factor = all(factorization_check(D, *ij) for ij in family_indices("ha_pr", p))
+    if isinstance(D, LiftedDatum):
+        pidiv = all(check_pi_divisibility(D, i) for i in range(p.f))
+    else:
+        pidiv = None
+    ok = equal_ok and product and factor and pidiv is not False and not (strict and n_a)
+    return {
+        "doc": idx,
+        "ok": ok,
+        "verdicts": [vars(v) for v in verdicts],
+        "product_identity": product,
+        "factorization": factor,
+        "pi_divisibility": pidiv,
+        "not_applicable": n_a,
+    }
 
 
 def cmd_verify(args) -> int:
-    data = _load_data(args.infile)
-    reports = []
-    failed = 0
-    for idx, D in enumerate(data):
-        p = D.params
-        verdicts = all_verdicts(D)
-        n_a = sum(1 for v in verdicts if v.status == "not_applicable")
-        equal_ok = all(v.equal for v in verdicts if v.status == "ok")
-        product = product_identity_check(D)
-        factor = all(factorization_check(D, *idx)
-                     for idx in family_indices("ha_pr", p))
-        if isinstance(D, LiftedDatum):
-            pidiv = all(check_pi_divisibility(D, i) for i in range(p.f))
-        else:
-            pidiv = None
-        ok = equal_ok and product and factor and pidiv is not False
-        if args.strict and n_a:
-            ok = False
-        if not ok:
-            failed += 1
-        reports.append({
-            "doc": idx,
-            "ok": ok,
-            "verdicts": [vars(v) for v in verdicts],
-            "product_identity": product,
-            "factorization": factor,
-            "pi_divisibility": pidiv,
-            "not_applicable": n_a,
-        })
-    _write_text(args.out, "\n".join(_dump_json(r) for r in reports) + "\n")
-    return 1 if failed else 0
+    rows = [_verify_row(idx, D, args.strict) for idx, D in _data(args.infile)]
+    return _emit(args.out, map(_dump_json, rows), not all(r["ok"] for r in rows))
 
 
 def cmd_survey(args) -> int:
     _check_count(args.count)
     params = _parse_params(args.params)
-    rng = random.Random(args.seed)
-    tally = {}
-    for _ in range(args.count):
-        D = random_datum(params, rng, lifted=(args.kind == "lifted"))
-        key = _dump_json(vanishing_pattern(D))
-        tally[key] = tally.get(key, 0) + 1
+    tally = Counter(_dump_json(vanishing_pattern(D)) for D in _random_data(args, params))
     items = sorted(tally.items())
     if args.format == "csv":
-        text = _csv_text(("pattern", "count"), items)
+        lines = [_csv_line(row) for row in [("pattern", "count")] + items]
     else:
-        text = _dump_json({
+        lines = [_dump_json({
             "params": params.describe(),
             "kind": args.kind,
             "seed": args.seed,
             "count": args.count,
-            "patterns": [{"pattern": json.loads(k), "count": c}
-                         for k, c in items],
-        }) + "\n"
-    _write_text(args.out, text)
-    return 0
+            "patterns": [{"pattern": json.loads(k), "count": c} for k, c in items],
+        })]
+    return _emit(args.out, lines)
 
 
 def _add_io(sub, reads=True):

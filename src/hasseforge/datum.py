@@ -97,7 +97,7 @@ class DieudonneDatum:
         self.validate()
 
     @classmethod
-    def _of(cls, params: Params, F_mats, V_mats, pr_flags, hodges) -> "DieudonneDatum":
+    def _of(cls, params: Params, F_mats, V_mats, pr_flags, hodges=()) -> "DieudonneDatum":
         """A datum placed without validate: one valid by construction, or
         a lift's reduction, which the lift's validate checks.  hodges[i],
         if given, must equal hodge(i), the image of V[i+1]; it seeds the
@@ -235,14 +235,16 @@ class LiftedDatum:
         self.validate()
 
     @classmethod
-    def _of(cls, params: Params, F_mats, V_mats, pr_flags, hodges) -> "LiftedDatum":
-        """A lift valid by construction, placed without validate; hodges
-        are its reduction's, as in DieudonneDatum._of."""
+    def _of(cls, params: Params, F_mats, V_mats, reduction) -> "LiftedDatum":
+        """A lift valid by construction, placed without validate, with its
+        reduction already placed by DieudonneDatum._of from the reduced
+        matrices; that reduction carries the flags."""
         L = object.__new__(cls)
-        L._place(params, F_mats, V_mats, pr_flags, hodges)
+        L._place(params, F_mats, V_mats, None)
+        L._reduction = reduction
         return L
 
-    def _place(self, params, F_mats, V_mats, pr_flags, hodges=()):
+    def _place(self, params, F_mats, V_mats, pr_flags):
         self.params = params
         f = params.f
         if len(F_mats) != f or len(V_mats) != f:
@@ -250,7 +252,6 @@ class LiftedDatum:
         self.F = tuple(SemilinearMap(m, +1) for m in F_mats)
         self.V = tuple(SemilinearMap(m, -1) for m in V_mats)
         self._pr_flags = pr_flags
-        self._hodges = hodges
         self._reduction = None
 
     def validate(self):
@@ -280,7 +281,7 @@ class LiftedDatum:
             red = p.W.reduce
             Fr = [self.F[i].matrix.map(red, p.R) for i in range(p.f)]
             Vr = [self.V[i].matrix.map(red, p.R) for i in range(p.f)]
-            self._reduction = DieudonneDatum._of(p, Fr, Vr, self._pr_flags, self._hodges)
+            self._reduction = DieudonneDatum._of(p, Fr, Vr, self._pr_flags)
         return self._reduction
 
     def dualize(self) -> "LiftedDatum":

@@ -10,7 +10,8 @@ forced lower bound and the pi-preimage of the previous level, and any such
 subspace is automatically pi-stable, hence an R-submodule.
 
 The random data are valid by construction and placed with _of, unvalidated;
-each image of V is computed once, for the flags and the hodge submodules.
+each image of V is computed once, for the flags and the hodge submodules,
+and a lift's matrices are reduced once, for its hodges and its reduction.
 """
 
 from .errors import InvalidSpec, RetryExhausted
@@ -107,8 +108,10 @@ def random_lifted(params, rng) -> LiftedDatum:
         Dc = [W.mul(W.unit_u, W.pi_pow(p.e - a)) for a in exps]
         F_mats.append(_times_diag(A, D).mul(B))
         V_mats.append(_times_diag(B.inverse(), Dc).mul(A.inverse()).frob(-1))
-    hodges = [image(V_mats[(i + 1) % p.f].map(W.reduce, R)) for i in range(p.f)]
-    return LiftedDatum._of(p, F_mats, V_mats, _random_flags(p, hodges, rng), hodges)
+    Fr, Vr = ([M.map(W.reduce, R) for M in mats] for mats in (F_mats, V_mats))
+    hodges = [image(Vr[(i + 1) % p.f]) for i in range(p.f)]
+    reduction = DieudonneDatum._of(p, Fr, Vr, _random_flags(p, hodges, rng), hodges)
+    return LiftedDatum._of(p, F_mats, V_mats, reduction)
 
 
 def _stabilizing_twist(R, exps, rng):

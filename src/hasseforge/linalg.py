@@ -64,8 +64,9 @@ class Matrix:
     """Immutable matrix over a chain ring; rows of equal length.
 
     Matrix(...) copies and checks the rows it is given; the library's own
-    products, transposes, inverses, pairings and the like build through
-    _of, which trusts them.  Every product is one ring.dot per entry."""
+    products, transposes, inverses, pairings and the like, and the load
+    (whose list checks fix the shape), build through _of, which trusts
+    them.  Every product is one ring.dot per entry."""
 
     __slots__ = ("ring", "m", "n", "rows", "_hash")
 

@@ -24,10 +24,6 @@ FIELD_TABLE_SIZE = 8
 TOWER_TABLE_SIZE = 16
 
 
-def _elt_out(x):
-    return x if isinstance(x, int) else [_elt_out(c) for c in x]
-
-
 def _list(x, what, length=None):
     if not isinstance(x, (list, tuple)):
         raise InvalidSpec("%s must be a list, got %.40r" % (what, x))
@@ -70,19 +66,11 @@ def _elt_reader(params, lifted):
     return read
 
 
-def matrix_out(M):
-    return [[_elt_out(x) for x in row] for row in M.rows]
-
-
 def matrix_in(ring, data, n, read):
-    """n x n matrix over ring; read turns one document element into a ring element."""
-    rows = [[read(x) for x in _list(row, "a matrix row", n)]
-            for row in _list(data, "a matrix", n)]
-    return Matrix(ring, rows, n=n)
-
-
-def sub_out(S):
-    return [[_elt_out(x) for x in v] for v in S.rows]
+    """n x n matrix over ring; read turns one document element into a ring
+    element.  The length checks fix its shape, so the rows are placed as read."""
+    return Matrix._of(ring, tuple([tuple([read(x) for x in _list(row, "a matrix row", n)])
+                                   for row in _list(data, "a matrix", n)]), n)
 
 
 def sub_in(R, n, data, read):
@@ -96,10 +84,6 @@ def _key(d, key):
         return d[key]
     except KeyError:
         raise InvalidSpec("document lacks the key %r" % key) from None
-
-
-def params_out(params):
-    return params.describe()
 
 
 def _shape_in(d):
@@ -159,15 +143,16 @@ def params_in(d):
 def datum_to_dict(D) -> dict:
     lifted = isinstance(D, LiftedDatum)
     # store flags explicitly even when e = 1 forced them, so equal data
-    # always serializes to equal bytes
+    # always serializes to equal bytes; the tuples go in as the datum holds
+    # them, since json writes a tuple as an array
     flags = D.reduce().pr_flags if lifted else D.pr_flags
     return {
         "format": FORMAT,
-        "params": params_out(D.params),
+        "params": D.params.describe(),
         "lifted": lifted,
-        "F": [matrix_out(m.matrix) for m in D.F],
-        "V": [matrix_out(m.matrix) for m in D.V],
-        "pr_flags": [[sub_out(S) for S in flag] for flag in flags],
+        "F": [m.matrix.rows for m in D.F],
+        "V": [m.matrix.rows for m in D.V],
+        "pr_flags": [[S.rows for S in flag] for flag in flags],
     }
 
 

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import io
 import json
@@ -5,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -155,11 +157,15 @@ def test_survey_deterministic(capsys):
     assert out.splitlines()[0] == "pattern,count"
 
 
-def test_validate_reports_bad_datum(capsys, tmp_path):
-    doc = ser.datum_to_dict(named_instance("ram-ss"))
+def _broken_lift_line():
+    doc = json.loads(ser.dumps(named_instance("ram-ss")))
     doc["V"][0][0][0] = doc["V"][0][0][1]  # unit upper-left breaks F.V = p
+    return json.dumps(doc)
+
+
+def test_validate_reports_bad_datum(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc) + "\n")
+    path.write_text(_broken_lift_line() + "\n")
     code, out, _ = run_cli(capsys, "validate", "--in", str(path))
     assert code == 1
     rep = json.loads(out)
@@ -297,3 +303,47 @@ def test_malformed_documents_exit_2_without_traceback(run_module_cli, tmp_path):
             assert proc.stdout == ""
             assert proc.stderr.startswith("error: ")
             assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("invariants",),
+                                  ("invariants", "--format", "csv"), ("dualize",)],
+                         ids=["verify", "invariants-json", "invariants-csv", "dualize"])
+def test_reading_commands_keep_at_most_one_earlier_datum(capsys, monkeypatch, tmp_path, argv):
+    corpus = _seeded_corpus(capsys, tmp_path)
+    built = []
+    load = ser.datum_from_dict
+
+    def counted(d, params=None):
+        # a datum and its dual form a cycle, so only a collection frees them
+        gc.collect()
+        assert sum(ref() is not None for ref in built) <= 1, len(built)
+        D = load(d, params)
+        built.append(weakref.ref(D))
+        return D
+
+    monkeypatch.setattr(ser, "datum_from_dict", counted)
+    code, out, _ = run_cli(capsys, *argv, "--in", str(corpus))
+    assert code == 0 and out
+    assert len(built) == 4
+
+
+def test_an_over_cap_document_exits_2_before_any_datum_is_built(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "docs.json"
+    path.write_text(ser.dumps(named_instance("ss")) + "\n"
+                    + ser.dumps(named_instance("ram-split")) + "\n")
+    calls = []
+    monkeypatch.setattr(ser, "datum_from_dict", lambda *a, **k: calls.append(a))
+    monkeypatch.setenv("HASSE_FORGE_LIMIT", "3")
+    for command in ("verify", "validate", "invariants", "dualize"):
+        code, out, err = run_cli(capsys, command, "--in", str(path))
+        assert code == 2 and out == "", command
+        assert err.startswith("error: ") and "work cap" in err and err.count("\n") == 1
+    assert calls == []
+
+
+def test_an_invalid_later_datum_exits_1_with_nothing_written(capsys, tmp_path):
+    path = tmp_path / "docs.json"
+    path.write_text(ser.dumps(named_instance("ss")) + "\n" + _broken_lift_line() + "\n")
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: F V != p at index 0\n"

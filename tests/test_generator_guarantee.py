@@ -98,7 +98,8 @@ def test_a_placed_lift_with_a_corrupted_F_fails_validate():
     L = random_lifted(par, random.Random(6))
     F = [m.matrix for m in L.F]
     F[0] = _swap_columns(F[0])
-    bad = LiftedDatum._of(par, F, [m.matrix for m in L.V], L.reduce().pr_flags,
-                          [L.reduce().hodge(i) for i in range(par.f)])
+    V = [m.matrix for m in L.V]
+    Fr, Vr = ([M.map(par.W.reduce, par.R) for M in mats] for mats in (F, V))
+    bad = LiftedDatum._of(par, F, V, DieudonneDatum._of(par, Fr, Vr, L.reduce().pr_flags))
     with pytest.raises(InvalidLift, match="F V != p at index 0"):
         bad.validate()
