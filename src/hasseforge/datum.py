@@ -16,7 +16,10 @@ kernel/image axioms by the exact identities F V = V F = p.
 
 Duality transposes the matrices, swaps F and V with a one-step
 frobenius correction, and replaces every distinguished submodule by its
-annihilator under the residue form.
+annihilator under the residue form.  A datum memoizes its dual, and the
+dual refers back to it weakly, so the pair holds no reference cycle:
+both are freed by reference counting as soon as the caller drops the
+datum, with no wait for the cyclic collector.
 
 Each datum class has two constructors: the class call places and then
 validates (loads, duals, named instances; the dual's validation is the
@@ -24,6 +27,8 @@ duality statement), and _of only places, for generated data.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .errors import InvalidDatum, InvalidLift, InvalidSpec
 from .flags import extended_flag
@@ -200,11 +205,19 @@ class DieudonneDatum:
         return DieudonneDatum(self.params.dual(), *_dual_matrices(self), pr_flags=self.dual_flags())
 
     def dual(self) -> "DieudonneDatum":
-        """dualize, built once: the dual's dual is self, and the two share
-        the shared table."""
+        """dualize, built once, sharing the shared table.  The datum holds
+        its dual, and the dual holds the datum only by a weak reference:
+        a strong one both ways would make a cycle that only the cyclic
+        collector frees.  So the dual's dual is self while self lives;
+        a dual that outlives its datum builds its own dual once."""
+        back = self._cache.get("dual_of")
+        D = back() if back is not None else None
+        if D is not None:
+            return D
+
         def build():
             dd = self.dualize()
-            dd._cache["dualized"] = self
+            dd._cache["dual_of"] = weakref.ref(self)
             dd._cache["shared"] = self.memo("shared", dict)
             return dd
         return self.memo("dualized", build)

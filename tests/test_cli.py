@@ -1,4 +1,3 @@
-import gc
 import importlib
 import io
 import json
@@ -314,8 +313,6 @@ def test_reading_commands_keep_at_most_one_earlier_datum(capsys, monkeypatch, tm
     load = ser.datum_from_dict
 
     def counted(d, params=None):
-        # a datum and its dual form a cycle, so only a collection frees them
-        gc.collect()
         assert sum(ref() is not None for ref in built) <= 1, len(built)
         D = load(d, params)
         built.append(weakref.ref(D))
