@@ -103,10 +103,6 @@ def _random_data(args, params):
         yield random_datum(params, rng, lifted=(args.kind == "lifted"))
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _csv_line(row) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(["" if x is None else x for x in row])
@@ -153,7 +149,7 @@ def cmd_validate(args) -> int:
             raise
         except HasseForgeError as exc:
             rows.append({"doc": idx, "ok": False, "error": str(exc)})
-    return _emit(args.out, map(_dump_json, rows), not all(r["ok"] for r in rows))
+    return _emit(args.out, map(serialize.encode, rows), not all(r["ok"] for r in rows))
 
 
 def cmd_invariants(args) -> int:
@@ -162,7 +158,7 @@ def cmd_invariants(args) -> int:
         lines += (_csv_line((idx, s.name, s.i, s.j, s.scalar, int(s.vanished)))
                   for idx, D in _data(args.infile) for s in all_sections(D))
     else:
-        lines = [_dump_json({"doc": idx, "sections": [vars(s) for s in all_sections(D)],
+        lines = [serialize.encode({"doc": idx, "sections": [vars(s) for s in all_sections(D)],
                              "pattern": vanishing_pattern(D)})
                  for idx, D in _data(args.infile)]
     return _emit(args.out, lines)
@@ -197,18 +193,18 @@ def _verify_row(idx, D, strict) -> dict:
 
 def cmd_verify(args) -> int:
     rows = [_verify_row(idx, D, args.strict) for idx, D in _data(args.infile)]
-    return _emit(args.out, map(_dump_json, rows), not all(r["ok"] for r in rows))
+    return _emit(args.out, map(serialize.encode, rows), not all(r["ok"] for r in rows))
 
 
 def cmd_survey(args) -> int:
     _check_count(args.count)
     params = _parse_params(args.params)
-    tally = Counter(_dump_json(vanishing_pattern(D)) for D in _random_data(args, params))
+    tally = Counter(serialize.encode(vanishing_pattern(D)) for D in _random_data(args, params))
     items = sorted(tally.items())
     if args.format == "csv":
         lines = [_csv_line(row) for row in [("pattern", "count")] + items]
     else:
-        lines = [_dump_json({
+        lines = [serialize.encode({
             "params": params.describe(),
             "kind": args.kind,
             "seed": args.seed,

@@ -21,6 +21,11 @@ dual refers back to it weakly, so the pair holds no reference cycle:
 both are freed by reference counting as soon as the caller drops the
 datum, with no wait for the cyclic collector.
 
+Both kinds share one private base class: it places F and V, checks that
+each matrix is h1 x h1 (raising the kind's own error), dualizes and
+compares.  reduce() is the mod-p datum every invariant reads and that
+carries the flags: a lift's reduction, or a mod-p datum itself.
+
 Each datum class has two constructors: the class call places and then
 validates (loads, duals, named instances; the dual's validation is the
 duality statement), and _of only places, for generated data.
@@ -32,7 +37,7 @@ import weakref
 
 from .errors import InvalidDatum, InvalidLift, InvalidSpec
 from .flags import extended_flag
-from .kspace import annihilator, kdim_rsub
+from .kspace import annihilator
 from .linalg import Matrix, SemilinearMap, Submodule
 from .rings import FiniteField, RingTower
 
@@ -86,20 +91,56 @@ def _trivial_flags(params, hodges):
     return [[zero, hodges[i]] for i in range(params.f)]
 
 
-def _dual_matrices(D):
-    """F and V matrices of the dual datum (see the module docstring)."""
-    f = D.params.f
-    return ([D.V[i].matrix.transpose().frob(1) for i in range(f)],
-            [D.F[i].matrix.transpose().frob(-1) for i in range(f)])
-
-
-class DieudonneDatum:
-    """Mod-p datum with its flag data.  The constructor validates; _of
-    only places (see the module docstring)."""
+class _Datum:
+    """What both datum kinds share.  A subclass sets _invalid, the error
+    it raises, and implements _place, validate and reduce."""
 
     def __init__(self, params: Params, F_mats, V_mats, pr_flags=None):
         self._place(params, F_mats, V_mats, pr_flags)
         self.validate()
+
+    def _place_maps(self, params, F_mats, V_mats):
+        self.params = params
+        if len(F_mats) != params.f or len(V_mats) != params.f:
+            raise self._invalid("expected %d matrices for F and for V" % params.f)
+        self.F = tuple(SemilinearMap(m, +1) for m in F_mats)
+        self.V = tuple(SemilinearMap(m, -1) for m in V_mats)
+
+    def _check_square(self, i):
+        h1 = self.params.h1
+        for M in (self.F[i].matrix, self.V[i].matrix):
+            if M.m != h1 or M.n != h1:
+                raise self._invalid("matrix at index %d is not %d x %d" % (i, h1, h1))
+
+    def dualize(self):
+        """The dual datum, built and validated by the class call.  A lift's
+        dual reduces to its reduction's dual, so only the flags come from
+        the reduction."""
+        f = self.params.f
+        return type(self)(self.params.dual(),
+                          [self.V[i].matrix.transpose().frob(1) for i in range(f)],
+                          [self.F[i].matrix.transpose().frob(-1) for i in range(f)],
+                          pr_flags=self.reduce().dual_flags())
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.params.describe() == other.params.describe()
+            and all(self.F[i].matrix == other.F[i].matrix for i in range(self.params.f))
+            and all(self.V[i].matrix == other.V[i].matrix for i in range(self.params.f))
+            and self.reduce().pr_flags == other.reduce().pr_flags
+        )
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.params)
+
+
+class DieudonneDatum(_Datum):
+    """Mod-p datum with its flag data.  The constructor validates; _of
+    only places (see the module docstring)."""
+
+    _invalid = InvalidDatum
 
     @classmethod
     def _of(cls, params: Params, F_mats, V_mats, pr_flags, hodges=()) -> "DieudonneDatum":
@@ -112,12 +153,8 @@ class DieudonneDatum:
         return D
 
     def _place(self, params, F_mats, V_mats, pr_flags, hodges=()):
-        self.params = params
+        self._place_maps(params, F_mats, V_mats)
         f = params.f
-        if len(F_mats) != f or len(V_mats) != f:
-            raise InvalidDatum("expected %d matrices for F and for V" % f)
-        self.F = tuple(SemilinearMap(m, +1) for m in F_mats)
-        self.V = tuple(SemilinearMap(m, -1) for m in V_mats)
         self._cache = {("hodge", i): h for i, h in enumerate(hodges)}
         if pr_flags is None:
             if params.e == 1:
@@ -125,6 +162,10 @@ class DieudonneDatum:
             else:
                 raise InvalidDatum("flag data is required when e > 1")
         self.pr_flags = tuple(tuple(level for level in flag) for flag in pr_flags)
+
+    def reduce(self) -> "DieudonneDatum":
+        """A mod-p datum is its own reduction."""
+        return self
 
     def memo(self, key, build):
         """The value cached under key, built by build() on first use."""
@@ -157,9 +198,7 @@ class DieudonneDatum:
     def validate(self):
         p = self.params
         for i in range(p.f):
-            for M in (self.F[i].matrix, self.V[i].matrix):
-                if M.m != p.h1 or M.n != p.h1:
-                    raise InvalidDatum("matrix at index %d is not %d x %d" % (i, p.h1, p.h1))
+            self._check_square(i)
             # exactness by rank plus composition (see the module docstring):
             # a rank failure breaks both equalities and is reported first
             hodge, conj = self.hodge(i - 1), self.conj(i)
@@ -169,7 +208,7 @@ class DieudonneDatum:
             if any(any(self.V[i].apply_k(r)) for r in conj.krows):
                 raise InvalidDatum("ker V != im F at index %d" % i)
         for i in range(p.f):
-            if kdim_rsub(p.R, self.hodge(i)) != p.e * p.d1:
+            if len(self.hodge(i).krows) != p.e * p.d1:
                 raise InvalidDatum("hodge submodule at index %d has wrong dimension" % i)
         if len(self.pr_flags) != p.f:
             raise InvalidDatum("expected one flag per index")
@@ -185,7 +224,7 @@ class DieudonneDatum:
             for j in range(1, p.e + 1):
                 if not flag[j].contains_sub(flag[j - 1]):
                     raise InvalidDatum("flag at index %d is not nested at level %d" % (i, j))
-                if kdim_rsub(p.R, flag[j]) != j * p.d1:
+                if len(flag[j].krows) != j * p.d1:
                     raise InvalidDatum("flag at index %d has wrong dimension at level %d" % (i, j))
                 if not flag[j - 1].contains_sub(flag[j].pi_times(1)):
                     raise InvalidDatum("flag at index %d is not pi-compatible at level %d" % (i, j))
@@ -200,9 +239,6 @@ class DieudonneDatum:
             ext = extended_flag(self, i)
             flags.append([annihilator(p.R, p.h1, ext[2 * p.e - j]) for j in range(p.e + 1)])
         return flags
-
-    def dualize(self) -> "DieudonneDatum":
-        return DieudonneDatum(self.params.dual(), *_dual_matrices(self), pr_flags=self.dual_flags())
 
     def dual(self) -> "DieudonneDatum":
         """dualize, built once, sharing the shared table.  The datum holds
@@ -222,30 +258,13 @@ class DieudonneDatum:
             return dd
         return self.memo("dualized", build)
 
-    # -- misc ------------------------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, DieudonneDatum):
-            return NotImplemented
-        return (
-            self.params.describe() == other.params.describe()
-            and all(self.F[i].matrix == other.F[i].matrix for i in range(self.params.f))
-            and all(self.V[i].matrix == other.V[i].matrix for i in range(self.params.f))
-            and self.pr_flags == other.pr_flags
-        )
-
-    def __repr__(self):
-        return "DieudonneDatum(%r)" % (self.params,)
-
-
-class LiftedDatum:
+class LiftedDatum(_Datum):
     """Mod-p^2 datum over W: the same shaped chain of matrices with the
     exact relations F V = p and V F = p at every index, carrying flag
     data for its reduction."""
 
-    def __init__(self, params: Params, F_mats, V_mats, pr_flags=None):
-        self._place(params, F_mats, V_mats, pr_flags)
-        self.validate()
+    _invalid = InvalidLift
 
     @classmethod
     def _of(cls, params: Params, F_mats, V_mats, reduction) -> "LiftedDatum":
@@ -258,12 +277,7 @@ class LiftedDatum:
         return L
 
     def _place(self, params, F_mats, V_mats, pr_flags):
-        self.params = params
-        f = params.f
-        if len(F_mats) != f or len(V_mats) != f:
-            raise InvalidLift("expected %d matrices for F and for V" % f)
-        self.F = tuple(SemilinearMap(m, +1) for m in F_mats)
-        self.V = tuple(SemilinearMap(m, -1) for m in V_mats)
+        self._place_maps(params, F_mats, V_mats)
         self._pr_flags = pr_flags
         self._reduction = None
 
@@ -272,9 +286,7 @@ class LiftedDatum:
         W = p.W
         pI = Matrix.identity(W, p.h1).scale(W.from_int(p.p))
         for i in range(p.f):
-            for M in (self.F[i].matrix, self.V[i].matrix):
-                if M.m != p.h1 or M.n != p.h1:
-                    raise InvalidLift("matrix at index %d is not %d x %d" % (i, p.h1, p.h1))
+            self._check_square(i)
             FV = self.F[i].compose(self.V[i])
             if FV.twist != 0 or FV.matrix != pI:
                 raise InvalidLift("F V != p at index %d" % i)
@@ -296,22 +308,3 @@ class LiftedDatum:
             Vr = [self.V[i].matrix.map(red, p.R) for i in range(p.f)]
             self._reduction = DieudonneDatum._of(p, Fr, Vr, self._pr_flags)
         return self._reduction
-
-    def dualize(self) -> "LiftedDatum":
-        # the dual's reduction is the reduction's dual; the new datum builds
-        # and validates it, so only its flags are computed here
-        return LiftedDatum(self.params.dual(), *_dual_matrices(self),
-                           pr_flags=self.reduce().dual_flags())
-
-    def __eq__(self, other):
-        if not isinstance(other, LiftedDatum):
-            return NotImplemented
-        return (
-            self.params.describe() == other.params.describe()
-            and all(self.F[i].matrix == other.F[i].matrix for i in range(self.params.f))
-            and all(self.V[i].matrix == other.V[i].matrix for i in range(self.params.f))
-            and self.reduce().pr_flags == other.reduce().pr_flags
-        )
-
-    def __repr__(self):
-        return "LiftedDatum(%r)" % (self.params,)

@@ -59,10 +59,6 @@ class DualityVerdict:
     status: str = "ok"
 
 
-def _charp(D):
-    return D.reduce() if isinstance(D, LiftedDatum) else D
-
-
 def _kmul(K, *vals):
     acc = K.one
     for v in vals:
@@ -273,7 +269,7 @@ def section(D, name, i=None, j=None) -> LineSection:
     full Hodge space in the block-diagonal adapted basis).  name is a key
     of FAMILIES; pass i, j as that family's index ranges require.  Built
     once per datum and index, after _index has checked that index."""
-    D = _charp(D)
+    D = D.reduce()
     idx = _index(name, D.params, i, j)
     return D.memo(("section", name) + idx, lambda: _section(D, name, idx))
 
@@ -297,7 +293,7 @@ def factorization_check(D, i, j) -> bool:
     """The graded V map at level j equals the composite of the pi-step maps
     below it, the boundary map, and the twisted pi-step maps above it.
     Compared entrywise on the actual matrices in the shared bases."""
-    D = _charp(D)
+    D = D.reduce()
     p = D.params
     i, j = _index("ha_pr", p, i, j)
     i1 = (i - 1) % p.f
@@ -321,7 +317,7 @@ def factorization_check(D, i, j) -> bool:
 def product_identity_check(D) -> bool:
     """ha equals the product over embeddings of the per-embedding dets,
     and each of those equals the product of its graded dets."""
-    D = _charp(D)
+    D = D.reduce()
     p = D.params
     K = p.k
     I, J = _ranges("ha_pr", p)
@@ -344,7 +340,7 @@ def check_pi_divisibility(D, i, rng=None) -> bool:
     a k-basis, decides the identity; F, V, the division and u = sum of
     u_t pi^t act on flat vectors.  rng is accepted and ignored, for
     callers that still pass one."""
-    red = _charp(D)
+    red = D.reduce()
     p = red.params
     i %= p.f
     if not pi_divisibility(red, i):
@@ -699,7 +695,7 @@ def family_indices(name, params) -> list:
 def duality_check(D, name, i=None, j=None) -> DualityVerdict:
     """Compare an invariant on D and on its dual.  name is a key of
     FAMILIES; pass i, j as that family's index ranges require."""
-    D = _charp(D)
+    D = D.reduce()
     p = D.params
     if not 0 < p.d1 < p.h1:
         raise InvalidSpec("duality verdicts need 0 < d1 < h1")
@@ -709,14 +705,14 @@ def duality_check(D, name, i=None, j=None) -> DualityVerdict:
 
 def all_sections(D) -> list:
     """Every invariant of the datum, deterministic order."""
-    D = _charp(D)
+    D = D.reduce()
     return [section(D, name, *idx) for name in FAMILIES
             for idx in family_indices(name, D.params)]
 
 
 def all_verdicts(D) -> list:
     """Every duality verdict of the datum, deterministic order."""
-    D = _charp(D)
+    D = D.reduce()
     return [duality_check(D, name, *idx) for name in FAMILIES
             for idx in family_indices(name, D.params)]
 
@@ -724,7 +720,7 @@ def all_verdicts(D) -> list:
 def vanishing_pattern(D) -> dict:
     """Which invariants vanish, as plain nested data: per family one flag,
     a tuple over i, or a tuple over i of tuples over j."""
-    D = _charp(D)
+    D = D.reduce()
     pat = {}
     for name in FAMILIES:
         I, J = _ranges(name, D.params)

@@ -36,10 +36,6 @@ def ksub_from_rsub(R, S: Submodule) -> Submodule:
     return Submodule._of(R.k, S.n * R.e, 1, S.krows, S.kpivots)
 
 
-def kdim_rsub(R, S: Submodule) -> int:
-    return len(S.krows)
-
-
 def _reversed_blocks(e, v):
     """v with the digits of each block of e reversed: flat index m*e + s
     goes to m*e + e-1-s."""

@@ -39,7 +39,6 @@ import operator
 from . import polyutil
 from .errors import InvalidSpec, InvariantViolation, require
 
-SMALL_PRIMES = (2, 3, 5, 7)
 # a W element's flat (pi, x) coordinates, in order
 _flatten = itertools.chain.from_iterable
 # FiniteField keeps O(q) tables; a larger p^f is refused before any is built
@@ -71,12 +70,13 @@ class FiniteField:
     capacity = 1
 
     def __init__(self, p: int, f: int, modulus=None):
-        if p not in SMALL_PRIMES:
-            raise InvalidSpec("p must be one of %s, got %r" % (SMALL_PRIMES, p))
         if f < 1:
             raise InvalidSpec("f must be >= 1")
         if f >= MAX_FIELD_SIZE.bit_length() or p**f > MAX_FIELD_SIZE:
             raise InvalidSpec("field size %d^%d exceeds %d" % (p, f, MAX_FIELD_SIZE))
+        # under the cap p <= 2^16, so trial division up to 2^8 decides it
+        if p < 2 or any(p % d == 0 for d in range(2, min(p, 257))):
+            raise InvalidSpec("p must be a prime, got %r" % p)
         if modulus is None:
             modulus = polyutil.smallest_irreducible(p, f)
         modulus = [c % p for c in polyutil.trim(list(modulus))] or [0]

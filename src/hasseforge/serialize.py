@@ -141,18 +141,16 @@ def params_in(d):
 
 
 def datum_to_dict(D) -> dict:
-    lifted = isinstance(D, LiftedDatum)
     # store flags explicitly even when e = 1 forced them, so equal data
     # always serializes to equal bytes; the tuples go in as the datum holds
     # them, since json writes a tuple as an array
-    flags = D.reduce().pr_flags if lifted else D.pr_flags
     return {
         "format": FORMAT,
         "params": D.params.describe(),
-        "lifted": lifted,
+        "lifted": isinstance(D, LiftedDatum),
         "F": [m.matrix.rows for m in D.F],
         "V": [m.matrix.rows for m in D.V],
-        "pr_flags": [[S.rows for S in flag] for flag in flags],
+        "pr_flags": [[S.rows for S in flag] for flag in D.reduce().pr_flags],
     }
 
 
@@ -186,8 +184,13 @@ def datum_from_dict(d, params=None):
     return cls(par, F, V, pr_flags=flags)
 
 
+def encode(obj) -> str:
+    """obj as canonical JSON: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def dumps(D) -> str:
-    return json.dumps(datum_to_dict(D), sort_keys=True, separators=(",", ":"))
+    return encode(datum_to_dict(D))
 
 
 def parse(text: str):

@@ -13,7 +13,7 @@ import random
 from hasseforge.errors import InvariantViolation
 from hasseforge.datum import Params
 from hasseforge.generate import random_charp
-from hasseforge.kspace import QuotientPresentation, kdim_rsub, prop_dual
+from hasseforge.kspace import QuotientPresentation, prop_dual
 from hasseforge.linalg import Matrix, SemilinearMap, Submodule, vadd, vscale
 
 
@@ -166,7 +166,7 @@ def check_kernels_images(par=None):
                 got = submodule_set(S)
                 if got != brute:
                     _fail("%s mismatch for %r twist %d" % (what, M.rows, twist))
-                if len(got) != par.k.q ** kdim_rsub(R, S):
+                if len(got) != par.k.q ** len(S.krows):
                     _fail("%s size is not q^kdim" % what)
             count += 1
     return count
@@ -272,4 +272,44 @@ def run_all(quick=False) -> dict:
     out["determinants"] = check_dets(trials=10 if quick else 40)
     out["quotients"] = check_quotients(samples=2 if quick else 6)
     out["prop_dual_pairs"] = check_prop_dual_exhaustive()
+    return out
+
+
+# -- the vanishing locus by submodule arithmetic -----------------------------
+
+
+def vanishing_by_submodules(D, prev=-1, divide=True):
+    """{(name, i, j): vanished} for every section of D.reduce(), decided
+    from its flags alone.  Each invariant is the determinant of a map
+    between two spaces of one k-dimension, so it vanishes exactly when
+    that map is not onto (for ha_i, not one-to-one); with Fil = pr_flags
+    and i1 = i + prev mod f:
+
+        ha_i(i)      hodge(i) meets conj(i) = ker V_i
+        ha_pr(i, j)  V_i Fil_j(i) + Fil_(j-1)(i1) != Fil_j(i1)
+        m(i, j)      pi Fil_j(i) + Fil_(j-2)(i) != Fil_(j-1)(i)
+        hasse(i)     V_i(pi^(-(e-1)) Fil_1(i)) + Fil_(e-1)(i1) != Fil_e(i1)
+        ha           some ha_i vanishes
+
+    Only image_of, add_sub, intersect and pi_preimage are read: no
+    quotient presentation, induced map or determinant.  prev and divide
+    exist for the mutation checks: prev = 0 shifts the target embedding,
+    and divide=False drops the division by pi^(e-1) from hasse."""
+    D = D.reduce()
+    p = D.params
+    f, e, fil = p.f, p.e, D.pr_flags
+    zero = Submodule.zero(p.R, p.h1)
+    out = {}
+    for i in range(f):
+        i1 = (i + prev) % f
+        V = D.V[i]
+        out[("ha_i", i, None)] = D.hodge(i).intersect(D.conj(i)) != zero
+        for j in range(2, e + 1):
+            out[("m", i, j)] = fil[i][j].pi_times(1).add_sub(fil[i][j - 2]) != fil[i][j - 1]
+        if e >= 2:
+            src = fil[i][1].pi_preimage(e - 1) if divide else fil[i][1]
+            out[("hasse", i, None)] = V.image_of(src).add_sub(fil[i1][e - 1]) != fil[i1][e]
+        for j in range(1, e + 1):
+            out[("ha_pr", i, j)] = V.image_of(fil[i][j]).add_sub(fil[i1][j - 1]) != fil[i1][j]
+    out[("ha", None, None)] = any(out[("ha_i", i, None)] for i in range(f))
     return out

@@ -9,7 +9,7 @@ import json
 import random
 import time
 
-from hasseforge.datum import LiftedDatum, Params
+from hasseforge.datum import Params
 from hasseforge.flags import aux_flag, extended_flag
 from hasseforge.generate import named_instance, random_datum
 from hasseforge.invariants import (all_sections, all_verdicts,
@@ -17,7 +17,7 @@ from hasseforge.invariants import (all_sections, all_verdicts,
                                    factorization_check, product_identity_check,
                                    section, vanishing_pattern, _map_ha_pr,
                                    _map_hasse, _map_m, _map_v_hodge)
-from hasseforge.kspace import kdim_rsub, prop_dual
+from hasseforge.kspace import prop_dual
 from hasseforge.linalg import Submodule
 
 from flag_dims import extended_dim
@@ -125,17 +125,17 @@ def test_04_graded_ranks_and_pi_multiplication_duality():
         d1 = rng.randrange(1, h1)
         par = Params(p, f, e, h1, d1)
         D = random_datum(par, rng, lifted=bool(t % 8 < 4))
-        D0 = D.reduce() if isinstance(D, LiftedDatum) else D
+        D0 = D.reduce()
         for i in range(f):
             ft = extended_flag(D0, i)
             for j in range(2 * e + 1):
                 want = extended_dim(par, j)
                 if j > e:
                     assert want == (j - e) * h1 + (2 * e - j) * d1
-                assert kdim_rsub(par.R, ft[j]) == want
+                assert len(ft[j].krows) == want
             aux = aux_flag(D0, i)
             for j in range(e):
-                assert kdim_rsub(par.R, aux[j]) == h1 + j * d1
+                assert len(aux[j].krows) == h1 + j * d1
             for j in range(2, e + 1):
                 v = duality_check(D, "m", i, j)
                 assert v.status == "ok" and v.equal
@@ -211,7 +211,7 @@ def test_07_enumeration_oracle_equivalence():
     rng = random.Random(707)
     for t in range(30):
         D = random_datum(par, rng, lifted=bool(t % 2))
-        D0 = D.reduce() if isinstance(D, LiftedDatum) else D
+        D0 = D.reduce()
         for phi in (D0.F[0], D0.V[0]):
             zero = tuple(R.zero for _ in range(par.h1))
             brute_ker = {v for v in vecs if phi.apply(v) == zero}

@@ -1,8 +1,10 @@
-"""A seeded generate | verify campaign at f = 4 over F_625 and F_2401,
-shapes no acceptance campaign reaches: both kinds, run through the CLI in
-this process.  Every checked identity holds on every document, the mod-p
-data include boundary-map comparisons that are not_applicable, and
-dualizing twice returns the input byte for byte."""
+"""A seeded generate | verify campaign at shapes no acceptance campaign
+reaches: f = 4 over F_625 and F_2401, and primes above 7 (p = 11, 13, 31,
+251 and 65521; residue fields of up to 65521 elements): both kinds, run
+through the CLI in this process.  Every checked identity holds on
+every document, every ok verdict is an equality, pi-divisibility holds on
+every lift, the mod-p data include boundary-map comparisons that are
+not_applicable, and dualizing twice returns the input byte for byte."""
 
 import contextlib
 import functools
@@ -15,7 +17,9 @@ import pytest
 
 from hasseforge.cli import main
 
-SHAPES = ("5,4,2,2,1", "7,4,2,3,1", "5,4,3,2,1", "7,4,1,3,2")
+F4_SHAPES = ("5,4,2,2,1", "7,4,2,3,1", "5,4,3,2,1", "7,4,1,3,2")
+PRIME_SHAPES = ("11,1,2,2,1", "13,2,2,3,1", "31,3,2,2,1", "251,2,2,2,1", "65521,1,2,2,1")
+SHAPES = F4_SHAPES + PRIME_SHAPES
 KINDS = ("lifted", "charp")
 SEED = 0
 COUNT = 3

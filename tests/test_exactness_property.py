@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hasseforge.datum import DieudonneDatum, LiftedDatum, Params
+from hasseforge.datum import DieudonneDatum, Params
 from hasseforge.errors import InvalidDatum
 from hasseforge.generate import random_datum
 from hasseforge.linalg import Matrix, SemilinearMap, Submodule
@@ -76,8 +76,7 @@ def test_exactness_by_rank_matches_kernel_comparison(shape, data):
     else:
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         D = random_datum(par, rng, lifted=data.draw(st.booleans()))
-        if isinstance(D, LiftedDatum):
-            D = D.reduce()
+        D = D.reduce()
         F_mats = [m.matrix for m in D.F]
         V_mats = [m.matrix for m in D.V]
         i, r, c = (data.draw(st.integers(0, n - 1)) for n in (f, h1, h1))

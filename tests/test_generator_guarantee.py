@@ -1,7 +1,8 @@
 """The random generators place their data without validating it (the _of
 constructors), so their guarantee lives here: every generated datum
 passes the full validate, on every shape the acceptance tests, the two
-benchmark workloads and the f = 4 campaign generate, for both kinds.
+benchmark workloads and the f = 4 and prime campaigns generate, for both
+kinds.
 The load path still validates each object exactly once, and a placed
 datum that is not valid still fails validate."""
 
@@ -22,7 +23,8 @@ def _pairs(h1s):
 
 
 # 56 acceptance shapes, the 36 verify-ramified and 12 invariants-wide
-# benchmark shapes, and the four f = 4 campaign shapes: 92 distinct in all
+# benchmark shapes, the four f = 4 and the five prime campaign shapes: 97
+# distinct in all
 ACCEPTANCE = sorted(
     # test_02, test_03: unramified, one embedding up to h1 = 6, or two and three
     {(p, 1, 1, h1, d1) for p in (2, 3) for h1, d1 in _pairs(range(2, 7))}
@@ -36,8 +38,10 @@ VERIFY_RAMIFIED = [(p, f, e, h1, d1) for p, f, e in product((2, 3, 5), (1, 2), (
                    for h1, d1 in _pairs((2, 3))]
 INVARIANTS_WIDE = [(p, f, e, 2, 1) for p, f, e in product((5, 7), (2, 3, 4), (1, 2))]
 CAMPAIGN_F4 = [(5, 4, 2, 2, 1), (7, 4, 2, 3, 1), (5, 4, 3, 2, 1), (7, 4, 1, 3, 2)]
+CAMPAIGN_PRIMES = [(11, 1, 2, 2, 1), (13, 2, 2, 3, 1), (31, 3, 2, 2, 1), (251, 2, 2, 2, 1),
+                   (65521, 1, 2, 2, 1)]
 SHAPES = sorted(set(ACCEPTANCE) | set(VERIFY_RAMIFIED) | set(INVARIANTS_WIDE)
-                | set(CAMPAIGN_F4))
+                | set(CAMPAIGN_F4) | set(CAMPAIGN_PRIMES))
 
 
 @pytest.mark.parametrize("lifted", [True, False], ids=["lifted", "charp"])
@@ -49,7 +53,7 @@ def test_generated_data_pass_full_validation(lifted):
         # a lift's validate validates its reduction too
         D.validate()
         # the hodge submodules the generator seeded are the images of V
-        D0 = D.reduce() if lifted else D
+        D0 = D.reduce()
         for i in range(par.f):
             assert D0.hodge(i) == image(D0.V[(i + 1) % par.f].matrix), (shape, i)
 

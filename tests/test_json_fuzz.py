@@ -130,3 +130,16 @@ def test_undecodable_lines_are_malformed_input(line):
         assert err.startswith("error: ") and err.count("\n") == 1
         # the limit is reported in the document's terms, not as Python's advice
         assert "set_int_max_str_digits" not in err
+
+
+# p = 65537 is prime, but p^f is over the field-size cap; p = 9 is under it
+# and composite
+@pytest.mark.parametrize("kind", list(DOCS))
+@pytest.mark.parametrize("p, message", [(65537, "field size 65537^2 exceeds 65536"),
+                                        (9, "p must be a prime, got 9")])
+def test_a_residue_field_that_cannot_exist_is_malformed_input(kind, p, message):
+    doc = copy.deepcopy(DOCS[kind])
+    doc["params"]["p"] = p
+    line = json.dumps(doc)
+    for command in ("verify", "invariants", "dualize", "validate"):
+        assert _run(command, line) == (2, "", "error: %s\n" % message)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from hasseforge.errors import InvalidSpec, InvariantViolation
-from hasseforge.kspace import annihilator, kdim_rsub, residue_form, unrestrict_vec
+from hasseforge.kspace import annihilator, residue_form, unrestrict_vec
 from hasseforge.linalg import (
     Matrix,
     SemilinearMap,
@@ -217,7 +217,7 @@ def test_membership_exhaustive():
             S = Submodule.span(R, 2, gens)
             truth = brute_span(R, 2, gens)
             assert submodule_set(S) == truth
-            assert len(truth) == R.k.q ** kdim_rsub(R, S)
+            assert len(truth) == R.k.q ** len(S.krows)
             # the Howell rows generate S and have the Howell shape
             assert brute_span(R, 2, list(S.rows)) == truth
             assert_howell_form(S)
@@ -268,7 +268,7 @@ def test_frob_scale_annihilator_exhaustive(R):
         truth = {w for w in vecs
                  if all(residue_form(R, u, restrict_vec(R, w)) == R.k.zero for u in flat)}
         assert submodule_set(ann) == truth
-        assert kdim_rsub(R, S) + kdim_rsub(R, ann) == 2 * R.e
+        assert len(S.krows) + len(ann.krows) == 2 * R.e
 
 
 def test_semilinear():

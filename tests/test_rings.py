@@ -111,7 +111,7 @@ def test_field_rejects_bad_modulus():
     with pytest.raises(InvalidSpec):
         FiniteField(3, 2, [1, 0, 2])  # not monic
     with pytest.raises(InvalidSpec):
-        FiniteField(11, 1)  # p outside the supported set
+        FiniteField(15, 1)  # p composite
 
 
 def _digits(a, p, f):
@@ -156,7 +156,7 @@ def test_field_codes_exhaustive_small_q():
 
 def test_field_codes_sampled_large_q():
     rng = random.Random(17)
-    for p, f in [(5, 4), (7, 4)]:
+    for p, f in [(5, 4), (7, 4), (11, 1), (13, 2), (31, 3), (251, 2), (257, 1), (65521, 1)]:
         k = FiniteField(p, f)
         pairs = [(rng.randrange(k.q), rng.randrange(k.q)) for _ in range(1500)]
         check_field_codes(k, pairs + [(0, 0), (1, k.q - 1), (k.q - 1, 0)])
@@ -213,9 +213,20 @@ def test_field_rejects_non_primitive_generator():
 
 def test_field_size_cap():
     assert FiniteField(7, 5).q <= MAX_FIELD_SIZE
-    for p, f in [(2, 17), (7, 6), (3, 10**9)]:
-        with pytest.raises(InvalidSpec):
+    # checked before p is tested for primality, so a huge p is never divided
+    for p, f in [(2, 17), (7, 6), (3, 10**9), (65537, 1), (10**40 + 1, 1)]:
+        with pytest.raises(InvalidSpec, match="exceeds"):
             FiniteField(p, f)
+
+
+def test_field_refuses_p_that_is_not_a_prime():
+    # 63001 = 251^2 and 64507 = 251 * 257 have the largest smallest factor
+    # a composite under the cap can have
+    for p in (-3, 0, 1, 4, 9, 15, 63001, 64507, 65535, 65536):
+        with pytest.raises(InvalidSpec, match="p must be a prime"):
+            FiniteField(p, 1)
+    with pytest.raises(InvalidSpec, match="f must be"):
+        FiniteField(9, 0)
 
 
 def test_pichain():
