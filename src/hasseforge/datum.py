@@ -174,7 +174,7 @@ class DieudonneDatum(_Datum):
         return self._cache[key]
 
     def shared(self, key, build):
-        """memo for what the ring and the submodules alone fix: pi maps,
+        """memo for what the ring and the submodules alone fix: pi-preimages,
         quotient presentations and the maps induced between them.  A datum
         and its dual share the ring tower and this table (see dual), so
         each is built once for both."""

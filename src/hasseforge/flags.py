@@ -12,36 +12,16 @@ auxiliary one only 0..e-1):
 Everything here is untwisted submodule arithmetic; the frobenius twists
 of F and V only matter once maps between quotients get coordinates.
 Results are cached on the datum since the invariant chains revisit the
-same levels many times.  pi^s acts on flat vectors as a digit shift, and
-each pi-preimage is solved once per document: the datum and its dual
-share the table that holds them.
+same levels many times.  pi^s has no map object: it acts on flat vectors
+as a digit shift (linalg.pi_shift), and each pi-preimage is solved once
+per document, the datum and its dual sharing the table that holds them.
+The kernel of pi^t is the preimage pi^(-t)(0), so the invariants read it
+from the same table.
 """
 
 from __future__ import annotations
 
 from .errors import InvariantViolation
-from .linalg import Matrix, SemilinearMap, pi_shift
-
-
-class PiPower(SemilinearMap):
-    """Multiplication by pi^s as a map to induce between quotients: on flat
-    vectors a digit shift.  Its preimages are Submodule.pi_preimage, so it
-    is never restricted."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, R, n, s):
-        super().__init__(Matrix.identity(R, n).scale(R.pi_pow(s)), 0)
-        self.s = s
-
-    def apply_k(self, kv):
-        return pi_shift(kv, self.ring.e, self.s)
-
-
-def pi_map(datum, s: int) -> SemilinearMap:
-    """Multiplication by pi^s on the datum's E_i; s = 0 gives the identity."""
-    p = datum.params
-    return datum.shared(("pi", s), lambda: PiPower(p.R, p.h1, s))
 
 
 def pi_preimage(datum, s: int, X):

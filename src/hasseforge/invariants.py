@@ -24,7 +24,7 @@ from .kspace import (QuotientPresentation, induced_from_fun,
                      induced_semilinear, ksub_from_rsub, pairing_matrix,
                      prop_dual, quotient_det, residue_form, subspace_in_qp)
 from .datum import LiftedDatum
-from .flags import aux_flag, conj_flag, extended_flag, pi_divisibility, pi_map
+from .flags import aux_flag, conj_flag, extended_flag, pi_divisibility, pi_preimage
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,11 @@ def _unit(K, c, what):
     return c
 
 
-def _torsion(R, n, t):
-    """Kernel of pi^t on R^n, which is pi^(e-t) R^n."""
-    if t <= 0:
-        return Submodule.zero(R, n)
-    return Submodule.full(R, n).pi_times(max(R.e - t, 0))
+def _torsion(D, t):
+    """Kernel of pi^t on E_i, the pi^t-preimage of 0: solved once per
+    document, and shared with the flags (auxiliary level 0 is pi^(-1)(0))."""
+    p = D.params
+    return pi_preimage(D, t, Submodule.zero(p.R, p.h1))
 
 
 def _block(K, M, r0, r1, c0, c1):
@@ -109,9 +109,12 @@ def _induced(D, phi, src, dst):
                     lambda: induced_semilinear(phi, src, dst))
 
 
-def _ident(D):
-    """The identity of E_i, inducing the natural maps between quotients."""
-    return pi_map(D, 0)
+def _pi(D, s, src, dst):
+    """The map src -> dst induced by pi^s, a digit shift on flat vectors;
+    s = 0 gives the natural map."""
+    e = D.params.e
+    return D.shared(("pi", s, src, dst),
+                    lambda: induced_from_fun(lambda v: pi_shift(v, e, s), 0, src, dst))
 
 
 def _qgr(D, i, j):
@@ -180,7 +183,7 @@ def _map_v_hodge(D, i):
                          "V does not respect the flag filtration")
         Mv = _induced(D, D.V[i], _qac(D, i), _qb(D, i1))
         _unit(K, Mv.matrix.det(), "V on the conjugate quotient")
-        nat = _induced(D, _ident(D), _qb(D, i), _qac(D, i))
+        nat = _pi(D, 0, _qb(D, i), _qac(D, i))
         require(M.matrix == Mv.matrix.mul(nat.matrix.frob(-1)),
                  "V on the Hodge submodule disagrees with its natural description")
         return M, Mv, nat
@@ -195,12 +198,12 @@ def _map_m(D, i, j):
     p = D.params
 
     def build():
-        M = _induced(D, pi_map(D, 1), _qgr(D, i, j), _qgr(D, i, j - 1))
+        M = _pi(D, 1, _qgr(D, i, j), _qgr(D, i, j - 1))
         aux = aux_flag(D, i)
         qgrp = _qp(D, aux[j - 1], aux[j - 2])
-        piiso = _induced(D, pi_map(D, 1), qgrp, _qgr(D, i, j - 1))
+        piiso = _pi(D, 1, qgrp, _qgr(D, i, j - 1))
         _unit(p.k, piiso.matrix.det(), "pi-iso between divided and plain grades")
-        nat = _induced(D, _ident(D), _qgr(D, i, j), qgrp)
+        nat = _pi(D, 0, _qgr(D, i, j), qgrp)
         require(M.matrix == piiso.matrix.mul(nat.matrix),
                  "graded pi map disagrees with its boundary description")
         return M, piiso, nat
@@ -245,12 +248,12 @@ def _map_hasse(D, i):
             return M, None
         ft = conj_flag(D, i)
         qw = _qp(D, Submodule.full(R, p.h1), ft[2 * p.e - 1])
-        qt1 = _qp(D, _torsion(R, p.h1, 1), ft[1])
+        qt1 = _qp(D, _torsion(D, 1), ft[1])
         Mq = _induced(D, D.V[i], qw, dst)
         _unit(p.k, Mq.matrix.det(), "V on the conjugate-tail quotient")
-        Mp = _induced(D, pi_map(D, p.e - 1), qw, qt1)
+        Mp = _pi(D, p.e - 1, qw, qt1)
         _unit(p.k, Mp.matrix.det(), "pi^(e-1) on the conjugate-tail quotient")
-        Mn = _induced(D, _ident(D), src, qt1)
+        Mn = _pi(D, 0, src, qt1)
         lhs = Mp.matrix.mul(Mq.matrix.inverse().frob(1)).mul(M.matrix.frob(1))
         require(lhs == Mn.matrix,
                  "boundary map disagrees with its natural description")
@@ -347,12 +350,12 @@ def check_pi_divisibility(D, i, rng=None) -> bool:
         return False
     if not isinstance(D, LiftedDatum):
         return True
-    R, k, e = p.R, p.k, p.e
+    k, e = p.k, p.e
     i1 = (i - 1) % p.f
     ubar = p.W.reduce(p.tower.unit_u)
     F, V = red.F[i], red.V[i]
     for j in range(1, e + 1):
-        S = F.preimage(_torsion(R, p.h1, e - j))
+        S = F.preimage(_torsion(red, e - j))
         den = red.hodge(i1).pi_times(e - j)
         for x in S.krows:
             lhs = V.apply_k(pi_divide(F.apply_k(x), e, j))
@@ -444,7 +447,7 @@ def _unit_ha_i(D, i):
     # factor the co-Hodge F-map through the conjugate submodule
     Mfb = _induced(D, D.F[i], _qab(D, i1), _qc(D, i))
     u_fb = _unit(K, Mfb.matrix.det(), "F onto the conjugate submodule")
-    MnatC = _induced(D, _ident(D), _qc(D, i), _qab(D, i))
+    MnatC = _pi(D, 0, _qc(D, i), _qab(D, i))
     require(Mf.matrix == MnatC.matrix.mul(Mfb.matrix),
              "co-Hodge F-map does not factor through the conjugate submodule")
 
@@ -468,7 +471,7 @@ def _unit_m(D, i, j):
     upper grades to divided-flag quotients, and the complementary pair
     inside the level-(j-1) divided quotient."""
     p = D.params
-    K, R = p.k, p.R
+    K = p.k
     e = p.e
     _, piiso, nat = _map_m(D, i, j)
 
@@ -476,7 +479,7 @@ def _unit_m(D, i, j):
     Dd = D.dual()
     qup_hi = _qgr(D, i, 2 * e + 2 - j)
     qup_lo = _qgr(D, i, 2 * e + 1 - j)
-    Mhigh = _induced(D, pi_map(D, 1), qup_hi, qup_lo)
+    Mhigh = _pi(D, 1, qup_hi, qup_lo)
     dP1, dP2 = _pairing_adjunction(
         p, _map_m(Dd, i, j)[0], Mhigh, (_qgr(Dd, i, j), qup_lo), (_qgr(Dd, i, j - 1), qup_hi),
         0, "graded", "pairing adjunction for the graded pi map failed")
@@ -486,11 +489,11 @@ def _unit_m(D, i, j):
     ext = extended_flag(D, i)
     qcq = _qp(D, aux[j - 2], ext[j - 1])
     qabq = _qp(D, aux[j - 1], ext[j])
-    Ma1 = _induced(D, pi_map(D, e - j + 1), qup_hi, qcq)
+    Ma1 = _pi(D, e - j + 1, qup_hi, qcq)
     u_a1 = _unit(K, Ma1.matrix.det(), "upper-grade pi-power iso")
-    Ma2 = _induced(D, pi_map(D, e - j), qup_lo, qabq)
+    Ma2 = _pi(D, e - j, qup_lo, qabq)
     u_a2 = _unit(K, Ma2.matrix.det(), "upper-grade pi-power iso")
-    MnatCAB = _induced(D, _ident(D), qcq, qabq)
+    MnatCAB = _pi(D, 0, qcq, qabq)
     require(Ma2.matrix.mul(Mhigh.matrix) == MnatCAB.matrix.mul(Ma1.matrix),
              "pi-power isos do not intertwine the upper pi map with inclusion")
 
@@ -518,8 +521,8 @@ def _unit_hasse(D, i):
 
     ft = conj_flag(D, i)
     ext_i = extended_flag(D, i)
-    qt1 = _qp(D, _torsion(R, p.h1, 1), ft[1])
-    qt2 = _qp(D, _torsion(R, p.h1, 1), ext_i[1])
+    qt1 = _qp(D, _torsion(D, 1), ft[1])
+    qt2 = _qp(D, _torsion(D, 1), ext_i[1])
     qw1 = _qp(D, ft[1], Submodule.zero(R, p.h1))
     qe21 = _qp(D, Submodule.full(R, p.h1), ext_i[2 * e - 1])
     qup = _qgr(D, i1, e + 1)
@@ -537,9 +540,9 @@ def _unit_hasse(D, i):
     Mg = induced_from_fun(gfun, +1, qup, qe21, den_images=())
     Mu1 = _induced(D, D.F[i], qup, qw1)
     u_1 = _unit(K, Mu1.matrix.det(), "F onto the first conjugate level")
-    Mu2 = _induced(D, pi_map(D, e - 1), qe21, qt2)
+    Mu2 = _pi(D, e - 1, qe21, qt2)
     u_2 = _unit(K, Mu2.matrix.det(), "pi^(e-1) on the co-top quotient")
-    Mnx = _induced(D, _ident(D), qw1, qt2)
+    Mnx = _pi(D, 0, qw1, qt2)
     require(Mnx.matrix.mul(Mu1.matrix) == Mu2.matrix.mul(Mg.matrix),
              "divided F-map disagrees with its natural description")
 
@@ -550,7 +553,7 @@ def _unit_hasse(D, i):
         -1, "boundary", "pairing adjunction for the boundary map failed")
 
     # complementary pair (top level, first conjugate level) in the pi-torsion
-    qA = _qp(D, _torsion(R, p.h1, 1), Submodule.zero(R, p.h1))
+    qA = _qp(D, _torsion(D, 1), Submodule.zero(R, p.h1))
     pair = _complementary_pair(
         K, qA, subspace_in_qp(qA, ext_i[1]), subspace_in_qp(qA, ft[1]),
         (_qgr(D, i, 1), qt1, Mn), (qw1, qt2, Mnx), ("boundary", "dual boundary"))

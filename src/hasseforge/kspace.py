@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 
 from .errors import InvariantViolation, NotComplementary, NotNested, WellDefinednessViolation
-from .linalg import Matrix, SemilinearMap, Submodule, restrict_vec, unit_vec, unrestrict_vec
+from .linalg import Matrix, SemilinearMap, Submodule, restrict_vec, unrestrict_vec
 
 
 def ksub_from_rsub(R, S: Submodule) -> Submodule:
@@ -179,17 +179,21 @@ def prop_dual(k, r: int, B: Submodule, C: Submodule):
 
         x = iso * y,   iso = (-1)^(s(r-s)) * det[C|Q_C] * det[B|Q_B]^{-1}
 
-    where s = dim B and Q_* are the standard lift columns.  iso is always
-    a unit; x and y vanish together (exactly when B and C overlap)."""
+    where s = dim B and Q_* are the standard lift columns.  iso is +-1:
+    an RREF row is 1 at its pivot and 0 at the other pivots, so column
+    operations with the unit columns at the free positions turn [B|Q_B]
+    into the permutation matrix of (pivots, then free columns), whose
+    determinant is (-1)^sum(p_i - i) over B's pivots p_0 < p_1 < ...
+    So iso = (-1)^(s(r-s) + sum over B and C of (p_i - i)), and no
+    determinant besides x and y is taken.  x and y vanish together
+    (exactly when B and C overlap)."""
     s, t = len(B.krows), len(C.krows)
     if s + t != r:
         raise NotComplementary("dim B + dim C = %d + %d != %d" % (s, t, r))
     x = quotient_det(k, B, C.krows)
     y = quotient_det(k, C, B.krows)
-    dB = Matrix.from_cols(k, list(B.krows) + [unit_vec(k, r, j) for j in B.free()], m=r).det()
-    dC = Matrix.from_cols(k, list(C.krows) + [unit_vec(k, r, j) for j in C.free()], m=r).det()
-    sign = k.from_int((-1) ** (s * (r - s)))
-    iso = k.mul(sign, k.mul(dC, k.inv(dB)))
+    shifts = sum(p - i for S in (B, C) for i, p in enumerate(S.kpivots))
+    iso = k.from_int((-1) ** (s * t + shifts))
     if x != k.mul(iso, y):
         raise InvariantViolation("complementary-pair determinant identity failed")
     return x, y, iso

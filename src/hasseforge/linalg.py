@@ -56,10 +56,6 @@ def vfrob(ring, v, j=1):
     return tuple(ring.frob(x, j) for x in v)
 
 
-def unit_vec(ring, n, i):
-    return tuple(ring.one if t == i else ring.zero for t in range(n))
-
-
 class Matrix:
     """Immutable matrix over a chain ring; rows of equal length.
 

@@ -14,7 +14,7 @@ from hasseforge.errors import InvariantViolation
 from hasseforge.datum import Params
 from hasseforge.generate import random_charp
 from hasseforge.kspace import QuotientPresentation, prop_dual
-from hasseforge.linalg import Matrix, SemilinearMap, Submodule, vadd, vscale
+from hasseforge.linalg import Matrix, SemilinearMap, Submodule, vadd
 
 
 def _fail(msg):
@@ -249,7 +249,7 @@ def all_subspaces(K, r):
 
 
 def check_prop_dual_exhaustive(K=None, r=4):
-    """Every ordered complementary pair of subspaces of k^4."""
+    """Every ordered complementary pair of subspaces of K^r (default F_2^4)."""
     K = K or tiny_params().k
     subs = all_subspaces(K, r)
     count = 0

@@ -5,7 +5,6 @@ Every comparison is exact ring arithmetic; there are no tolerances anywhere.
 The stated budgets are wall-clock ceilings enforced with asserts.
 """
 
-import json
 import random
 import time
 
@@ -15,8 +14,8 @@ from hasseforge.generate import named_instance, random_datum
 from hasseforge.invariants import (all_sections, all_verdicts,
                                    check_pi_divisibility, duality_check,
                                    factorization_check, product_identity_check,
-                                   section, vanishing_pattern, _map_ha_pr,
-                                   _map_hasse, _map_m, _map_v_hodge)
+                                   section, _map_ha_pr, _map_hasse, _map_m,
+                                   _map_v_hodge)
 from hasseforge.kspace import prop_dual
 from hasseforge.linalg import Submodule
 

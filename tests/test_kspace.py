@@ -16,7 +16,6 @@ from hasseforge.kspace import (
     QuotientPresentation,
     induced_from_fun,
     induced_semilinear,
-    ksub_from_rsub,
     pairing_matrix,
     prop_dual,
     residue_form,

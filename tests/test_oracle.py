@@ -8,6 +8,7 @@ import pytest
 from hasseforge.datum import Params
 from hasseforge.errors import InvariantViolation
 from hasseforge.linalg import Matrix, Submodule
+from hasseforge.rings import FiniteField
 
 from oracle import (all_subspaces, check_dets, check_kernels_images,
                     check_prop_dual_exhaustive, check_quotients,
@@ -61,6 +62,12 @@ def test_subspace_count_of_tiny_vector_space():
 
 def test_prop_dual_exhaustive_pair_count():
     assert check_prop_dual_exhaustive() == 1677
+
+
+def test_prop_dual_exhaustive_over_gf3():
+    # over F_2, -1 = 1 hides the sign of iso; over F_3 it is -1 on 120 of
+    # the 1 + 13 + 13 + 1 subspaces' 340 complementary pairs
+    assert check_prop_dual_exhaustive(FiniteField(3, 1), 3) == 340
 
 
 def test_run_all_quick():

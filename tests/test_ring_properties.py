@@ -1,5 +1,5 @@
 """Property tests of the ring axioms on every layer of the tower (k, R,
-W2, W), with Hypothesis.  Examples are derandomized and no example
+W2, W), with Hypothesis, at small primes and at p = 65521.  Examples are derandomized and no example
 database is kept, so every run draws the same elements."""
 
 import pytest
@@ -10,6 +10,9 @@ from hasseforge.rings import FiniteField, RingTower
 
 T322 = RingTower(FiniteField(3, 2), 2)
 T213 = RingTower(FiniteField(2, 1), 3)
+# the largest prime with p^f <= 2^16: W2's modulus p^2 = 4,293,001,441 is
+# above 2^31, and a product of two residues before reduction is above 2^63
+T65521 = RingTower(FiniteField(65521, 1), 2)
 
 
 def _k_codes(k):
@@ -26,6 +29,10 @@ LAYERS = {
     "W2(3,2)": (T322.W2, _w2_elements(T322.W2)),
     "W(3,2,2)": (T322.W, st.tuples(*[_w2_elements(T322.W2)] * T322.e)),
     "W(2,1,3)": (T213.W, st.tuples(*[_w2_elements(T213.W2)] * T213.e)),
+    "k(65521,1)": (T65521.k, _k_codes(T65521.k)),
+    "R(65521,1,2)": (T65521.R, st.tuples(*[_k_codes(T65521.k)] * T65521.e)),
+    "W2(65521,1)": (T65521.W2, _w2_elements(T65521.W2)),
+    "W(65521,1,2)": (T65521.W, st.tuples(*[_w2_elements(T65521.W2)] * T65521.e)),
 }
 
 
