@@ -42,12 +42,22 @@ from .linalg import Matrix, SemilinearMap, Submodule
 from .rings import FiniteField, RingTower
 
 
+def check_heights(h1, d1):
+    """Refuse a height or hodge rank out of range.  It reads only the two
+    integers, so every caller checks them before any ring is built."""
+    if h1 < 1:
+        raise InvalidSpec("h1 must be positive")
+    if not 0 <= d1 <= h1:
+        raise InvalidSpec("need 0 <= d1 <= h1")
+
+
 class Params:
     """Shape of a datum: prime, field degree, ramification degree, height
     per embedding, hodge rank per embedding, plus the ring tower built
     from the chosen (or default) moduli."""
 
     def __init__(self, p, f, e, h1, d1, field_modulus=None, eisenstein=None):
+        check_heights(h1, d1)
         self._place(RingTower(FiniteField(p, f, field_modulus), e, eisenstein), h1, d1)
 
     @classmethod
@@ -55,15 +65,12 @@ class Params:
         """Params of height h1 and hodge rank d1 on an existing tower.
         Submodules and matrices compare by ring object, so data meant to
         meet (a datum and its dual, loads of one description) share one."""
+        check_heights(h1, d1)
         par = object.__new__(cls)
         par._place(tower, h1, d1)
         return par
 
     def _place(self, tower, h1, d1):
-        if h1 < 1:
-            raise InvalidSpec("h1 must be positive")
-        if not 0 <= d1 <= h1:
-            raise InvalidSpec("need 0 <= d1 <= h1")
         self.p, self.f, self.e, self.h1, self.d1 = tower.p, tower.f, tower.e, h1, d1
         self.tower = tower
         self.k = tower.k
@@ -83,12 +90,6 @@ class Params:
 
     def __repr__(self):
         return "Params(p=%d, f=%d, e=%d, h1=%d, d1=%d)" % (self.p, self.f, self.e, self.h1, self.d1)
-
-
-def _trivial_flags(params, hodges):
-    # e = 1 leaves no room: the flag is forced to (0, hodge) everywhere
-    zero = Submodule.zero(params.R, params.h1)
-    return [[zero, hodges[i]] for i in range(params.f)]
 
 
 class _Datum:
@@ -147,7 +148,7 @@ class DieudonneDatum(_Datum):
         """A datum placed without validate: one valid by construction, or
         a lift's reduction, which the lift's validate checks.  hodges[i],
         if given, must equal hodge(i), the image of V[i+1]; it seeds the
-        memo, so the e = 1 flags need no elimination."""
+        memo, so hodge(i) needs no elimination."""
         D = object.__new__(cls)
         D._place(params, F_mats, V_mats, pr_flags, hodges)
         return D
@@ -158,7 +159,9 @@ class DieudonneDatum(_Datum):
         self._cache = {("hodge", i): h for i, h in enumerate(hodges)}
         if pr_flags is None:
             if params.e == 1:
-                pr_flags = _trivial_flags(params, [self.hodge(i) for i in range(f)])
+                # e = 1 leaves no room: the flag is forced to (0, hodge) everywhere
+                zero = Submodule.zero(params.R, params.h1)
+                pr_flags = [[zero, self.hodge(i)] for i in range(f)]
             else:
                 raise InvalidDatum("flag data is required when e > 1")
         self.pr_flags = tuple(tuple(level for level in flag) for flag in pr_flags)

@@ -15,8 +15,7 @@ and a lift's matrices are reduced once, for its hodges and its reduction.
 """
 
 from .errors import InvalidSpec, RetryExhausted
-from .linalg import Matrix, Submodule, image, random_invertible, vadd, vscale
-from .kspace import ksub_from_rsub
+from .linalg import Matrix, Submodule, _insert, image, random_invertible, random_matrix
 from .datum import DieudonneDatum, LiftedDatum, Params
 
 _BETWEEN_TRIES = 200
@@ -42,19 +41,20 @@ def _random_between(R, low, high, kdim, rng):
     k = R.k
     if not (len(low.krows) <= kdim <= len(high.krows)):
         return None
-    X = ksub_from_rsub(R, low)
+    rows, pivs = list(low.krows), list(low.kpivots)
     budget = _BETWEEN_TRIES
-    while len(X.krows) < kdim:
-        v = tuple(k.zero for _ in range(X.n))
+    while len(rows) < kdim:
+        # a random k-combination of high's echelon rows, one draw per row
+        v = [0] * (low.n * low.e)
         for row in high.krows:
-            v = vadd(k, v, vscale(k, k.random_element(rng), row))
-        X2 = X.add_sub(Submodule.span(k, X.n, [v]))
-        if len(X2.krows) > len(X.krows):
-            X = X2
+            c = k.random_element(rng)
+            if c:
+                v = k.sub_mul(v, k.neg(c), row)
+        _insert(k, rows, pivs, v)
         budget -= 1
         if budget < 0:
             return None
-    return Submodule._of(R, low.n, R.e, X.krows, X.kpivots)
+    return low._with(rows, pivs)
 
 
 def sample_flag(R, omega, d1, rng):
@@ -80,10 +80,8 @@ def sample_flag(R, omega, d1, rng):
 
 
 def _random_flags(params, hodges, rng):
-    """One sampled flag per embedding up to hodges[i]; None at e = 1,
-    where the datum places the forced flags."""
-    if params.e == 1:
-        return None
+    """One sampled flag per embedding up to hodges[i]; at e = 1 that is
+    the forced (0, hodges[i]), with no draw."""
     return [sample_flag(params.R, h, params.d1, rng) for h in hodges]
 
 
@@ -119,17 +117,11 @@ def _stabilizing_twist(R, exps, rng):
     entry (m, l) needs valuation at least exps[m] - exps[l]."""
     n = len(exps)
     for _ in range(_TWIST_TRIES):
-        rows = []
-        for m in range(n):
-            row = []
-            for l in range(n):
-                x = R.random_element(rng)
-                gap = max(0, exps[m] - exps[l])
-                if gap:
-                    x = R.mul(R.pi_pow(gap), x)
-                row.append(x)
-            rows.append(row)
-        M = Matrix(R, rows)
+        A = random_matrix(R, n, n, rng)
+        M = Matrix._of(R, tuple(
+            tuple(R.mul(R.pi_pow(exps[m] - exps[l]), x) if exps[m] > exps[l] else x
+                  for l, x in enumerate(row))
+            for m, row in enumerate(A.rows)), n)
         if M.is_invertible():
             return M
     raise RetryExhausted("no invertible stabilizing twist in %d tries" % _TWIST_TRIES)
@@ -180,7 +172,7 @@ def _ss(p=3):
 
 
 def _ram_split(p=3):
-    par = Params(p, 1, 2, 2, 1, eisenstein=[(-p) % p**2, 0, 1])
+    par = Params(p, 1, 2, 2, 1)
     W = par.W
     pi2 = W.mul(W.uniformizer, W.uniformizer)
     F = Matrix(W, [[W.one, W.zero], [W.zero, pi2]])
@@ -193,7 +185,7 @@ def _ram_split(p=3):
 
 
 def _ram_ss(p=3):
-    par = Params(p, 1, 2, 2, 1, eisenstein=[(-p) % p**2, 0, 1])
+    par = Params(p, 1, 2, 2, 1)
     W = par.W
     M = Matrix(W, [[W.zero, W.one], [W.from_int(p), W.zero]])
     R = par.R
@@ -204,7 +196,7 @@ def _ram_ss(p=3):
 
 
 def _ram_pi(p=3):
-    par = Params(p, 1, 2, 2, 1, eisenstein=[(-p) % p**2, 0, 1])
+    par = Params(p, 1, 2, 2, 1)
     W = par.W
     M = Matrix(W, [[W.uniformizer, W.zero], [W.zero, W.uniformizer]])
     R = par.R

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidSpec, require
-from .linalg import Matrix, Submodule, pi_divide, pi_shift, vsub
+from .linalg import Matrix, Submodule, pi_divide, pi_shift
 from .kspace import (QuotientPresentation, induced_from_fun,
                      induced_semilinear, ksub_from_rsub, pairing_matrix,
                      prop_dual, quotient_det, residue_form, subspace_in_qp)
@@ -163,9 +163,9 @@ def _map_v_hodge(D, i):
     """V restricted to the Hodge submodule, in the flag-adapted bases.
     Verifies block-triangularity and that the diagonal blocks are exactly
     the graded maps, which pins det == prod of graded dets, and checks the
-    natural description: M is V on the conjugate quotient (a unit, Mv)
-    after the natural map nat from the Hodge submodule to that quotient.
-    Returns (M, Mv, nat)."""
+    natural description: M is V on the conjugate quotient (Mv, of unit det
+    u_v) after the natural map nat from the Hodge submodule to that
+    quotient.  Returns (M, u_v, nat)."""
     p = D.params
     K = p.k
     i1 = (i - 1) % p.f
@@ -182,11 +182,11 @@ def _map_v_hodge(D, i):
                 require(low == Matrix.zeros(K, d, d),
                          "V does not respect the flag filtration")
         Mv = _induced(D, D.V[i], _qac(D, i), _qb(D, i1))
-        _unit(K, Mv.matrix.det(), "V on the conjugate quotient")
+        u_v = _unit(K, Mv.matrix.det(), "V on the conjugate quotient")
         nat = _pi(D, 0, _qb(D, i), _qac(D, i))
         require(M.matrix == Mv.matrix.mul(nat.matrix.frob(-1)),
                  "V on the Hodge submodule disagrees with its natural description")
-        return M, Mv, nat
+        return M, u_v, nat
 
     return D.memo(("map", "v_hodge", i), build)
 
@@ -223,9 +223,10 @@ def _map_hasse(D, i):
     """The boundary map: divide by pi^(e-1) inside the pi-torsion, apply V,
     project to the top graded piece at the previous embedding.  Returns
     (M, nat): nat is None when the conjugate-flag gate fails, and otherwise
-    the maps (Mq, Mp, Mn) of the natural description that was checked --
-    V on the conjugate-tail quotient, pi^(e-1) from it into the pi-torsion
-    mod conjugate level 1, and the natural map from graded piece 1 there."""
+    (u_v, u_p, Mn) from the natural description that was checked -- the
+    unit dets of V on the conjugate-tail quotient and of pi^(e-1) from it
+    into the pi-torsion mod conjugate level 1, and the natural map from
+    graded piece 1 there."""
     p = D.params
     R = p.R
     i1 = (i - 1) % p.f
@@ -250,14 +251,14 @@ def _map_hasse(D, i):
         qw = _qp(D, Submodule.full(R, p.h1), ft[2 * p.e - 1])
         qt1 = _qp(D, _torsion(D, 1), ft[1])
         Mq = _induced(D, D.V[i], qw, dst)
-        _unit(p.k, Mq.matrix.det(), "V on the conjugate-tail quotient")
+        u_v = _unit(p.k, Mq.matrix.det(), "V on the conjugate-tail quotient")
         Mp = _pi(D, p.e - 1, qw, qt1)
-        _unit(p.k, Mp.matrix.det(), "pi^(e-1) on the conjugate-tail quotient")
+        u_p = _unit(p.k, Mp.matrix.det(), "pi^(e-1) on the conjugate-tail quotient")
         Mn = _pi(D, 0, src, qt1)
         lhs = Mp.matrix.mul(Mq.matrix.inverse().frob(1)).mul(M.matrix.frob(1))
         require(lhs == Mn.matrix,
                  "boundary map disagrees with its natural description")
-        return M, (Mq, Mp, Mn)
+        return M, (u_v, u_p, Mn)
 
     return D.memo(("map", "hasse", i), build)
 
@@ -358,12 +359,12 @@ def check_pi_divisibility(D, i, rng=None) -> bool:
         S = F.preimage(_torsion(red, e - j))
         den = red.hodge(i1).pi_times(e - j)
         for x in S.krows:
-            lhs = V.apply_k(pi_divide(F.apply_k(x), e, j))
-            ux = [0] * len(x)
+            # V(F(x) / pi^j) - pi^(e-j) u x, one c_t pi^(t+e-j) x at a time
+            y = V.apply_k(pi_divide(F.apply_k(x), e, j))
             for t, c in enumerate(ubar):
                 if c:
-                    ux = k.sub_mul(ux, k.neg(c), pi_shift(x, e, t))
-            if not den.contains_k(vsub(k, lhs, pi_shift(ux, e, e - j))):
+                    y = k.sub_mul(y, c, pi_shift(x, e, t + e - j))
+            if not den.contains_k(y):
                 return False
     return True
 
@@ -452,8 +453,7 @@ def _unit_ha_i(D, i):
              "co-Hodge F-map does not factor through the conjugate submodule")
 
     # V-identification unit from the primal natural description
-    _, Mv, nat = _map_v_hodge(D, i)
-    u_v = Mv.matrix.det()
+    _, u_v, nat = _map_v_hodge(D, i)
 
     # complementary pair (Hodge, conjugate) in the ambient restricted space
     qA = _qp(D, Submodule.full(R, p.h1), Submodule.zero(R, p.h1))
@@ -528,9 +528,7 @@ def _unit_hasse(D, i):
     qup = _qgr(D, i1, e + 1)
 
     # primal-side units from the natural description of the boundary map
-    Mq, Mp, Mn = nat
-    u_v = Mq.matrix.det()
-    u_p = Mp.matrix.det()
+    u_v, u_p, Mn = nat
 
     # the dual boundary map corresponds to: F, exact division by pi^(e-1),
     # projection to the co-top quotient

@@ -35,6 +35,7 @@ return submodules in untwisted coordinates:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 
 from .errors import InvalidSpec, InvariantViolation, RetryExhausted
 from .rings import PiChain
@@ -230,15 +231,10 @@ def _row_op(ring):
     return lambda u, c, v: [x if y == zero else sub(x, mul(c, y)) for x, y in zip(u, v)]
 
 
-class Smith:
-    """M = U D W with D = diag(pi^vals), valuations ascending, U and W
-    invertible.  Keeps only the unit det = det U * det W, so a square M
-    has det M = det * pi^(sum vals)."""
-
-    __slots__ = ("vals", "det")
-
-    def __init__(self, vals, det):
-        self.vals, self.det = vals, det
+# M = U D W with D = diag(pi^vals), valuations ascending, U and W
+# invertible.  Keeps only the unit det = det U * det W, so a square M
+# has det M = det * pi^(sum vals).
+Smith = namedtuple("Smith", "vals det")
 
 
 def smith(M: Matrix) -> Smith:

@@ -49,23 +49,18 @@ def mul(a: list[int], b: list[int], m: int) -> list[int]:
     return trim(out)
 
 
-def divmod_monic(a: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Divide by monic g. Works over any Z/m since no leading-coeff inversion is needed."""
+def mod_monic(a: list[int], g: list[int], m: int) -> list[int]:
+    """Remainder of a on division by monic g.  Works over any Z/m, since no
+    leading coefficient is inverted."""
     require(g and g[-1] == 1, "divisor is not monic")
     r = list(a)
     dg = len(g) - 1
-    q = [0] * max(0, len(r) - dg)
     for i in range(len(r) - 1, dg - 1, -1):
         c = r[i] % m
         if c:
-            q[i - dg] = c
             for j in range(dg + 1):
                 r[i - dg + j] = (r[i - dg + j] - c * g[j]) % m
-    return trim(q), trim(r)
-
-
-def mod_monic(a: list[int], g: list[int], m: int) -> list[int]:
-    return divmod_monic(a, g, m)[1]
+    return trim(r)
 
 
 def powmod(a: list[int], n: int, g: list[int], m: int) -> list[int]:
@@ -86,8 +81,7 @@ def gcd_fp(a: list[int], b: list[int], p: int) -> list[int]:
         lead = b[-1]
         if lead != 1:
             b = scal(pow(lead, -1, p), b, p)
-        _, r = divmod_monic(a, b, p)
-        a, b = b, r
+        a, b = b, mod_monic(a, b, p)
     if a and a[-1] != 1:
         a = scal(pow(a[-1], -1, p), a, p)
     return a

@@ -434,10 +434,7 @@ class WittLength2:
         if not self.is_unit(a):
             raise ZeroDivisionError("non-unit in %r" % self)
         # one newton step from the lifted k-inverse is exact: (a z0 - 1)^2 in (p^2) = 0
-        z0 = self.lift(self.k.inv(self.reduce(a)))
-        z = self.mul(z0, self.sub(self.from_int(2), self.mul(a, z0)))
-        require(self.mul(a, z) == self.one, "newton step did not invert a unit of W2")
-        return z
+        return _newton_inv(self, a, self.lift(self.k.inv(self.reduce(a))))
 
     def _eval_poly(self, coeffs, at):
         at = self._pad(polyutil.mod_monic(list(at), self.ghat, self.m))

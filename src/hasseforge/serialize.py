@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import InvalidSpec
-from .datum import DieudonneDatum, LiftedDatum, Params
+from .datum import DieudonneDatum, LiftedDatum, Params, check_heights
 from .linalg import Matrix, Submodule
 from .rings import FiniteField, RingTower
 
@@ -32,38 +32,28 @@ def _list(x, what, length=None):
     return x
 
 
-def _bad_code(x, bound, what):
-    raise InvalidSpec("%s must be an integer in [0, %d), got %.40r" % (what, bound, x))
+def _codes(x, what, n, bound, code):
+    """x as a tuple, once it is checked to be a list of n integers in
+    [0, bound); what names the list and code one entry in the messages.
+    type() rather than isinstance() keeps JSON true/false from passing as
+    1/0."""
+    for c in _list(x, what, n):
+        if type(c) is not int or not 0 <= c < bound:
+            raise InvalidSpec("%s must be an integer in [0, %d), got %.40r" % (code, bound, c))
+    return tuple(x)
 
 
 def _elt_reader(params, lifted):
     """Reader for one document ring element over params.R, or over params.W
     when lifted: checks type, shape and range in one pass over the element
-    and returns its tuple form.  type() rather than isinstance() keeps JSON
-    true/false from passing as 1/0."""
+    and returns its tuple form, a W element being e lists of W2 codes."""
     e, f = params.e, params.f
     if lifted:
         m = params.W2.m
-
-        def read_w2(c):
-            for x in _list(c, "a W2 element", f):
-                if type(x) is not int or not 0 <= x < m:
-                    _bad_code(x, m, "a W2 coefficient")
-            return tuple(c)
-
-        def read(x):
-            return tuple([read_w2(c) for c in _list(x, "a W element", e)])
-
-        return read
+        return lambda x: tuple([_codes(c, "a W2 element", f, m, "a W2 coefficient")
+                                for c in _list(x, "a W element", e)])
     q = params.k.q
-
-    def read(x):
-        for c in _list(x, "an R element", e):
-            if type(c) is not int or not 0 <= c < q:
-                _bad_code(c, q, "a k code")
-        return tuple(x)
-
-    return read
+    return lambda x: _codes(x, "an R element", e, q, "a k code")
 
 
 def matrix_in(ring, data, n, read):
@@ -95,6 +85,7 @@ def _shape_in(d):
         if type(v) is not int:
             raise InvalidSpec("params %s must be an integer, got %.40r" % (key, v))
         shape.append(v)
+    check_heights(*shape[3:])
     return shape
 
 
@@ -105,8 +96,9 @@ def _document(d):
 
 
 def doc_shape(d) -> tuple:
-    """The checked integers (p, f, e, h1, d1) of a document, read without
-    building its ring tower, so that a caller can refuse a shape first."""
+    """The checked integers (p, f, e, h1, d1) of a document, h1 and d1 in
+    range, read without building its ring tower, so that a caller can
+    refuse a shape first."""
     return tuple(_shape_in(_key(_document(d), "params")))
 
 

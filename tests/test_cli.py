@@ -242,6 +242,29 @@ def test_size_cap(capsys, monkeypatch, tmp_path):
     assert code == 2 and "integer" in err
 
 
+def _no_field(*args, **kwargs):
+    raise AssertionError("a field was built for a shape with h1 < 1")
+
+
+def test_heights_are_checked_before_any_ring(capsys, monkeypatch, tmp_path):
+    # f*e*h1 = 0 passes the work cap, so only the h1 check, made on the
+    # integers, keeps an e = 100000 tower from being built
+    d = json.loads(ser.dumps(named_instance("ram-split")))
+    d["params"].update(e=100000, h1=0)
+    doc = tmp_path / "doc.json"
+    doc.write_text(ser.encode(d) + "\n")
+    monkeypatch.setattr(ser, "interned_field", _no_field)
+    monkeypatch.setattr(datum_module, "FiniteField", _no_field)
+    for argv in (("generate", "--params", "2,1,100000,0,0"),
+                 ("survey", "--params", "2,1,100000,0,0"),
+                 ("verify", "--in", str(doc)),
+                 ("validate", "--in", str(doc)),
+                 ("invariants", "--in", str(doc)),
+                 ("dualize", "--in", str(doc))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: h1 must be positive\n"), argv
+
+
 def test_stdin_stdout_pipe(capsys, monkeypatch):
     doc = ser.dumps(named_instance("ss"))
     monkeypatch.setattr(sys, "stdin", io.StringIO(doc + "\n"))

@@ -66,6 +66,12 @@ def test_sample_flag_properties():
             assert len(flag[j].krows) == j * par.d1
             assert flag[j].contains_sub(flag[j - 1])
             assert flag[j - 1].contains_sub(flag[j].pi_times(1))
+    # at e = 1 the flag is forced to (0, omega), and no draw is made
+    par = Params(3, 2, 1, 3, 1)
+    omega = random_charp(par, rng).hodge(0)
+    state = rng.getstate()
+    assert sample_flag(par.R, omega, par.d1, rng) == [type(omega).zero(par.R, par.h1), omega]
+    assert rng.getstate() == state
 
 
 def test_determinism():

@@ -442,7 +442,7 @@ def test_w_product_path_avoids_polynomial_code(monkeypatch):
         raise AssertionError("the W product path called the polynomial code")
 
     monkeypatch.setattr(polyutil, "mul", refuse)
-    monkeypatch.setattr(polyutil, "divmod_monic", refuse)
+    monkeypatch.setattr(polyutil, "mod_monic", refuse)
     monkeypatch.setattr(WittLength2, "mul", refuse)
     for W, elems, products, inverses, splits in cases:
         for a, b, ab in products:
