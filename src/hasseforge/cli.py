@@ -22,7 +22,7 @@ import sys
 from collections import Counter
 
 from . import serialize
-from .datum import LiftedDatum, Params
+from .datum import LiftedDatum, Params, check_heights
 from .errors import HasseForgeError, InvalidSpec
 from .generate import NAMED_INSTANCES, named_instance, random_datum
 from .invariants import (all_sections, all_verdicts, check_pi_divisibility,
@@ -61,6 +61,7 @@ def _parse_params(text: str) -> Params:
         p, f, e, h1, d1 = (int(x) for x in parts)
     except ValueError:
         raise InvalidSpec("--params wants p,f,e,h1,d1 (five integers)")
+    check_heights(h1, d1)
     _check_size(f, e, h1)
     return Params(p, f, e, h1, d1)
 
@@ -91,8 +92,10 @@ def _documents(path: str) -> list:
 
 def _data(path: str):
     """(index, datum) per document, each datum built only when the loop
-    reaches it, so no earlier datum need outlive its rows."""
-    for idx, d in enumerate(_documents(path)):
+    reaches it and its parsed document dropped then: neither outlives its rows."""
+    docs = _documents(path)
+    for idx in range(len(docs)):
+        d, docs[idx] = docs[idx], None
         yield idx, serialize.datum_from_dict(d)
 
 

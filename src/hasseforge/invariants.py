@@ -11,7 +11,10 @@ determinants of the residue pairing, and the complementary-pair identity
 (kspace.prop_dual), then re-checks scalar_G == iso * scalar_GD exactly.
 Intermediate identities are checked through errors.require along the way,
 so a failure names the step that broke rather than just the final
-comparison.
+comparison.  section checks each map against its natural description;
+inside a verdict the dual map is pinned by the pairing adjunction with a
+checked primal map, so the dual's descriptions are built only when the
+dual itself is read.
 """
 
 from collections import namedtuple
@@ -162,10 +165,7 @@ def _map_ha_pr(D, i, j):
 def _map_v_hodge(D, i):
     """V restricted to the Hodge submodule, in the flag-adapted bases.
     Verifies block-triangularity and that the diagonal blocks are exactly
-    the graded maps, which pins det == prod of graded dets, and checks the
-    natural description: M is V on the conjugate quotient (Mv, of unit det
-    u_v) after the natural map nat from the Hodge submodule to that
-    quotient.  Returns (M, u_v, nat)."""
+    the graded maps, which pins det == prod of graded dets."""
     p = D.params
     K = p.k
     i1 = (i - 1) % p.f
@@ -181,34 +181,48 @@ def _map_v_hodge(D, i):
                 low = _block(K, M.matrix, (l - 1) * d, l * d, (j - 1) * d, j * d)
                 require(low == Matrix.zeros(K, d, d),
                          "V does not respect the flag filtration")
-        Mv = _induced(D, D.V[i], _qac(D, i), _qb(D, i1))
-        u_v = _unit(K, Mv.matrix.det(), "V on the conjugate quotient")
-        nat = _pi(D, 0, _qb(D, i), _qac(D, i))
-        require(M.matrix == Mv.matrix.mul(nat.matrix.frob(-1)),
-                 "V on the Hodge submodule disagrees with its natural description")
-        return M, u_v, nat
+        return M
 
     return D.memo(("map", "v_hodge", i), build)
 
 
-def _map_m(D, i, j):
-    """Multiplication by pi from graded piece j to j-1, cross-checked
-    against the inclusion into the divided flag followed by the
-    pi-isomorphism back down."""
-    p = D.params
-
+def _nat_v_hodge(D, i):
+    """The natural description of _map_v_hodge, checked: V on the conjugate
+    quotient (Mv, of unit det u_v) after the natural map nat from the Hodge
+    submodule to that quotient.  Returns (u_v, nat)."""
     def build():
-        M = _pi(D, 1, _qgr(D, i, j), _qgr(D, i, j - 1))
+        M = _map_v_hodge(D, i)
+        Mv = _induced(D, D.V[i], _qac(D, i), _qb(D, (i - 1) % D.params.f))
+        u_v = _unit(D.params.k, Mv.matrix.det(), "V on the conjugate quotient")
+        nat = _pi(D, 0, _qb(D, i), _qac(D, i))
+        require(M.matrix == Mv.matrix.mul(nat.matrix.frob(-1)),
+                 "V on the Hodge submodule disagrees with its natural description")
+        return u_v, nat
+
+    return D.memo(("nat", "v_hodge", i), build)
+
+
+def _map_m(D, i, j):
+    """Multiplication by pi from graded piece j to j-1."""
+    return D.memo(("map", "m", i, j), lambda: _pi(D, 1, _qgr(D, i, j), _qgr(D, i, j - 1)))
+
+
+def _nat_m(D, i, j):
+    """The boundary description of _map_m, checked: the inclusion nat into
+    the divided flag followed by the pi-isomorphism piiso back down.
+    Returns (piiso, nat)."""
+    def build():
+        M = _map_m(D, i, j)
         aux = aux_flag(D, i)
         qgrp = _qp(D, aux[j - 1], aux[j - 2])
         piiso = _pi(D, 1, qgrp, _qgr(D, i, j - 1))
-        _unit(p.k, piiso.matrix.det(), "pi-iso between divided and plain grades")
+        _unit(D.params.k, piiso.matrix.det(), "pi-iso between divided and plain grades")
         nat = _pi(D, 0, _qgr(D, i, j), qgrp)
         require(M.matrix == piiso.matrix.mul(nat.matrix),
                  "graded pi map disagrees with its boundary description")
-        return M, piiso, nat
+        return piiso, nat
 
-    return D.memo(("map", "m", i, j), build)
+    return D.memo(("nat", "m", i, j), build)
 
 
 def _hasse_gate(D, i):
@@ -221,19 +235,10 @@ def _hasse_gate(D, i):
 
 def _map_hasse(D, i):
     """The boundary map: divide by pi^(e-1) inside the pi-torsion, apply V,
-    project to the top graded piece at the previous embedding.  Returns
-    (M, nat): nat is None when the conjugate-flag gate fails, and otherwise
-    (u_v, u_p, Mn) from the natural description that was checked -- the
-    unit dets of V on the conjugate-tail quotient and of pi^(e-1) from it
-    into the pi-torsion mod conjugate level 1, and the natural map from
-    graded piece 1 there."""
+    project to the top graded piece at the previous embedding."""
     p = D.params
-    R = p.R
-    i1 = (i - 1) % p.f
 
     def build():
-        src = _qgr(D, i, 1)
-        dst = _qgr(D, i1, p.e)
         V, e = D.V[i], p.e
 
         def fn(v):
@@ -243,24 +248,37 @@ def _map_hasse(D, i):
         # pi e_m at flat index m*e + 1, whose images are V's restricted
         # columns there (pi = 0 when e = 1)
         amb = V.kcols()[1::e] if e > 1 else ()
-        M = induced_from_fun(fn, -1, src, dst, den_images=amb)
+        return induced_from_fun(fn, -1, _qgr(D, i, 1), _qgr(D, (i - 1) % p.f, e),
+                                den_images=amb)
 
+    return D.memo(("map", "hasse", i), build)
+
+
+def _nat_hasse(D, i):
+    """The natural description of _map_hasse, checked; None when the gate
+    fails, else (u_v, u_p, Mn): the unit dets of V on the conjugate-tail
+    quotient and of pi^(e-1) from it into the pi-torsion mod conjugate
+    level 1, and the natural map from graded piece 1 there."""
+    p = D.params
+
+    def build():
+        M = _map_hasse(D, i)
         if not _hasse_gate(D, i):
-            return M, None
+            return None
         ft = conj_flag(D, i)
-        qw = _qp(D, Submodule.full(R, p.h1), ft[2 * p.e - 1])
+        qw = _qp(D, Submodule.full(p.R, p.h1), ft[2 * p.e - 1])
         qt1 = _qp(D, _torsion(D, 1), ft[1])
-        Mq = _induced(D, D.V[i], qw, dst)
+        Mq = _induced(D, D.V[i], qw, _qgr(D, (i - 1) % p.f, p.e))
         u_v = _unit(p.k, Mq.matrix.det(), "V on the conjugate-tail quotient")
         Mp = _pi(D, p.e - 1, qw, qt1)
         u_p = _unit(p.k, Mp.matrix.det(), "pi^(e-1) on the conjugate-tail quotient")
-        Mn = _pi(D, 0, src, qt1)
+        Mn = _pi(D, 0, _qgr(D, i, 1), qt1)
         lhs = Mp.matrix.mul(Mq.matrix.inverse().frob(1)).mul(M.matrix.frob(1))
         require(lhs == Mn.matrix,
                  "boundary map disagrees with its natural description")
-        return M, (u_v, u_p, Mn)
+        return u_v, u_p, Mn
 
-    return D.memo(("map", "hasse", i), build)
+    return D.memo(("nat", "hasse", i), build)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +305,20 @@ def _section(D, name, idx) -> LineSection:
         scalar = _kmul(p.k, *[s.scalar for s in parts])
         line = sum((s.line for s in parts), ())
     else:
+        if fam.nat is not None:
+            fam.nat(D, *idx)
         scalar = fam.map(D, *idx).matrix.det()
         line = fam.line(p, *idx)
     i, j = (idx + (None, None))[:2]
     return LineSection(name, i, j, scalar, line, scalar == p.k.zero)
+
+
+def _det(D, name, idx):
+    """The det of the family's map alone; for ha, the ha_i dets' product."""
+    fam = FAMILIES[name]
+    if fam.map is None:
+        return _kmul(D.params.k, *[_det(D, "ha_i", ix) for ix in family_indices("ha_i", D.params)])
+    return fam.map(D, *idx).matrix.det()
 
 
 def factorization_check(D, i, j) -> bool:
@@ -308,11 +336,11 @@ def factorization_check(D, i, j) -> bool:
         above, below = _m_levels_around(p, j)
         left = Matrix.identity(K, p.d1)
         for l in above:
-            left = left.mul(_map_m(D, i1, l)[0].matrix)
+            left = left.mul(_map_m(D, i1, l).matrix)
         right = Matrix.identity(K, p.d1)
         for l in below:
-            right = right.mul(_map_m(D, i, l)[0].matrix)
-        Mh = _map_hasse(D, i)[0].matrix
+            right = right.mul(_map_m(D, i, l).matrix)
+        Mh = _map_hasse(D, i).matrix
         return left.mul(Mh).mul(right.frob(-1)) == target
 
     return D.memo(("factorization", i, j), build)
@@ -442,7 +470,7 @@ def _unit_ha_i(D, i):
     # quotients
     Mf = _induced(D, D.F[i], _qab(D, i1), _qab(D, i))
     dP1, dP2 = _pairing_adjunction(
-        p, _map_v_hodge(Dd, i)[0], Mf, (_qb(Dd, i), _qab(D, i)), (_qb(Dd, i1), _qab(D, i1)),
+        p, _map_v_hodge(Dd, i), Mf, (_qb(Dd, i), _qab(D, i)), (_qb(Dd, i1), _qab(D, i1)),
         -1, "Hodge", "pairing adjunction between the dual Hodge map and F failed")
 
     # factor the co-Hodge F-map through the conjugate submodule
@@ -453,7 +481,7 @@ def _unit_ha_i(D, i):
              "co-Hodge F-map does not factor through the conjugate submodule")
 
     # V-identification unit from the primal natural description
-    _, u_v, nat = _map_v_hodge(D, i)
+    u_v, nat = _nat_v_hodge(D, i)
 
     # complementary pair (Hodge, conjugate) in the ambient restricted space
     qA = _qp(D, Submodule.full(R, p.h1), Submodule.zero(R, p.h1))
@@ -473,7 +501,7 @@ def _unit_m(D, i, j):
     p = D.params
     K = p.k
     e = p.e
-    _, piiso, nat = _map_m(D, i, j)
+    piiso, nat = _nat_m(D, i, j)
 
     # pi is self-adjoint for the residue pairing
     Dd = D.dual()
@@ -481,7 +509,7 @@ def _unit_m(D, i, j):
     qup_lo = _qgr(D, i, 2 * e + 1 - j)
     Mhigh = _pi(D, 1, qup_hi, qup_lo)
     dP1, dP2 = _pairing_adjunction(
-        p, _map_m(Dd, i, j)[0], Mhigh, (_qgr(Dd, i, j), qup_lo), (_qgr(Dd, i, j - 1), qup_hi),
+        p, _map_m(Dd, i, j), Mhigh, (_qgr(Dd, i, j), qup_lo), (_qgr(Dd, i, j - 1), qup_hi),
         0, "graded", "pairing adjunction for the graded pi map failed")
 
     # pi^(e-j+1), pi^(e-j) carry the upper grades onto divided-flag quotients
@@ -515,7 +543,7 @@ def _unit_hasse(D, i):
     K, R = p.k, p.R
     e = p.e
     i1 = (i - 1) % p.f
-    nat = _map_hasse(D, i)[1]
+    nat = _nat_hasse(D, i)
     if nat is None:
         return None, False
 
@@ -547,7 +575,7 @@ def _unit_hasse(D, i):
     # residue-pairing adjunction against the dual boundary map
     Dd = D.dual()
     dP1, dP2 = _pairing_adjunction(
-        p, _map_hasse(Dd, i)[0], Mg, (_qgr(Dd, i, 1), qe21), (_qgr(Dd, i1, e), qup),
+        p, _map_hasse(Dd, i), Mg, (_qgr(Dd, i, 1), qe21), (_qgr(Dd, i1, e), qup),
         -1, "boundary", "pairing adjunction for the boundary map failed")
 
     # complementary pair (top level, first conjugate level) in the pi-torsion
@@ -585,21 +613,24 @@ def _unit_ha_pr(D, i, j):
 
 
 def _verdict(D, name, idx) -> DualityVerdict:
-    """The one path from a family's unit to its verdict."""
+    """The one path from a family's unit to its verdict.  A unit that
+    applies has pinned the dual map to a checked primal one (adjunction or
+    factorization), so only its det is read; else the dual's section."""
     sG = section(D, name, *idx).scalar
-    sGD = section(D.dual(), name, *idx).scalar
     unit, held = FAMILIES[name].unit(D, *idx)
     i, j = (idx + (None, None))[:2]
     if unit is None:
+        sGD = section(D.dual(), name, *idx).scalar
         return DualityVerdict(name, i, j, sG, sGD, None, False, status="not_applicable")
+    sGD = _det(D.dual(), name, idx)
     return DualityVerdict(name, i, j, sG, sGD, unit,
                           held and sG == D.params.k.mul(unit, sGD))
 
 
 # ---------------------------------------------------------------------------
 # the invariant registry, in report order.  A family's section is the det of
-# its map, written in the line its line word names; ha has neither, being
-# the product of the ha_i, embeddings ascending.
+# its map, checked by nat when set, in the line its line word names; ha has
+# neither, being the product of the ha_i, embeddings ascending.
 #   ha_i   V restricted to the Hodge submodule at embedding i, in the
 #          flag-adapted basis
 #   m      multiplication by pi from graded piece j to j-1
@@ -630,14 +661,14 @@ def _line_ha_pr(p, i, j):
     return ((_g_label((i - 1) % p.f, j), p.p, 1), (_g_label(i, j), -1, 0))
 
 
-_Family = namedtuple("_Family", "map line unit embedded j_from min_e")
+_Family = namedtuple("_Family", "map nat line unit embedded j_from min_e")
 
 FAMILIES = {
-    "ha": _Family(None, None, _unit_ha, False, None, 1),
-    "ha_i": _Family(lambda D, i: _map_v_hodge(D, i)[0], _line_ha_i, _unit_ha_i, True, None, 1),
-    "m": _Family(lambda D, i, j: _map_m(D, i, j)[0], _line_m, _unit_m, True, 2, 1),
-    "hasse": _Family(lambda D, i: _map_hasse(D, i)[0], _line_hasse, _unit_hasse, True, None, 2),
-    "ha_pr": _Family(_map_ha_pr, _line_ha_pr, _unit_ha_pr, True, 1, 1),
+    "ha": _Family(None, None, None, _unit_ha, False, None, 1),
+    "ha_i": _Family(_map_v_hodge, _nat_v_hodge, _line_ha_i, _unit_ha_i, True, None, 1),
+    "m": _Family(_map_m, _nat_m, _line_m, _unit_m, True, 2, 1),
+    "hasse": _Family(_map_hasse, _nat_hasse, _line_hasse, _unit_hasse, True, None, 2),
+    "ha_pr": _Family(_map_ha_pr, None, _line_ha_pr, _unit_ha_pr, True, 1, 1),
 }
 
 

@@ -15,7 +15,7 @@ from hasseforge.invariants import (all_sections, all_verdicts,
                                    check_pi_divisibility, duality_check,
                                    factorization_check, product_identity_check,
                                    section, _map_ha_pr, _map_hasse, _map_m,
-                                   _map_v_hodge)
+                                   _map_v_hodge, _nat_m)
 from hasseforge.kspace import prop_dual
 from hasseforge.linalg import Submodule
 
@@ -138,8 +138,8 @@ def test_04_graded_ranks_and_pi_multiplication_duality():
             for j in range(2, e + 1):
                 v = duality_check(D, "m", i, j)
                 assert v.status == "ok" and v.equal
-                M, piiso, nat = _map_m(D0, i, j)
-                assert M.matrix == piiso.matrix.mul(nat.matrix)
+                piiso, nat = _nat_m(D0, i, j)
+                assert _map_m(D0, i, j).matrix == piiso.matrix.mul(nat.matrix)
     elapsed = time.monotonic() - t0
     print("PASS: 500 instances, ranks + duality + two constructions, "
           "%.1fs" % elapsed)
@@ -220,9 +220,9 @@ def test_07_enumeration_oracle_equivalence():
             hodge = submodule_set(D0.hodge(0))
             brute_pre = {v for v in vecs if phi.apply(v) in hodge}
             assert submodule_set(phi.preimage(D0.hodge(0))) == brute_pre
-        assert section(D0, "ha_i", 0).scalar == perm_det(_map_v_hodge(D0, 0)[0].matrix)
-        assert section(D0, "m", 0, 2).scalar == perm_det(_map_m(D0, 0, 2)[0].matrix)
-        assert section(D0, "hasse", 0).scalar == perm_det(_map_hasse(D0, 0)[0].matrix)
+        assert section(D0, "ha_i", 0).scalar == perm_det(_map_v_hodge(D0, 0).matrix)
+        assert section(D0, "m", 0, 2).scalar == perm_det(_map_m(D0, 0, 2).matrix)
+        assert section(D0, "hasse", 0).scalar == perm_det(_map_hasse(D0, 0).matrix)
         for j in (1, 2):
             assert (section(D0, "ha_pr", 0, j).scalar
                     == perm_det(_map_ha_pr(D0, 0, j).matrix))

@@ -257,6 +257,10 @@ def test_heights_are_checked_before_any_ring(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(datum_module, "FiniteField", _no_field)
     for argv in (("generate", "--params", "2,1,100000,0,0"),
                  ("survey", "--params", "2,1,100000,0,0"),
+                 # f*e*h1 = 100 is over the cap, but the heights are read first,
+                 # as they are in a document
+                 ("generate", "--params", "2,1,-100,-1,0"),
+                 ("survey", "--params", "2,1,-100,-1,0"),
                  ("verify", "--in", str(doc)),
                  ("validate", "--in", str(doc)),
                  ("invariants", "--in", str(doc)),

@@ -11,8 +11,8 @@ from hasseforge.generate import named_instance, random_charp, random_lifted
 from hasseforge.invariants import (DualityVerdict, LineSection, all_sections,
                                    all_verdicts, check_pi_divisibility,
                                    duality_check, factorization_check,
-                                   product_identity_check, section,
-                                   vanishing_pattern)
+                                   family_indices, product_identity_check,
+                                   section, vanishing_pattern)
 from hasseforge.linalg import Matrix, SemilinearMap, Submodule
 
 
@@ -269,7 +269,7 @@ def test_maps_are_applied_on_flat_vectors_only(monkeypatch):
 
 
 def test_verdicts_build_each_presentation_and_map_once(monkeypatch):
-    """all_verdicts, the dual datum's sections and verdicts included, builds
+    """all_verdicts, the dual datum's maps and verdicts included, builds
     no quotient presentation twice for one (num, den) and no induced map
     twice for one (matrix, twist, src, dst)."""
     built = collections.Counter()
@@ -291,6 +291,50 @@ def test_verdicts_build_each_presentation_and_map_once(monkeypatch):
         all_verdicts(D)
         assert built
         assert [key[0] for key, count in built.items() if count > 1] == []
+
+
+# the memo name of each family's natural description
+NAT_KEYS = {"ha_i": "v_hodge", "m": "m", "hasse": "hasse"}
+
+
+def _nat_entries(D):
+    return {key for key in D._cache if isinstance(key, tuple) and key[0] == "nat"}
+
+
+def _nat_key(name, idx):
+    return ("nat", NAT_KEYS[name]) + tuple(idx)
+
+
+def _every_nat_key(p):
+    return {_nat_key(name, idx) for name in NAT_KEYS for idx in family_indices(name, p)}
+
+
+def test_verdicts_build_no_dual_natural_description():
+    """A verdict whose unit applies reads the dual scalar off the bare dual
+    map, which the unit's adjunction or factorization check has pinned, so
+    after all_verdicts the primal memo holds every natural description and
+    the dual memo only those behind not_applicable rows.  Reading the dual
+    itself builds and checks them all, and agrees with every verdict."""
+    rng = random.Random(2024)
+    data = [gate_fail_witness()]
+    for shape in [(2, 1, 2, 2, 1), (3, 2, 2, 2, 1), (5, 1, 3, 3, 2), (2, 2, 3, 3, 1),
+                  (3, 1, 3, 2, 1)]:
+        data += [random_lifted(Params(*shape), rng), random_charp(Params(*shape), rng)]
+    behind_any = 0
+    for D in data:
+        red = D.reduce()
+        verdicts = all_verdicts(D)
+        assert _nat_entries(red) == _every_nat_key(red.params)
+        behind = {_nat_key(v.name, [x for x in (v.i, v.j) if x is not None]) for v in verdicts
+                  if v.status == "not_applicable" and v.name in NAT_KEYS}
+        behind_any += len(behind)
+        Dd = red.dual()
+        assert _nat_entries(Dd) == behind
+        for v in verdicts:
+            assert section(Dd, v.name, v.i, v.j).scalar == v.scalar_GD, v
+        all_sections(Dd)
+        assert _nat_entries(Dd) == _every_nat_key(Dd.params)
+    assert behind_any
 
 
 def test_gate_fail_witness_has_no_divisible_flag():

@@ -3,7 +3,8 @@
 A datum memoizes its dual and the dual refers back to it weakly, so a
 finished document leaves no reference cycle behind.  These tests run with
 the cyclic collector switched off and check, by weak references, that each
-datum (and each lift's reduction) is gone as soon as its last user drops it.
+datum (and each lift's reduction) is gone as soon as its last user drops it,
+and that the CLI drops each parsed document once its datum is built.
 """
 
 import gc
@@ -68,6 +69,35 @@ def test_cli_frees_every_datum_without_a_collection(no_gc, capsys, monkeypatch, 
     assert len(refs) > n_docs
     alive = [ref() for ref in refs if ref() is not None]
     assert not alive, "%d of %d data still alive" % (len(alive), len(refs))
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("invariants",), ("dualize",)])
+def test_cli_drops_each_document_once_the_next_datum_is_built(no_gc, capsys, monkeypatch,
+                                                              tmp_path, argv):
+    path, n_docs = _corpus(tmp_path)
+    docs, stale = [], []
+    parse, load = ser.parse, ser.datum_from_dict
+
+    class Doc(dict):
+        """A parsed document that a weak reference can watch."""
+
+    def watched_parse(text):
+        d = Doc(parse(text))
+        docs.append(weakref.ref(d))
+        return d
+
+    def watched_load(d, params=None):
+        D = load(d, params)
+        # this is datum k: every document before k must be gone
+        k = next(n for n, ref in enumerate(docs) if ref() is d)
+        stale.extend(n for n, ref in enumerate(docs[:k]) if ref() is not None)
+        return D
+
+    monkeypatch.setattr(ser, "parse", watched_parse)
+    monkeypatch.setattr(ser, "datum_from_dict", watched_load)
+    code = main([*argv, "--in", str(path)])
+    assert code == 0 and capsys.readouterr().out
+    assert len(docs) == n_docs and stale == []
 
 
 def _checks(D):
