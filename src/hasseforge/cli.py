@@ -76,27 +76,27 @@ def _read_text(path: str) -> str:
         raise InvalidSpec("cannot read %s: %s" % (path, exc))
 
 
-def _documents(path: str) -> list:
-    """Every document of the input, parsed and shape-checked against the
-    work cap before any datum is built: a malformed line or an over-cap
-    shape anywhere exits 2 with nothing built."""
-    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
-    if not lines:
+def _documents(path: str):
+    """(index, document) per document of the input.  Every line is parsed
+    and shape-checked against the work cap before the first pair, so a
+    malformed line or an over-cap shape anywhere exits 2 with nothing
+    built; each document then leaves the list as it is handed out, so it
+    outlives only the work done on it."""
+    docs = [serialize.parse(ln) for ln in _read_text(path).splitlines() if ln.strip()]
+    if not docs:
         raise InvalidSpec("no documents in input")
-    docs = [serialize.parse(ln) for ln in lines]
     for d in docs:
         _, f, e, h1, _ = serialize.doc_shape(d)
         _check_size(f, e, h1)
-    return docs
+    for idx in range(len(docs)):
+        d, docs[idx] = docs[idx], None
+        yield idx, d
 
 
 def _data(path: str):
     """(index, datum) per document, each datum built only when the loop
-    reaches it and its parsed document dropped then: neither outlives its rows."""
-    docs = _documents(path)
-    for idx in range(len(docs)):
-        d, docs[idx] = docs[idx], None
-        yield idx, serialize.datum_from_dict(d)
+    reaches it."""
+    return ((idx, serialize.datum_from_dict(d)) for idx, d in _documents(path))
 
 
 def _random_data(args, params):
@@ -144,7 +144,7 @@ def cmd_generate(args) -> int:
 
 def cmd_validate(args) -> int:
     rows = []
-    for idx, d in enumerate(_documents(args.infile)):
+    for idx, d in _documents(args.infile):
         try:
             serialize.datum_from_dict(d)
             rows.append({"doc": idx, "ok": True, "error": None})

@@ -45,12 +45,8 @@ def _random_between(R, low, high, kdim, rng):
     budget = _BETWEEN_TRIES
     while len(rows) < kdim:
         # a random k-combination of high's echelon rows, one draw per row
-        v = [0] * (low.n * low.e)
-        for row in high.krows:
-            c = k.random_element(rng)
-            if c:
-                v = k.sub_mul(v, k.neg(c), row)
-        _insert(k, rows, pivs, v)
+        coeffs = [k.random_element(rng) for _ in high.krows]
+        _insert(k, rows, pivs, k.combine(coeffs, high.krows, low.n * low.e))
         budget -= 1
         if budget < 0:
             return None
@@ -79,12 +75,6 @@ def sample_flag(R, omega, d1, rng):
     raise RetryExhausted("could not sample a flag in %d attempts" % _FLAG_ATTEMPTS)
 
 
-def _random_flags(params, hodges, rng):
-    """One sampled flag per embedding up to hodges[i]; at e = 1 that is
-    the forced (0, hodges[i]), with no draw."""
-    return [sample_flag(params.R, h, params.d1, rng) for h in hodges]
-
-
 def _times_diag(A, diag):
     """A diag(diag): column l of A scaled by diag[l], one ring.mul per
     entry.  Each entry of the full product is a one-term dot, which equals
@@ -108,8 +98,8 @@ def random_lifted(params, rng) -> LiftedDatum:
         V_mats.append(_times_diag(B.inverse(), Dc).mul(A.inverse()).frob(-1))
     Fr, Vr = ([M.map(W.reduce, R) for M in mats] for mats in (F_mats, V_mats))
     hodges = [image(Vr[(i + 1) % p.f]) for i in range(p.f)]
-    reduction = DieudonneDatum._of(p, Fr, Vr, _random_flags(p, hodges, rng), hodges)
-    return LiftedDatum._of(p, F_mats, V_mats, reduction)
+    flags = [sample_flag(R, h, p.d1, rng) for h in hodges]
+    return LiftedDatum._of(p, F_mats, V_mats, DieudonneDatum._of(p, Fr, Vr, flags, hodges))
 
 
 def _stabilizing_twist(R, exps, rng):
@@ -145,7 +135,8 @@ def random_charp(params, rng) -> DieudonneDatum:
         V_mats.append(_times_diag(UH, D).mul(UC.inverse().frob(-1)))
         F_mats.append(_times_diag(UC, Dp).mul(M).mul(UH.inverse().frob(1)))
     hodges = [image(V_mats[(i + 1) % p.f]) for i in range(p.f)]
-    return DieudonneDatum._of(p, F_mats, V_mats, _random_flags(p, hodges, rng), hodges)
+    flags = [sample_flag(R, h, p.d1, rng) for h in hodges]
+    return DieudonneDatum._of(p, F_mats, V_mats, flags, hodges)
 
 
 def random_datum(params, rng, lifted=True):

@@ -21,10 +21,11 @@ least pi-power.
 
 Semilinear maps x -> A sigma^a(x) carry their twist explicitly.  Each one
 restricts once, on first use, to its k-matrix on flat vectors (column
-m*e + s is the digit shift by s of restricted column m): apply_k, kernel,
-preimage and image_of all read that one cached restriction, so no flat
-vector goes back to R-coordinates.  The kernel/image/preimage conventions
-return submodules in untwisted coordinates:
+m*e + s is the digit shift by s of restricted column m): apply_k (one
+FiniteField.combine of those columns), kernel, preimage and image_of all
+read that one cached restriction, so no flat vector goes back to
+R-coordinates.  The kernel/image/preimage conventions return
+submodules in untwisted coordinates:
 
     ker (A, a)      = sigma^{-a}(ker A)
     im  (A, a)      = column span of A
@@ -507,10 +508,8 @@ class Submodule:
         e = self.e
         if s == 0:
             return self
-        rows, pivs = [], []
-        for r in self.krows if s < e else ():
-            _insert(self.ring.k, rows, pivs, pi_shift(r, e, s))
-        return self._with(rows, pivs)
+        shifts = [pi_shift(r, e, s) for r in self.krows] if s < e else ()
+        return Submodule.kspan(self.ring, self.n, shifts)
 
     def pi_preimage(self, s):
         """pi^(-s) S = {x : pi^s x in S}: one solve over the digit shifts
@@ -552,13 +551,7 @@ def _solve(T, images, basis=None):
     C = Submodule.solutions(k, len(red), list(zip(*[[r[t] for t in free] for r in red])))
     if basis is None:
         return C.krows, C.kpivots
-    xs = []
-    for c in C.krows:
-        x = [0] * len(basis[0][0])
-        for ci, row in zip(c, basis[0]):
-            if ci:
-                x = k.sub_mul(x, k.neg(ci), row)
-        xs.append(x)
+    xs = [k.combine(c, basis[0], len(basis[0][0])) for c in C.krows]
     return xs, [basis[1][i] for i in C.kpivots]
 
 
@@ -606,11 +599,7 @@ class SemilinearMap:
         k = self.ring.k
         if self.twist % k.f:
             kv = [k.frob(x, self.twist) for x in kv]
-        out = [0] * (self.matrix.m * _digits(self.ring))
-        for x, col in zip(kv, self.kcols()):
-            if x:
-                out = k.sub_mul(out, k.neg(x), col)
-        return out
+        return k.combine(kv, self.kcols(), self.matrix.m * _digits(self.ring))
 
     def compose(self, other: "SemilinearMap") -> "SemilinearMap":
         """self after other."""

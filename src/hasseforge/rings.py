@@ -196,6 +196,15 @@ class FiniteField:
                 else exp[log[x] + zech[(lc + log[y] - log[x]) % n]]
                 for x, y in zip(u, v)]
 
+    def combine(self, coeffs, rows, n) -> list:
+        """The list sum c_t rows_t of n codes: one sub_mul per nonzero
+        c_t, so n zeros when every c_t is zero or there are no rows."""
+        out = [0] * n
+        for c, row in zip(coeffs, rows):
+            if c:
+                out = self.sub_mul(out, self._neg[c], row)
+        return out
+
     def dot(self, u, v) -> int:
         """sum u_t v_t: one integer sum mod p when f = 1, else each
         product on logs and the sum by Zech steps."""

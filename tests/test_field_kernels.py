@@ -1,7 +1,8 @@
 """Property tests of the residue-field kernels, with Hypothesis: the
 elimination determinant and inverse over k, Matrix products through
-ring.dot on every layer, and the flat residue form.  Examples are
-derandomized and no example database is kept, so every run draws the
+ring.dot on every layer, the flat residue form, and the row kernels
+FiniteField.combine and sub_mul against entrywise add and mul.  Examples
+are derandomized and no example database is kept, so every run draws the
 same matrices."""
 
 import itertools
@@ -135,3 +136,33 @@ def test_pairing_matrix_stays_on_flat_vectors(monkeypatch):
     monkeypatch.setattr("hasseforge.kspace.unrestrict_vec", refuse)
     P = pairing_matrix(lambda u, w: residue_form(R, u, w), left, right)
     assert (P.m, P.n) == (left.dim, right.dim) and P.det()
+
+
+KERNEL_FIELDS = dict(FIELDS, F_65521=FiniteField(65521, 1))
+
+
+def _entrywise_sum(k, terms):
+    acc = k.zero
+    for t in terms:
+        acc = k.add(acc, t)
+    return acc
+
+
+@pytest.mark.parametrize("field", list(KERNEL_FIELDS))
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_kernels_match_entrywise_add_and_mul(field, data):
+    k = KERNEL_FIELDS[field]
+    # zero codes drawn often, not one time in q
+    code = st.one_of(st.just(0), st.integers(0, k.q - 1))
+    n, m = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
+    rows = [[data.draw(code) for _ in range(n)] for _ in range(m)]
+    coeffs = [data.draw(code) for _ in range(m)]
+    assert k.combine(coeffs, rows, n) == [
+        _entrywise_sum(k, [k.mul(c, r[t]) for c, r in zip(coeffs, rows)]) for t in range(n)]
+    assert k.combine([0] * m, rows, n) == [0] * n
+    assert k.combine([], [], n) == [0] * n
+    assert k.combine(coeffs, [[]] * m, 0) == []
+    u, v = ([data.draw(code) for _ in range(n)] for _ in range(2))
+    c = data.draw(st.integers(1, k.q - 1))
+    assert k.sub_mul(u, c, v) == [k.sub(x, k.mul(c, y)) for x, y in zip(u, v)]

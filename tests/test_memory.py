@@ -71,7 +71,7 @@ def test_cli_frees_every_datum_without_a_collection(no_gc, capsys, monkeypatch, 
     assert not alive, "%d of %d data still alive" % (len(alive), len(refs))
 
 
-@pytest.mark.parametrize("argv", [("verify",), ("invariants",), ("dualize",)])
+@pytest.mark.parametrize("argv", [("verify",), ("invariants",), ("dualize",), ("validate",)])
 def test_cli_drops_each_document_once_the_next_datum_is_built(no_gc, capsys, monkeypatch,
                                                               tmp_path, argv):
     path, n_docs = _corpus(tmp_path)
