@@ -365,13 +365,19 @@ def product_identity_check(D) -> bool:
 
 def check_pi_divisibility(D, i, rng=None) -> bool:
     """Divisibility of the conjugate flag chain at embedding i.  For lifted
-    data, also checks the underlying division identity: for x with F(x)
-    killed by pi^(e-j), V(F(x)/pi^j) agrees with pi^(e-j) * u * x modulo
-    pi^(e-j) times the Hodge submodule.  Both sides are k-linear in x and
-    the modulus is a k-subspace, so checking the echelon rows of those x,
-    a k-basis, decides the identity; F, V, the division and u = sum of
-    u_t pi^t act on flat vectors.  rng is accepted and ignored, for
-    callers that still pass one."""
+    data, also checks the underlying division identity: for x in
+    S_j = F^-1(ker pi^(e-j)), V(F(x)/pi^j) agrees with pi^(e-j) * u * x
+    modulo pi^(e-j) times the Hodge submodule im V.  Both sides are
+    k-linear in x and the modulus is a k-subspace, so a k-basis decides
+    each level; F, V, the division and u = sum of u_t pi^t act on flat
+    vectors.  The levels descend: for x in S_(j+1) inside S_j,
+    pi * (F(x)/pi^(j+1)) is an F(x)/pi^j (two choices differ by ker pi^j,
+    which V carries into pi^(e-j) im V), V commutes with pi, and
+    pi * pi^(e-j-1) Hodge = pi^(e-j) Hodge, so level j+1's identity times
+    pi is level j's on S_(j+1).  Running j from e down to 1, level j
+    therefore needs only the echelon rows of S_j whose pivots are not
+    S_(j+1)'s, which span a complement: dim S_1 rows in all.  rng is
+    accepted and ignored, for callers that still pass one."""
     red = D.reduce()
     p = red.params
     i %= p.f
@@ -383,10 +389,13 @@ def check_pi_divisibility(D, i, rng=None) -> bool:
     i1 = (i - 1) % p.f
     ubar = p.W.reduce(p.tower.unit_u)
     F, V = red.F[i], red.V[i]
-    for j in range(1, e + 1):
+    above = ()
+    for j in range(e, 0, -1):
         S = F.preimage(_torsion(red, e - j))
         den = red.hodge(i1).pi_times(e - j)
-        for x in S.krows:
+        for x, piv in zip(S.krows, S.kpivots):
+            if piv in above:
+                continue
             # V(F(x) / pi^j) - pi^(e-j) u x, one c_t pi^(t+e-j) x at a time
             y = V.apply_k(pi_divide(F.apply_k(x), e, j))
             for t, c in enumerate(ubar):
@@ -394,6 +403,7 @@ def check_pi_divisibility(D, i, rng=None) -> bool:
                     y = k.sub_mul(y, c, pi_shift(x, e, t + e - j))
             if not den.contains_k(y):
                 return False
+        above = frozenset(S.kpivots)
     return True
 
 

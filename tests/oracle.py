@@ -12,9 +12,11 @@ import random
 
 from hasseforge.errors import InvariantViolation
 from hasseforge.datum import Params
+from hasseforge.flags import pi_divisibility
 from hasseforge.generate import random_charp
 from hasseforge.kspace import QuotientPresentation, prop_dual
-from hasseforge.linalg import Matrix, SemilinearMap, Submodule, vadd
+from hasseforge.linalg import (Matrix, SemilinearMap, Submodule, unrestrict_vec, vadd,
+                               vscale, vsub)
 
 
 def _fail(msg):
@@ -313,3 +315,35 @@ def vanishing_by_submodules(D, prev=-1, divide=True):
             out[("ha_pr", i, j)] = V.image_of(fil[i][j]).add_sub(fil[i1][j - 1]) != fil[i1][j]
     out[("ha", None, None)] = any(out[("ha_i", i, None)] for i in range(f))
     return out
+
+
+# -- the division identity on every row ---------------------------------------
+
+
+def pi_division_identity_on_every_row(L, i):
+    """check_pi_divisibility(L, i) for a lifted L, decided the long way:
+    the flag divisibility, then for j = 1..e the identity
+    V(F(x)/pi^j) == pi^(e-j) u x modulo pi^(e-j) im V on every echelon row
+    x of S_j = F^-1(pi^j R^h1).  x goes back to R^h1 and F, V, u act
+    entrywise over R, with each entry divided by pi^j digit by digit."""
+    red = L.reduce()
+    p = red.params
+    R, e, h1 = p.R, p.e, p.h1
+    if not pi_divisibility(red, i):
+        return False
+    u = p.W.reduce(p.tower.unit_u)
+    F, V = red.F[i], red.V[i]
+    full = Submodule.full(R, h1)
+    for j in range(1, e + 1):
+        S = F.preimage(full.pi_times(j))
+        den = Submodule.span(R, h1, [vscale(R, R.pi_pow(e - j), c) for c in V.matrix.cols()])
+        for kx in S.krows:
+            x = unrestrict_vec(R, kx)
+            Fx = F.apply(x)
+            if any(a[:j] != (0,) * j for a in Fx):
+                _fail("F(x) is not divisible by pi^%d on S_%d" % (j, j))
+            q = tuple(tuple(a[j:]) + (0,) * j for a in Fx)
+            rhs = vscale(R, R.mul(R.pi_pow(e - j), u), x)
+            if not den.contains(vsub(R, V.apply(q), rhs)):
+                return False
+    return True

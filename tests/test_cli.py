@@ -371,3 +371,19 @@ def test_an_invalid_later_datum_exits_1_with_nothing_written(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "--in", str(path))
     assert code == 1 and out == ""
     assert err == "error: F V != p at index 0\n"
+
+
+@pytest.mark.parametrize("d1", [0, 2])
+def test_verify_needs_d1_strictly_between_0_and_h1(capsys, run_module_cli, tmp_path, d1):
+    # a valid document with d1 = 0 or d1 = h1 has no duality verdicts; the
+    # other reading commands still read it
+    path = tmp_path / "edge.json"
+    code, _, _ = run_cli(capsys, "generate", "--params", "3,1,2,2,%d" % d1,
+                         "--count", "2", "--seed", "1", "--out", str(path))
+    assert code == 0
+    proc = run_module_cli("verify", "--in", str(path), text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: duality verdicts need 0 < d1 < h1\n"
+    for command in ("invariants", "dualize", "validate"):
+        code, out, _ = run_cli(capsys, command, "--in", str(path))
+        assert code == 0 and out, command

@@ -238,6 +238,27 @@ def test_flag_dims_and_nesting():
                     assert S.contains_sub(ft[j - 1])
 
 
+def test_conj_flag_solves_only_the_upper_preimages(monkeypatch):
+    """Level e is the datum's im F, which validation has matched with
+    ker V, so the flag makes e V-preimage solves, of extended levels 1..e."""
+    solves = []
+    preimage = SemilinearMap.preimage
+
+    def counting_preimage(self, T):
+        solves.append(self)
+        return preimage(self, T)
+
+    monkeypatch.setattr(SemilinearMap, "preimage", counting_preimage)
+    for make in ALL_INSTANCES:
+        D = make().reduce()
+        for i in range(D.params.f):
+            del solves[:]
+            ft = conj_flag(D, i)
+            assert len(solves) == D.params.e
+            assert all(V is D.V[i] for V in solves)
+            assert ft[D.params.e] is D.conj(i)
+
+
 def test_pi_divisibility_on_reductions():
     for make in ALL_INSTANCES:
         D = make().reduce()

@@ -15,6 +15,8 @@ from hasseforge.invariants import (DualityVerdict, LineSection, all_sections,
                                    section, vanishing_pattern)
 from hasseforge.linalg import Matrix, SemilinearMap, Submodule
 
+import oracle
+
 
 def scalars(D):
     return {(s.name, s.i, s.j): s.scalar for s in all_sections(D)}
@@ -212,8 +214,10 @@ def test_pi_divisibility_fails_on_a_broken_division_identity():
 
 
 def test_pi_divisibility_is_checked_exactly_on_a_kbasis(monkeypatch):
-    """The division identity is applied once per k-basis vector of each
-    S_j = F^-1(pi^j R^h1), and never draws from a random source."""
+    """The division identity is applied once per vector of a k-basis of
+    S_1 = F^-1(pi R^h1), assembled level by level from S_e down (level
+    j+1's identity times pi is level j's on S_(j+1) inside S_j), and
+    never draws from a random source."""
 
     class NoDraws:
         def __getattribute__(self, name):
@@ -222,9 +226,8 @@ def test_pi_divisibility_is_checked_exactly_on_a_kbasis(monkeypatch):
     L = random_lifted(Params(3, 1, 3, 3, 1), random.Random(0))
     red = L.reduce()
     p = red.params
-    full = Submodule.full(p.R, p.h1)
-    basis = sum(len(red.F[0].preimage(full.pi_times(j)).krows)
-                for j in range(1, p.e + 1))
+    basis = len(red.F[0].preimage(Submodule.full(p.R, p.h1).pi_times(1)).krows)
+    assert basis == 8
     on_v = []
     apply_k = SemilinearMap.apply_k
 
@@ -235,6 +238,51 @@ def test_pi_divisibility_is_checked_exactly_on_a_kbasis(monkeypatch):
     monkeypatch.setattr(SemilinearMap, "apply_k", counting_apply_k)
     assert check_pi_divisibility(L, 0, NoDraws())
     assert on_v.count(True) == basis
+
+
+def _unit_of_R(k, e, rng):
+    c0 = 0
+    while not c0:
+        c0 = k.random_element(rng)
+    return (c0,) + tuple(k.random_element(rng) for _ in range(e - 1))
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_pi_divisibility_by_descent_agrees_with_every_row(monkeypatch, e):
+    """The level-by-level check against oracle's test of every row of
+    every S_j, on lifts and on mutants that scale V by a unit of R or move
+    one coefficient of u.  Scaling by 1 + c pi^(e-1) or moving only u's
+    pi^(e-1) coefficient leaves the identity intact."""
+    verdicts = collections.Counter()
+    for shape in [(2, 1, e, 2, 1), (3, 1, e, 3, 1), (5, 2, e, 2, 1), (3, 2, e, 3, 2)]:
+        if shape[1] * e * shape[3] > 64:
+            continue
+        for mutant in ("none", "V unit", "V 1+pi^(e-1)", "u constant", "u top"):
+            for seed in range(2):
+                rng = random.Random(seed)
+                par = Params(*shape)
+                L = random_lifted(par, rng)
+                red = L.reduce()
+                k = par.k
+                c = k.random_element(rng) or k.one
+                if mutant.startswith("V"):
+                    unit = (_unit_of_R(k, e, rng) if mutant == "V unit"
+                            else (k.one,) + (k.zero,) * (e - 2) + (c,))
+                    red.V = tuple(SemilinearMap(v.matrix.scale(unit), v.twist) for v in red.V)
+                elif mutant.startswith("u"):
+                    u = list(par.W.reduce(par.tower.unit_u))
+                    t = 0 if mutant == "u constant" else e - 1
+                    u[t] = k.add(u[t], c)
+                    monkeypatch.setattr(par.tower, "unit_u", par.W.lift(tuple(u)))
+                for i in range(par.f):
+                    got = check_pi_divisibility(L, i)
+                    assert got == oracle.pi_division_identity_on_every_row(L, i), \
+                        (shape, mutant, seed, i)
+                    if mutant in ("none", "V 1+pi^(e-1)", "u top"):
+                        assert got, (shape, mutant, seed, i)
+                    verdicts[got] += 1
+                monkeypatch.undo()
+    assert verdicts[True] and verdicts[False]
 
 
 def test_maps_are_applied_on_flat_vectors_only(monkeypatch):
