@@ -147,27 +147,27 @@ def random_datum(params, rng, lifted=True):
 # named instances
 
 
-def _ord_split(p=3):
-    par = Params(p, 1, 1, 2, 1)
+def _ord_split():
+    par = Params(3, 1, 1, 2, 1)
     W = par.W
-    F = Matrix(W, [[W.one, W.zero], [W.zero, W.from_int(p)]])
-    V = Matrix(W, [[W.from_int(p), W.zero], [W.zero, W.one]])
+    F = Matrix(W, [[W.one, W.zero], [W.zero, W.from_int(par.p)]])
+    V = Matrix(W, [[W.from_int(par.p), W.zero], [W.zero, W.one]])
     return LiftedDatum(par, [F], [V])
 
 
-def _ss(p=3):
-    par = Params(p, 1, 1, 2, 1)
+def _ss():
+    par = Params(3, 1, 1, 2, 1)
     W = par.W
-    M = Matrix(W, [[W.zero, W.one], [W.from_int(p), W.zero]])
+    M = Matrix(W, [[W.zero, W.one], [W.from_int(par.p), W.zero]])
     return LiftedDatum(par, [M], [M])
 
 
-def _ram_split(p=3):
-    par = Params(p, 1, 2, 2, 1)
+def _ram_split():
+    par = Params(3, 1, 2, 2, 1)
     W = par.W
     pi2 = W.mul(W.uniformizer, W.uniformizer)
     F = Matrix(W, [[W.one, W.zero], [W.zero, pi2]])
-    V = Matrix(W, [[W.from_int(p), W.zero], [W.zero, W.one]])
+    V = Matrix(W, [[W.from_int(par.p), W.zero], [W.zero, W.one]])
     R = par.R
     lvl1 = Submodule.span(R, 2, [(R.zero, R.uniformizer)])
     hodge = Submodule.span(R, 2, [(R.zero, R.one)])
@@ -175,10 +175,10 @@ def _ram_split(p=3):
     return LiftedDatum(par, [F], [V], pr_flags=[flag])
 
 
-def _ram_ss(p=3):
-    par = Params(p, 1, 2, 2, 1)
+def _ram_ss():
+    par = Params(3, 1, 2, 2, 1)
     W = par.W
-    M = Matrix(W, [[W.zero, W.one], [W.from_int(p), W.zero]])
+    M = Matrix(W, [[W.zero, W.one], [W.from_int(par.p), W.zero]])
     R = par.R
     flag = [Submodule.zero(R, 2),
             Submodule.span(R, 2, [(R.uniformizer, R.zero)]),
@@ -186,8 +186,8 @@ def _ram_ss(p=3):
     return LiftedDatum(par, [M], [M], pr_flags=[flag])
 
 
-def _ram_pi(p=3):
-    par = Params(p, 1, 2, 2, 1)
+def _ram_pi():
+    par = Params(3, 1, 2, 2, 1)
     W = par.W
     M = Matrix(W, [[W.uniformizer, W.zero], [W.zero, W.uniformizer]])
     R = par.R
@@ -197,11 +197,11 @@ def _ram_pi(p=3):
     return LiftedDatum(par, [M], [M], pr_flags=[flag])
 
 
-def _unram_f2(p=2):
-    par = Params(p, 2, 1, 2, 1)
+def _unram_f2():
+    par = Params(2, 2, 1, 2, 1)
     W = par.W
-    F = Matrix(W, [[W.one, W.zero], [W.zero, W.from_int(p)]])
-    V = Matrix(W, [[W.from_int(p), W.zero], [W.zero, W.one]])
+    F = Matrix(W, [[W.one, W.zero], [W.zero, W.from_int(par.p)]])
+    V = Matrix(W, [[W.from_int(par.p), W.zero], [W.zero, W.one]])
     return LiftedDatum(par, [F, F], [V, V])
 
 

@@ -6,9 +6,9 @@ identity is verified as a matrix or scalar equation.
 
 Each section value comes with a duality verdict: the same invariant on the
 dual datum differs from the primal one by an explicit unit.  The verdict
-assembles that unit from recorded basis-change determinants, Gram
-determinants of the residue pairing, and the complementary-pair identity
-(kspace.prop_dual), then re-checks scalar_G == iso * scalar_GD exactly.
+assembles that unit from the Gram determinants of the residue pairing, the
+complementary-pair identity (kspace.prop_dual) and one basis change, the
+adapted Hodge basis's, then re-checks scalar_G == iso * scalar_GD exactly.
 Intermediate identities are checked through errors.require along the way,
 so a failure names the step that broke rather than just the final
 comparison.  section checks each map against its natural description;
@@ -25,7 +25,7 @@ from .errors import InvalidSpec, require
 from .linalg import Matrix, Submodule, pi_divide, pi_shift
 from .kspace import (QuotientPresentation, induced_from_fun,
                      induced_semilinear, ksub_from_rsub, pairing_matrix,
-                     prop_dual, quotient_det, residue_form, subspace_in_qp)
+                     prop_dual, residue_form, subspace_in_qp)
 from .datum import LiftedDatum
 from .flags import aux_flag, conj_flag, extended_flag, pi_divisibility, pi_preimage
 
@@ -408,18 +408,6 @@ def check_pi_divisibility(D, i, rng=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# transports: determinants relating a quotient presentation's basis to the
-# canonical bases prop_dual works in (reduced-echelon rows of the subspace
-# here, free-index reads for the quotient in kspace.quotient_det)
-
-
-def _transport_sub(K, qpA, sub_k, qp):
-    cols = [sub_k.coords(qpA.coordinates_of_k(l)) for l in qp.lifts]
-    d = Matrix.from_cols(K, cols, m=len(sub_k.rows)).det()
-    return _unit(K, d, "subspace basis transport")
-
-
-# ---------------------------------------------------------------------------
 # duality verdicts.  A family's unit builder returns (unit, held): the unit
 # relating the primal and dual sections (None when the comparison is not
 # applicable) and whether the sub-verdicts it was assembled from held.
@@ -439,24 +427,30 @@ def _pairing_adjunction(p, Md, Mp, left, right, twist, name, what):
     return dP1, dP2
 
 
-def _complementary_pair(K, qA, Bk, Ck, nat, nat2, names):
-    """prop_dual on complementary subspaces Bk, Ck of qA, tied by four basis
-    transports to the natural maps nat = (dom, cod, map) from Bk onto
-    qA/Ck and nat2 from Ck onto qA/Bk.  Returns the unit
-    t_dom t_cod2 / (t_cod iso t_dom2) that the verdicts multiply in."""
-    (dom, cod, M), (dom2, cod2, M2) = nat, nat2
-    x, y, iso = prop_dual(K, qA.dim, Bk, Ck)
-    t_dom = _transport_sub(K, qA, Bk, dom)
-    t_cod = _unit(K, quotient_det(K, Ck, [qA.coordinates_of_k(l) for l in cod.lifts]),
-                  "quotient basis transport")
-    t_dom2 = _transport_sub(K, qA, Ck, dom2)
-    t_cod2 = _unit(K, quotient_det(K, Bk, [qA.coordinates_of_k(l) for l in cod2.lifts]),
-                   "quotient basis transport")
-    require(K.mul(y, t_dom) == K.mul(t_cod, M.matrix.det()),
-             "transport of the %s natural det failed" % names[0])
-    require(K.mul(x, t_dom2) == K.mul(t_cod2, M2.matrix.det()),
-             "transport of the %s natural det failed" % names[1])
-    return _kmul(K, t_dom, t_cod2, K.inv(_kmul(K, t_cod, iso, t_dom2)))
+def _complementary_pair(K, r, Bk, Ck, d, d2, names):
+    """prop_dual on complementary subspaces Bk, Ck of k^r, tied to the dets
+    d of the natural map Bk -> k^r/Ck and d2 of Ck -> k^r/Bk; returns 1/iso.
+    prop_dual's bases are a subspace's reduced echelon rows and, for the
+    quotient, the standard vectors at the other's free columns.  For
+    den <= S <= num echelon-stored and qA = num/den, a default lift of
+    S/den is an echelon row of S with pivot c not den's: zero left of c, 1
+    at c, 0 at S's other pivots and unchanged by den-reduction, so its
+    qA-coordinates are S's echelon rows in qA; a default lift of num/S
+    reads as the standard vector at its pivot, a free column.  So default
+    presentations need no transport; the caller transports the adapted
+    Hodge basis."""
+    x, y, iso = prop_dual(K, r, Bk, Ck)
+    require(y == d, "transport of the %s natural det failed" % names[0])
+    require(x == d2, "transport of the %s natural det failed" % names[1])
+    return K.inv(iso)
+
+
+def _transport_sub(K, sub_k, qp):
+    """The det of qp's lifts, flat vectors of the subspace sub_k, written
+    in sub_k's reduced echelon rows."""
+    cols = [sub_k.coords(l) for l in qp.lifts]
+    return _unit(K, Matrix.from_cols(K, cols, m=len(sub_k.krows)).det(),
+                 "subspace basis transport")
 
 
 def _unit_ha(D):
@@ -493,11 +487,13 @@ def _unit_ha_i(D, i):
     # V-identification unit from the primal natural description
     u_v, nat = _nat_v_hodge(D, i)
 
-    # complementary pair (Hodge, conjugate) in the ambient restricted space
-    qA = _qp(D, Submodule.full(R, p.h1), Submodule.zero(R, p.h1))
-    pair = _complementary_pair(
-        K, qA, ksub_from_rsub(R, D.hodge(i)), ksub_from_rsub(R, D.conj(i)),
-        (_qb(D, i), _qac(D, i), nat), (_qc(D, i), _qab(D, i), MnatC), ("Hodge", "conjugate"))
+    # complementary pair (Hodge, conjugate) in the ambient restricted space,
+    # k^(h1 e); the adapted Hodge basis is carried to the echelon rows by t
+    Bk = ksub_from_rsub(R, D.hodge(i))
+    t = _transport_sub(K, Bk, _qb(D, i))
+    pair = K.mul(t, _complementary_pair(
+        K, p.h1 * p.e, Bk, ksub_from_rsub(R, D.conj(i)), K.mul(nat.matrix.det(), K.inv(t)),
+        MnatC.matrix.det(), ("Hodge", "conjugate")))
 
     inner = K.mul(pair, K.inv(K.mul(u_fb, dP1)))
     return _kmul(K, u_v, K.frob(inner, -1), dP2), True
@@ -537,10 +533,9 @@ def _unit_m(D, i, j):
 
     # complementary pair inside the divided quotient at level j-1
     qA = _qp(D, aux[j - 1], ext[j - 1])
-    qgrp = _qp(D, aux[j - 1], aux[j - 2])
     pair = _complementary_pair(
-        K, qA, subspace_in_qp(qA, ext[j]), subspace_in_qp(qA, aux[j - 2]),
-        (_qgr(D, i, j), qgrp, nat), (qcq, qabq, MnatCAB), ("graded", "divided"))
+        K, qA.dim, subspace_in_qp(qA, ext[j]), subspace_in_qp(qA, aux[j - 2]),
+        nat.matrix.det(), MnatCAB.matrix.det(), ("graded", "divided"))
 
     return _kmul(K, piiso.matrix.det(), pair, u_a2, dP2, K.inv(K.mul(u_a1, dP1))), True
 
@@ -559,7 +554,6 @@ def _unit_hasse(D, i):
 
     ft = conj_flag(D, i)
     ext_i = extended_flag(D, i)
-    qt1 = _qp(D, _torsion(D, 1), ft[1])
     qt2 = _qp(D, _torsion(D, 1), ext_i[1])
     qw1 = _qp(D, ft[1], Submodule.zero(R, p.h1))
     qe21 = _qp(D, Submodule.full(R, p.h1), ext_i[2 * e - 1])
@@ -573,7 +567,7 @@ def _unit_hasse(D, i):
     def gfun(v):
         return pi_divide(D.F[i].apply_k(v), e, e - 1)
 
-    Mg = induced_from_fun(gfun, +1, qup, qe21, den_images=())
+    Mg = induced_from_fun(gfun, +1, qup, qe21)
     Mu1 = _induced(D, D.F[i], qup, qw1)
     u_1 = _unit(K, Mu1.matrix.det(), "F onto the first conjugate level")
     Mu2 = _pi(D, e - 1, qe21, qt2)
@@ -591,8 +585,8 @@ def _unit_hasse(D, i):
     # complementary pair (top level, first conjugate level) in the pi-torsion
     qA = _qp(D, _torsion(D, 1), Submodule.zero(R, p.h1))
     pair = _complementary_pair(
-        K, qA, subspace_in_qp(qA, ext_i[1]), subspace_in_qp(qA, ft[1]),
-        (_qgr(D, i, 1), qt1, Mn), (qw1, qt2, Mnx), ("boundary", "dual boundary"))
+        K, qA.dim, subspace_in_qp(qA, ext_i[1]), subspace_in_qp(qA, ft[1]),
+        Mn.matrix.det(), Mnx.matrix.det(), ("boundary", "dual boundary"))
 
     inner = _kmul(K, pair, u_2, K.inv(_kmul(K, u_1, dP1, u_p)))
     return _kmul(K, u_v, K.frob(inner, -1), dP2), True

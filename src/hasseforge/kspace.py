@@ -148,13 +148,14 @@ def induced_from_fun(fn, twist, src: QuotientPresentation, dst: QuotientPresenta
 
 def pairing_matrix(form, left: QuotientPresentation, right: QuotientPresentation) -> Matrix:
     """Matrix P[u][v] = form(left lift u, right lift v) of a k-bilinear form
-    on flat vectors descending to left x right.  Descent is checked on the
-    echelon rows, k-bases of the four submodules."""
+    on flat vectors descending to left x right.  Descent pairs the echelon
+    rows (k-bases) of left.den with right.num, then left's lifts (left.num
+    is left.den plus them) with right.den."""
     for d in left.den.krows:
         for x in right.num.krows:
             if form(d, x):
                 raise WellDefinednessViolation("pairing does not kill left.den")
-    for x in left.num.krows:
+    for x in left.lifts:
         for d in right.den.krows:
             if form(x, d):
                 raise WellDefinednessViolation("pairing does not kill right.den")

@@ -14,6 +14,7 @@ from hasseforge.errors import (InvariantViolation, NotComplementary, NotNested,
                                WellDefinednessViolation)
 from hasseforge.kspace import (
     QuotientPresentation,
+    annihilator,
     induced_from_fun,
     induced_semilinear,
     pairing_matrix,
@@ -320,6 +321,28 @@ def test_pairing_matrix_descends():
     qpr_bad = QuotientPresentation(R, n, num, Submodule.zero(R, n))
     with pytest.raises(WellDefinednessViolation):
         pairing_matrix(form, qpl, qpr_bad)
+
+
+def test_pairing_matrix_pairs_each_den_once():
+    """A/pi A against (pi A)^perp/A^perp: descent pairs left.den with
+    right.num, then only left's lifts with right.den, and the matrix pairs
+    lift with lift; left.den x right.den is not paired a second time."""
+    R = T32.R
+    n = 3
+    A = rand_rsub(R, n, 2, random.Random(41))
+    left = QuotientPresentation(R, n, A, A.pi_times(1))
+    right = QuotientPresentation(R, n, annihilator(R, n, A.pi_times(1)), annihilator(R, n, A))
+    calls = []
+
+    def form(u, w):
+        calls.append(None)
+        return residue_form(R, u, w)
+
+    P = pairing_matrix(form, left, right)
+    assert T32.k.is_unit(P.det())
+    dL, nR, dR = len(left.den.krows), len(right.num.krows), len(right.den.krows)
+    assert dL and dR and left.dim and right.dim
+    assert len(calls) == dL * nR + left.dim * dR + left.dim * right.dim
 
 
 def rand_ksub_of_dim(k, r, d, rng):
