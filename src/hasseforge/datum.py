@@ -1,15 +1,15 @@
 """Data objects: shape parameters, mod-p data, and their mod-p^2 lifts.
 
-A mod-p datum is a cyclic chain of h1 x h1 matrices over R indexed by
-the f embeddings: F[i] maps E_{i-1} to E_i with frobenius twist +1,
-V[i] maps E_i to E_{i-1} with twist -1, and at every index the kernel
-of each is exactly the image of the other.  Validation decides that by
-rank plus composition, with no kernel elimination: the k-dimensions of
-im V and im F add up to h1*e, F kills im V and V kills im F (sigma
-keeps dimensions, so each inclusion is then an equality).  The hodge
-submodule at i is im V[i+1] = ker F[i+1] inside E_i; a pi-compatible
-flag from 0 up to it (levels 0..e, k-dimensions 0, d1, ..., e*d1, with
-pi shifting each level into the previous one) is part of the data.
+A mod-p datum is a cyclic chain of h1 x h1 matrices over R indexed by the f
+embeddings: F[i] maps E_{i-1} to E_i with frobenius twist +1, V[i] maps E_i
+to E_{i-1} with twist -1, and at every index the kernel of each is exactly
+the image of the other.  Validation decides that by rank plus composition,
+with no kernel elimination: the k-dimensions of im V and im F add up to
+h1*e, and F and V, which commute with pi, kill the generators of im V and of
+im F (sigma keeps dimensions, so each inclusion is then an equality).  The
+hodge submodule at i is im V[i+1] = ker F[i+1] inside E_i; a pi-compatible
+flag from 0 up to it (levels 0..e, k-dimensions 0, d1, ..., e*d1, with pi
+shifting each level into the previous one) is part of the data.
 
 A lift replaces R by the length-two ramified Witt ring W and the
 kernel/image axioms by the exact identities F V = V F = p.
@@ -206,9 +206,9 @@ class DieudonneDatum(_Datum):
             # a rank failure breaks both equalities and is reported first
             hodge, conj = self.hodge(i - 1), self.conj(i)
             if (len(hodge.krows) + len(conj.krows) != p.h1 * p.e
-                    or any(any(self.F[i].apply_k(r)) for r in hodge.krows)):
+                    or any(any(self.F[i].apply_k(g)) for g in hodge.gens())):
                 raise InvalidDatum("ker F != im V at index %d" % i)
-            if any(any(self.V[i].apply_k(r)) for r in conj.krows):
+            if any(any(self.V[i].apply_k(g)) for g in conj.gens()):
                 raise InvalidDatum("ker V != im F at index %d" % i)
         for i in range(p.f):
             if len(self.hodge(i).krows) != p.e * p.d1:

@@ -13,10 +13,10 @@ only serve callers that hold R-vectors.
 
 An R-submodule is stored as the reduced echelon basis of its restriction
 (see linalg), which is exactly a Submodule over k: the underlying k-space
-is a read, and descent checks run on those echelon rows, a k-basis.
+is a read, and descent checks run on a den's generators (Submodule.gens).
 
 Every induced map is built by induced_from_fun, on flat vectors end to
-end: it checks descent once, on that k-basis of the source's den, applies
+end: it checks descent once, on the source den's generators, applies
 the map to the source's flat lifts and reads the images in the target's
 coordinates.  induced_semilinear is the same constructor for an
 R-semilinear map, applied through its cached restriction
@@ -124,13 +124,12 @@ def induced_semilinear(phi: SemilinearMap, src: QuotientPresentation, dst: Quoti
 
 
 def induced_from_fun(fn, twist, src: QuotientPresentation, dst: QuotientPresentation, den_images=()) -> SemilinearMap:
-    """k-matrix of the map src -> dst induced by a function fn on flat
-    vectors that is k-semilinear with the given twist.  Descent is checked
-    on the k-basis of src.den, which is complete for such an fn: src.num is
-    src.den plus the lifts, and each lift's image must lie in dst.num.
-    den_images supplies extra flat vectors (e.g. images of a division's
-    ambiguity) that must also die in dst.  Raises WellDefinednessViolation."""
-    for g in src.den.krows:
+    """k-matrix of the map src -> dst induced by fn on flat vectors, which is
+    k-semilinear with the given twist and commutes with pi on src.den: descent
+    is checked on src.den's generators (dst.den is pi-stable) and on the lifts,
+    whose images must lie in dst.num.  den_images (e.g. a division's ambiguity)
+    must die in dst too.  Raises WellDefinednessViolation."""
+    for g in src.den.gens():
         if not dst.den.contains_k(fn(g)):
             raise WellDefinednessViolation("fn does not map den into den")
     for v in den_images:
@@ -147,16 +146,15 @@ def induced_from_fun(fn, twist, src: QuotientPresentation, dst: QuotientPresenta
 
 
 def pairing_matrix(form, left: QuotientPresentation, right: QuotientPresentation) -> Matrix:
-    """Matrix P[u][v] = form(left lift u, right lift v) of a k-bilinear form
-    on flat vectors descending to left x right.  Descent pairs the echelon
-    rows (k-bases) of left.den with right.num, then left's lifts (left.num
-    is left.den plus them) with right.den."""
-    for d in left.den.krows:
+    """Matrix P[u][v] = form(left lift u, right lift v) of a k-bilinear form on
+    flat vectors, R-balanced (<pi u, w> = <u, pi w>), descending to left x right:
+    left.den's generators pair with right.num, then left's lifts with right.den's."""
+    for d in left.den.gens():
         for x in right.num.krows:
             if form(d, x):
                 raise WellDefinednessViolation("pairing does not kill left.den")
     for x in left.lifts:
-        for d in right.den.krows:
+        for d in right.den.gens():
             if form(x, d):
                 raise WellDefinednessViolation("pairing does not kill right.den")
     rows = tuple(tuple(form(lu, rv) for rv in right.lifts) for lu in left.lifts)

@@ -17,7 +17,7 @@ against the shifted standard basis), and the kernels of an R-linear
 map's restriction are pi-stable with no extra step.  The Howell form
 over R (the strong echelon form, canonical over a ring with zero
 divisors) is read off the echelon rows: per module column, the row of
-least pi-power.
+least pi-power (Submodule.gens).
 
 Semilinear maps x -> A sigma^a(x) carry their twist explicitly.  Each one
 restricts once, on first use, to its k-matrix on flat vectors (column
@@ -364,7 +364,7 @@ class Submodule:
     Callers build through span, kspan, solutions, zero and full; every
     one of those, and every operation, constructs through _of."""
 
-    __slots__ = ("ring", "n", "e", "krows", "kpivots", "_hash")
+    __slots__ = ("ring", "n", "e", "krows", "kpivots", "_hash", "_gens")
 
     @classmethod
     def _of(cls, ring, n, e, krows, kpivots):
@@ -372,7 +372,7 @@ class Submodule:
         tuple of tuples, kpivots a tuple and e = _digits(ring); no copy and
         no check."""
         S = object.__new__(cls)
-        S.ring, S.n, S.e, S.krows, S.kpivots, S._hash = ring, n, e, krows, kpivots, None
+        S.ring, S.n, S.e, S.krows, S.kpivots, S._hash, S._gens = ring, n, e, krows, kpivots, None, None
         return S
 
     @classmethod
@@ -434,22 +434,24 @@ class Submodule:
         return cls._of(ring, n, e, tuple((0,) * i + (1,) + (0,) * (N - 1 - i) for i in range(N)),
                        tuple(range(N)))
 
-    def _howell(self):
-        """Indices of the Howell rows among krows: per module column, the
-        echelon row whose pivot has the least pi-power.  pi-stability puts
-        every digit above that pivot among the pivot columns, so its entry
-        there is exactly pi^v and earlier rows are reduced mod pi^v there."""
-        blocks = [p // self.e for p in self.kpivots]
-        return [i for i, b in enumerate(blocks) if i == 0 or blocks[i - 1] != b]
+    def gens(self):
+        """The Howell rows (see the module docstring), flat.  S is pi-stable,
+        so their pi-shifts have all of S's pivots and span S over k: a k-linear
+        fact that commutes with pi holds on S when it holds on them."""
+        if self._gens is None:
+            e, pivs = self.e, self.kpivots
+            self._gens = tuple(r for t, r in enumerate(self.krows)
+                               if t == 0 or pivs[t - 1] // e != pivs[t] // e)
+        return self._gens
 
     @property
     def rows(self):
-        return tuple(unrestrict_vec(self.ring, self.krows[i]) for i in self._howell())
+        return tuple(unrestrict_vec(self.ring, g) for g in self.gens())
 
     @property
     def pivots(self):
-        """(module column, pi-power) of each Howell row."""
-        return tuple(divmod(self.kpivots[i], self.e) for i in self._howell())
+        """(module column, pi-power) of each Howell row: its first nonzero entry."""
+        return tuple(divmod(next(t for t, x in enumerate(g) if x), self.e) for g in self.gens())
 
     def free(self):
         """The flat columns that are not pivots."""
@@ -478,7 +480,7 @@ class Submodule:
 
     def contains_sub(self, other) -> bool:
         k, rows, pivs = self.ring.k, self.krows, self.kpivots
-        return all(not any(_reduce(k, rows, pivs, other.krows[i])) for i in other._howell())
+        return all(not any(_reduce(k, rows, pivs, g)) for g in other.gens())
 
     def _check_n(self, other, what):
         if self.ring is not other.ring or self.n != other.n:
@@ -538,7 +540,7 @@ class Submodule:
         return self._hash
 
     def __repr__(self):
-        return "Submodule(%d gens in %r^%d)" % (len(self._howell()), self.ring, self.n)
+        return "Submodule(%d gens in %r^%d)" % (len(self.gens()), self.ring, self.n)
 
 
 def _solve(T, images, basis=None):

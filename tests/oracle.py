@@ -10,7 +10,7 @@ and returns a dict of how many objects were checked.
 import itertools
 import random
 
-from hasseforge.errors import InvariantViolation
+from hasseforge.errors import InvariantViolation, WellDefinednessViolation
 from hasseforge.datum import Params
 from hasseforge.flags import pi_divisibility
 from hasseforge.generate import random_charp
@@ -347,3 +347,40 @@ def pi_division_identity_on_every_row(L, i):
             if not den.contains(vsub(R, V.apply(q), rhs)):
                 return False
     return True
+
+
+# -- descent on a k-basis ------------------------------------------------------
+
+
+def induced_from_fun_kbasis(fn, twist, src, dst, den_images=()):
+    """kspace.induced_from_fun with descent checked on every echelon row of
+    src.den, a k-basis, so that fn need not commute with pi: the reference
+    for descent on den's generators.  Same raises, messages and order."""
+    for g in src.den.krows:
+        if not dst.den.contains_k(fn(g)):
+            raise WellDefinednessViolation("fn does not map den into den")
+    for v in den_images:
+        if not dst.den.contains_k(v):
+            raise WellDefinednessViolation("fn is ambiguous modulo dst.den")
+    cols = []
+    for l in src.lifts:
+        try:
+            cols.append(dst.coordinates_of_k(fn(l)))
+        except InvariantViolation as exc:
+            raise WellDefinednessViolation("fn does not map num into num") from exc
+    return SemilinearMap(Matrix.from_cols(src.R.k, cols, m=dst.dim), twist)
+
+
+def pairing_matrix_kbasis(form, left, right):
+    """kspace.pairing_matrix with both dens walked on a k-basis, so that
+    the form need not be R-balanced.  Same raises, messages and order."""
+    for d in left.den.krows:
+        for x in right.num.krows:
+            if form(d, x):
+                raise WellDefinednessViolation("pairing does not kill left.den")
+    for x in left.lifts:
+        for d in right.den.krows:
+            if form(x, d):
+                raise WellDefinednessViolation("pairing does not kill right.den")
+    return Matrix(left.R.k, [[form(lu, rv) for rv in right.lifts] for lu in left.lifts],
+                  n=right.dim)

@@ -126,6 +126,30 @@ def test_axiom_violations():
         DieudonneDatum(par0, [N], [N])
 
 
+def test_validate_applies_f_and_v_once_per_generator(monkeypatch):
+    """F kills im V and V kills im F, R-submodules, when they kill their
+    generators: validate applies F[i] once per generator of im V[i] =
+    hodge(i-1) and V[i] once per generator of im F[i] = conj(i)."""
+    D = random_datum(Params(3, 2, 3, 3, 1), random.Random(5), lifted=False)
+    f = D.params.f
+    expected = collections.Counter()
+    for i in range(f):
+        expected[id(D.F[i])] = len(D.hodge(i - 1).gens())
+        expected[id(D.V[i])] = len(D.conj(i).gens())
+    assert sum(expected.values()) < sum(len(D.hodge(i).krows) + len(D.conj(i).krows)
+                                        for i in range(f))
+    calls = collections.Counter()
+    apply_k = SemilinearMap.apply_k
+
+    def counted(self, kv):
+        calls[id(self)] += 1
+        return apply_k(self, kv)
+
+    monkeypatch.setattr(SemilinearMap, "apply_k", counted)
+    D.validate()
+    assert calls == expected
+
+
 def test_flag_violations():
     L = ram_split()
     par = L.params

@@ -291,6 +291,55 @@ def test_well_definedness_violation():
         induced_from_fun(phi.apply_k, phi.twist, src, dst)
 
 
+def test_induced_from_fun_names_the_failing_descent():
+    """Each of the three raises, on a map that passes the checks before it."""
+    R = T32.R
+    n = 2
+    ident = SemilinearMap(Matrix.identity(R, n), 0)
+    full = Submodule.full(R, n)
+    e1 = Submodule.span(R, n, [(R.one, R.zero)])
+    e2 = Submodule.span(R, n, [(R.zero, R.one)])
+    pi_e1 = e1.pi_times(1)
+
+    def message(src, dst, den_images=()):
+        with pytest.raises(WellDefinednessViolation) as exc:
+            induced_from_fun(ident.apply_k, 0, src, dst, den_images)
+        return str(exc.value)
+
+    # den = R e1 is not carried into dst.den = R e2
+    assert message(QuotientPresentation(R, n, full, e1),
+                   QuotientPresentation(R, n, full, e2)) == "fn does not map den into den"
+    # den = pi R^2 is carried onto itself, but an extra image e1 is not in it
+    qp = QuotientPresentation(R, n, full, full.pi_times(1))
+    assert message(qp, qp, [restrict_vec(R, (R.one, R.zero))]) == "fn is ambiguous modulo dst.den"
+    # den = pi R e1 is carried onto itself, but the lift e2 of R^2 leaves R e1
+    assert message(QuotientPresentation(R, n, full, pi_e1),
+                   QuotientPresentation(R, n, e1, pi_e1)) == "fn does not map num into num"
+
+
+def test_induced_from_fun_applies_fn_to_den_generators_and_lifts():
+    """Descent reads src.den's generators, whose pi-shifts span it, not a
+    k-basis of it; then fn meets each lift once."""
+    rng = random.Random(43)
+    R = T32.R
+    n = 3
+    den = rand_rsub(R, n, 2, rng)
+    num = den.add_sub(rand_rsub(R, n, 1, rng))
+    phi = SemilinearMap(random_matrix(R, n, n, rng), 1)
+    src = QuotientPresentation(R, n, num, den)
+    dst = QuotientPresentation(R, n, phi.image_of(num), phi.image_of(den))
+    calls = []
+
+    def fn(kv):
+        calls.append(None)
+        return phi.apply_k(kv)
+
+    M = induced_from_fun(fn, 1, src, dst)
+    assert M == induced_semilinear(phi, src, dst)
+    assert src.dim and len(den.gens()) < len(den.krows)
+    assert len(calls) == len(den.gens()) + src.dim
+
+
 def test_subspace_in_qp():
     rng = random.Random(39)
     R = T22.R
@@ -324,9 +373,10 @@ def test_pairing_matrix_descends():
 
 
 def test_pairing_matrix_pairs_each_den_once():
-    """A/pi A against (pi A)^perp/A^perp: descent pairs left.den with
-    right.num, then only left's lifts with right.den, and the matrix pairs
-    lift with lift; left.den x right.den is not paired a second time."""
+    """A/pi A against (pi A)^perp/A^perp: descent pairs left.den's
+    generators with right.num, then only left's lifts with right.den's
+    generators, and the matrix pairs lift with lift; left.den x right.den
+    is not paired a second time, and no den is walked on a k-basis."""
     R = T32.R
     n = 3
     A = rand_rsub(R, n, 2, random.Random(41))
@@ -340,8 +390,9 @@ def test_pairing_matrix_pairs_each_den_once():
 
     P = pairing_matrix(form, left, right)
     assert T32.k.is_unit(P.det())
-    dL, nR, dR = len(left.den.krows), len(right.num.krows), len(right.den.krows)
+    dL, nR, dR = len(left.den.gens()), len(right.num.krows), len(right.den.gens())
     assert dL and dR and left.dim and right.dim
+    assert dL + dR < len(left.den.krows) + len(right.den.krows)
     assert len(calls) == dL * nR + left.dim * dR + left.dim * right.dim
 
 

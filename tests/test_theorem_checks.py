@@ -1,7 +1,7 @@
 """Witnesses for the theorem checks of the sections and duality verdicts:
 the residue-pairing adjunctions and their descent, the complementary
-pair's natural dets, the natural descriptions, the factorizations and the
-adapted Hodge basis's filtration.
+pair's natural dets, the natural descriptions, the factorizations, the
+adapted Hodge basis's filtration and every unit check.
 
 Each check gets one targeted defect, patched in for the test only, and
 must fire with its typed error and its exact message; the same datum's
@@ -10,6 +10,7 @@ frobenius twists act, and e = 2, so the boundary map is listed.  Opposite
 witnesses change a presentation's lifts in ways the checks must accept.
 """
 
+import copy
 import random
 
 import pytest
@@ -360,3 +361,115 @@ def test_unit_fires_on_a_singular_conjugate_quotient_map(monkeypatch):
     with pytest.raises(InvariantViolation) as exc:
         section(D, "ha_i", 0)
     assert str(exc.value) == "V on the conjugate quotient must be invertible"
+
+
+# ---------------------------------------------------------------------------
+# the other eleven unit checks: a singular map of the primal datum, a
+# singular Gram matrix or a degenerate adapted basis, each after a run of
+# the same section or verdict on a fresh datum that passes
+
+
+def _zeroed(k, M):
+    return Matrix.zeros(k, M.m, M.n)
+
+
+def _conj_tail(X):
+    full = Submodule.full(X.params.R, X.params.h1)
+    return invariants._qp(X, full, conj_flag(X, 0)[2 * X.params.e - 1])
+
+
+def _co_top(X):
+    full = Submodule.full(X.params.R, X.params.h1)
+    return invariants._qp(X, full, extended_flag(X, 0)[2 * X.params.e - 1])
+
+
+# (message, the map's (src, dst) at i = 0, j = e = 2, the section or verdict
+# that reads it); the two upper-grade isos share a message, so each is the
+# only singular map in its own case
+UNIT_MAPS = {
+    "pi-iso": ("pi-iso between divided and plain grades",
+               lambda X: (invariants._qp(X, aux_flag(X, 0)[1], aux_flag(X, 0)[0]),
+                          invariants._qgr(X, 0, 1)),
+               (section, "m", 0, 2)),
+    "conjugate-tail V": ("V on the conjugate-tail quotient",
+                         lambda X: (_conj_tail(X), invariants._qgr(X, 1, X.params.e)),
+                         (section, "hasse", 0)),
+    "conjugate-tail pi": ("pi^(e-1) on the conjugate-tail quotient",
+                          lambda X: (_conj_tail(X), invariants._qp(X, invariants._torsion(X, 1),
+                                                                   conj_flag(X, 0)[1])),
+                          (section, "hasse", 0)),
+    "F onto conjugate": ("F onto the conjugate submodule",
+                         lambda X: (invariants._qab(X, 1), invariants._qc(X, 0)),
+                         (duality_check, "ha_i", 0)),
+    "upper iso 1": ("upper-grade pi-power iso",
+                    lambda X: (invariants._qgr(X, 0, 4),
+                               invariants._qp(X, aux_flag(X, 0)[0], extended_flag(X, 0)[1])),
+                    (duality_check, "m", 0, 2)),
+    "upper iso 2": ("upper-grade pi-power iso",
+                    lambda X: (invariants._qgr(X, 0, 3),
+                               invariants._qp(X, aux_flag(X, 0)[1], extended_flag(X, 0)[2])),
+                    (duality_check, "m", 0, 2)),
+    "F onto first level": ("F onto the first conjugate level",
+                           lambda X: (invariants._qgr(X, 1, X.params.e + 1),
+                                      invariants._qp(X, conj_flag(X, 0)[1],
+                                                     Submodule.zero(X.params.R, X.params.h1))),
+                           (duality_check, "hasse", 0)),
+    "co-top pi": ("pi^(e-1) on the co-top quotient",
+                  lambda X: (_co_top(X), invariants._qp(X, invariants._torsion(X, 1),
+                                                        extended_flag(X, 0)[1])),
+                  (duality_check, "hasse", 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(UNIT_MAPS))
+def test_unit_fires_on_a_singular_map(monkeypatch, name):
+    message, presentations, (entry, *args) = UNIT_MAPS[name]
+    D = _datum()
+    entry(D, *args)
+    D = _datum()
+    X = D.reduce()
+    src0, dst0 = presentations(X)
+    _patch_maps(monkeypatch, X, lambda src, dst: src is src0 and dst is dst0, _zeroed)
+    with pytest.raises(InvariantViolation) as exc:
+        entry(D, *args)
+    assert str(exc.value) == message + " must be invertible"
+
+
+@pytest.mark.parametrize("nth, family, name", [(1, ("m", 0, 2), "graded"),
+                                               (2, ("hasse", 0), "boundary")], ids=["P1", "P2"])
+def test_unit_fires_on_a_singular_gram_matrix(monkeypatch, nth, family, name):
+    """The verdict's nth pairing, P1 or P2, is 0; the other stays perfect."""
+    D = _datum()
+    duality_check(D, *family)
+    D = _datum()
+    original = invariants.pairing_matrix
+    calls = []
+
+    def patched(form, left, right):
+        P = original(form, left, right)
+        calls.append(None)
+        return _zeroed(left.R.k, P) if len(calls) == nth else P
+
+    monkeypatch.setattr(invariants, "pairing_matrix", patched)
+    with pytest.raises(InvariantViolation) as exc:
+        duality_check(D, *family)
+    assert str(exc.value) == name + " residue pairing must be invertible"
+    assert len(calls) == 2
+
+
+def test_unit_fires_on_a_degenerate_adapted_hodge_basis(monkeypatch):
+    """The transport reads the adapted Hodge basis with its first lift 0."""
+    D = _datum()
+    duality_check(D, "ha_i", 0)
+    D = _datum()
+    original = invariants._transport_sub
+
+    def degenerate(K, sub_k, qp):
+        qp = copy.copy(qp)
+        qp.lifts = [tuple(K.zero for _ in qp.lifts[0])] + qp.lifts[1:]
+        return original(K, sub_k, qp)
+
+    monkeypatch.setattr(invariants, "_transport_sub", degenerate)
+    with pytest.raises(InvariantViolation) as exc:
+        duality_check(D, "ha_i", 0)
+    assert str(exc.value) == "subspace basis transport must be invertible"
