@@ -235,7 +235,15 @@ def _hasse_gate(D, i):
 
 def _map_hasse(D, i):
     """The boundary map: divide by pi^(e-1) inside the pi-torsion, apply V,
-    project to the top graded piece at the previous embedding."""
+    project to the top graded piece at the previous embedding.
+
+    The division is defined up to pi R^h1, and that choice dies in the
+    target: V[i] carries pi R^h1 onto pi * hodge(i-1), which is
+    pi * flag_{i-1}[e], and validate's pi-compatibility check at level e
+    puts that inside flag_{i-1}[e-1], the target's den.  Every datum read
+    here passed that check: loads, duals and lift reductions are
+    validated, and the generators' _of flags are pi-compatible by
+    construction.  So induced_from_fun decides only descent and num."""
     p = D.params
 
     def build():
@@ -244,12 +252,7 @@ def _map_hasse(D, i):
         def fn(v):
             return V.apply_k(pi_divide(v, e, e - 1))
 
-        # the division is defined up to pi R^h1, spanned over R by the
-        # pi e_m at flat index m*e + 1, whose images are V's restricted
-        # columns there (pi = 0 when e = 1)
-        amb = V.kcols()[1::e] if e > 1 else ()
-        return induced_from_fun(fn, -1, _qgr(D, i, 1), _qgr(D, (i - 1) % p.f, e),
-                                den_images=amb)
+        return induced_from_fun(fn, -1, _qgr(D, i, 1), _qgr(D, (i - 1) % p.f, e))
 
     return D.memo(("map", "hasse", i), build)
 
@@ -329,38 +332,31 @@ def factorization_check(D, i, j) -> bool:
     p = D.params
     i, j = _index("ha_pr", p, i, j)
     i1 = (i - 1) % p.f
-    K = p.k
 
     def build():
-        target = _map_ha_pr(D, i, j).matrix
         above, below = _m_levels_around(p, j)
-        left = Matrix.identity(K, p.d1)
-        for l in above:
-            left = left.mul(_map_m(D, i1, l).matrix)
-        right = Matrix.identity(K, p.d1)
+        M = _map_hasse(D, i).matrix
+        # m maps above compose on the left (level e acts first), the
+        # frob(-1) twisted m maps below on the right (level j acts first)
+        for l in reversed(above):
+            M = _map_m(D, i1, l).matrix.mul(M)
         for l in below:
-            right = right.mul(_map_m(D, i, l).matrix)
-        Mh = _map_hasse(D, i).matrix
-        return left.mul(Mh).mul(right.frob(-1)) == target
+            M = M.mul(_map_m(D, i, l).matrix.frob(-1))
+        return M == _map_ha_pr(D, i, j).matrix
 
     return D.memo(("factorization", i, j), build)
 
 
 def product_identity_check(D) -> bool:
-    """ha equals the product over embeddings of the per-embedding dets,
-    and each of those equals the product of its graded dets."""
+    """Each per-embedding det ha_i equals the product of its graded dets
+    ha_pr(i, j).  That ha is the product of the ha_i is its definition
+    (see section), so it is not compared here."""
     D = D.reduce()
     p = D.params
-    K = p.k
     I, J = _ranges("ha_pr", p)
-    total = K.one
-    for i in I:
-        per = section(D, "ha_i", i).scalar
-        graded = _kmul(K, *[section(D, "ha_pr", i, j).scalar for j in J])
-        if per != graded:
-            return False
-        total = K.mul(total, per)
-    return section(D, "ha").scalar == total
+    return all(section(D, "ha_i", i).scalar
+               == _kmul(p.k, *[section(D, "ha_pr", i, j).scalar for j in J])
+               for i in I)
 
 
 def check_pi_divisibility(D, i, rng=None) -> bool:
@@ -429,7 +425,8 @@ def _pairing_adjunction(p, Md, Mp, left, right, twist, name, what):
 
 def _complementary_pair(K, r, Bk, Ck, d, d2, names):
     """prop_dual on complementary subspaces Bk, Ck of k^r, tied to the dets
-    d of the natural map Bk -> k^r/Ck and d2 of Ck -> k^r/Bk; returns 1/iso.
+    d of the natural map Bk -> k^r/Ck and d2 of Ck -> k^r/Bk; returns iso,
+    the unit with d2 = iso * d.  iso is +-1, so it is its own inverse.
     prop_dual's bases are a subspace's reduced echelon rows and, for the
     quotient, the standard vectors at the other's free columns.  For
     den <= S <= num echelon-stored and qA = num/den, a default lift of
@@ -442,7 +439,7 @@ def _complementary_pair(K, r, Bk, Ck, d, d2, names):
     x, y, iso = prop_dual(K, r, Bk, Ck)
     require(y == d, "transport of the %s natural det failed" % names[0])
     require(x == d2, "transport of the %s natural det failed" % names[1])
-    return K.inv(iso)
+    return iso
 
 
 def _transport_sub(K, sub_k, qp):

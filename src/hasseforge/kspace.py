@@ -123,18 +123,16 @@ def induced_semilinear(phi: SemilinearMap, src: QuotientPresentation, dst: Quoti
     return induced_from_fun(phi.apply_k, phi.twist, src, dst)
 
 
-def induced_from_fun(fn, twist, src: QuotientPresentation, dst: QuotientPresentation, den_images=()) -> SemilinearMap:
+def induced_from_fun(fn, twist, src: QuotientPresentation, dst: QuotientPresentation) -> SemilinearMap:
     """k-matrix of the map src -> dst induced by fn on flat vectors, which is
-    k-semilinear with the given twist and commutes with pi on src.den: descent
-    is checked on src.den's generators (dst.den is pi-stable) and on the lifts,
-    whose images must lie in dst.num.  den_images (e.g. a division's ambiguity)
-    must die in dst too.  Raises WellDefinednessViolation."""
+    k-semilinear with the given twist and commutes with pi on src.den.  It
+    decides two facts: fn carries src.den's generators into dst.den (which
+    is pi-stable, so all of src.den follows), and each lift's image lies in
+    dst.num.  A choice fn makes on the way (a division, say) is the
+    caller's to show harmless.  Raises WellDefinednessViolation."""
     for g in src.den.gens():
         if not dst.den.contains_k(fn(g)):
             raise WellDefinednessViolation("fn does not map den into den")
-    for v in den_images:
-        if not dst.den.contains_k(v):
-            raise WellDefinednessViolation("fn is ambiguous modulo dst.den")
     cols = []
     for l in src.lifts:
         w = fn(l)

@@ -352,16 +352,13 @@ def pi_division_identity_on_every_row(L, i):
 # -- descent on a k-basis ------------------------------------------------------
 
 
-def induced_from_fun_kbasis(fn, twist, src, dst, den_images=()):
+def induced_from_fun_kbasis(fn, twist, src, dst):
     """kspace.induced_from_fun with descent checked on every echelon row of
     src.den, a k-basis, so that fn need not commute with pi: the reference
     for descent on den's generators.  Same raises, messages and order."""
     for g in src.den.krows:
         if not dst.den.contains_k(fn(g)):
             raise WellDefinednessViolation("fn does not map den into den")
-    for v in den_images:
-        if not dst.den.contains_k(v):
-            raise WellDefinednessViolation("fn is ambiguous modulo dst.den")
     cols = []
     for l in src.lifts:
         try:

@@ -156,6 +156,21 @@ def test_survey_deterministic(capsys):
     assert out.splitlines()[0] == "pattern,count"
 
 
+# two documents that pass the load and every earlier check of validate: a
+# flag nested with the right dimensions whose level 1 is not killed by pi
+# (F = 0, V = I, flag 0 < R e1 < R^2), and a lift with F = diag(1, p),
+# V = [[p, 0], [p, 1]], so that F V = p but V F != p
+PI_INCOMPATIBLE_FLAG = (
+    '{"F":[[[[0,0],[0,0]],[[0,0],[0,0]]]],"V":[[[[1,0],[0,0]],[[0,0],[1,0]]]],'
+    '"format":"hasse-forge/1","lifted":false,"params":{"d1":2,"e":2,"eisenstein":[6,0,1],'
+    '"f":1,"field_modulus":[0,1],"h1":2,"p":3},'
+    '"pr_flags":[[[],[[[1,0],[0,0]]],[[[1,0],[0,0]],[[0,0],[1,0]]]]]}')
+V_F_NOT_P = (
+    '{"F":[[[[[1]],[[0]]],[[[0]],[[3]]]]],"V":[[[[[3]],[[0]]],[[[3]],[[1]]]]],'
+    '"format":"hasse-forge/1","lifted":true,"params":{"d1":1,"e":1,"eisenstein":[6,1],'
+    '"f":1,"field_modulus":[0,1],"h1":2,"p":3},"pr_flags":[[[],[[[0],[1]]]]]}')
+
+
 def _broken_lift_line():
     doc = json.loads(ser.dumps(named_instance("ram-ss")))
     doc["V"][0][0][0] = doc["V"][0][0][1]  # unit upper-left breaks F.V = p
@@ -164,16 +179,23 @@ def _broken_lift_line():
 
 def test_validate_reports_bad_datum(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(_broken_lift_line() + "\n")
+    path.write_text("\n".join((_broken_lift_line(), PI_INCOMPATIBLE_FLAG, V_F_NOT_P)) + "\n")
     code, out, _ = run_cli(capsys, "validate", "--in", str(path))
     assert code == 1
-    rep = json.loads(out)
-    assert rep["ok"] is False and rep["error"]
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"doc": 0, "ok": False, "error": "F V != p at index 0"},
+        {"doc": 1, "ok": False, "error": "flag at index 0 is not pi-compatible at level 1"},
+        {"doc": 2, "ok": False, "error": "V F != p at index 0"},
+    ]
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "generate", "--params", "3,1,2")
     assert code == 2 and "five integers" in err
+    code, out, err = run_cli(capsys, "generate", "--params", "3,1,2,x,1")
+    assert code == 2 and out == "" and "five integers" in err
+    code, out, err = run_cli(capsys, "generate", "--instance", "ss", "--count", "2")
+    assert code == 2 and out == "" and err == "error: --instance emits exactly one datum\n"
     bad = tmp_path / "bad.json"
     bad.write_text("not json\n")
     code, _, err = run_cli(capsys, "validate", "--in", str(bad))

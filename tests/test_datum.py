@@ -110,6 +110,16 @@ def test_lift_violations():
     V = wmat(W, [[W.from_int(3), W.zero], [W.zero, W.one]])
     with pytest.raises(InvalidLift):
         LiftedDatum(par2, [F], [V], pr_flags=[[Submodule.zero(par2.R, 2)] * 3])
+    # F = diag(1, p), V = [[p, 0], [p, 1]]: F V = p I, but V F = [[p, 0], [p, p]]
+    par3 = Params(3, 1, 1, 2, 1)
+    W, R = par3.W, par3.R
+    p = W.from_int(3)
+    F = wmat(W, [[W.one, W.zero], [W.zero, p]])
+    V = wmat(W, [[p, W.zero], [p, W.one]])
+    flag = [Submodule.zero(R, 2), Submodule.span(R, 2, [(R.zero, R.one)])]
+    with pytest.raises(InvalidLift) as exc:
+        LiftedDatum(par3, [F], [V], pr_flags=[flag])
+    assert str(exc.value) == "V F != p at index 0"
 
 
 def test_axiom_violations():
@@ -159,21 +169,32 @@ def test_flag_violations():
     hodge = L.reduce().hodge(0)
     zero = Submodule.zero(R, 2)
     good_lvl1 = Submodule.span(R, 2, [(R.zero, R.uniformizer)])
-    with pytest.raises(InvalidDatum):
-        DieudonneDatum(par, Fm, Vm, pr_flags=None)  # e > 1 needs explicit flags
-    with pytest.raises(InvalidDatum):
-        DieudonneDatum(par, Fm, Vm, pr_flags=[[zero, good_lvl1]])  # missing level
+
+    def message(par, Fm, Vm, pr_flags):
+        with pytest.raises(InvalidDatum) as exc:
+            DieudonneDatum(par, Fm, Vm, pr_flags=pr_flags)
+        return str(exc.value)
+
+    assert message(par, Fm, Vm, None) == "flag data is required when e > 1"
+    assert message(par, Fm, Vm, [[zero, good_lvl1]]) == "flag at index 0 must have levels 0..e"
     bad_top = Submodule.span(R, 2, [(R.uniformizer, R.zero), (R.zero, R.uniformizer)])
-    with pytest.raises(InvalidDatum):
-        DieudonneDatum(par, Fm, Vm, pr_flags=[[zero, good_lvl1, bad_top]])
-    # level 1 not pi-compatible: pi * (0,1) = (0,pi) lands in level 1 itself,
-    # but pi * level1 must land in level 0 = 0; (0,1) is not even killed by pi
+    assert (message(par, Fm, Vm, [[zero, good_lvl1, bad_top]])
+            == "flag at index 0 does not end at the hodge submodule")
+    # R (0,1) is not killed by pi, but its k-dimension 2 != d1 is met first
     bad_lvl1 = Submodule.span(R, 2, [(R.zero, R.one)])
-    with pytest.raises(InvalidDatum):
-        DieudonneDatum(par, Fm, Vm, pr_flags=[[zero, bad_lvl1, hodge]])
+    assert (message(par, Fm, Vm, [[zero, bad_lvl1, hodge]])
+            == "flag at index 0 has wrong dimension at level 1")
     not_nested = Submodule.span(R, 2, [(R.uniformizer, R.zero)])
-    with pytest.raises(InvalidDatum):
-        DieudonneDatum(par, Fm, Vm, pr_flags=[[zero, not_nested, hodge]])
+    assert (message(par, Fm, Vm, [[zero, not_nested, hodge]])
+            == "flag at index 0 is not nested at level 2")
+    # F = 0, V = I at d1 = h1: hodge = R^2, and R e1 is nested with
+    # k-dimension d1 = 2, but pi * R e1 is not in level 0 = 0
+    par = Params(3, 1, 2, 2, 2)
+    R = par.R
+    Re1 = Submodule.span(R, 2, [(R.one, R.zero)])
+    assert (message(par, [Matrix.zeros(R, 2, 2)], [Matrix.identity(R, 2)],
+                    [[Submodule.zero(R, 2), Re1, Submodule.full(R, 2)]])
+            == "flag at index 0 is not pi-compatible at level 1")
 
 
 def test_annihilator_perfect():

@@ -15,7 +15,7 @@ from collections import Counter
 from hasseforge.errors import WellDefinednessViolation
 from hasseforge.kspace import (QuotientPresentation, annihilator, induced_from_fun, pairing_matrix,
                                residue_form)
-from hasseforge.linalg import SemilinearMap, Submodule, pi_shift, random_matrix, restrict_vec
+from hasseforge.linalg import SemilinearMap, Submodule, pi_shift, random_matrix
 from hasseforge.rings import FiniteField, RingTower
 
 from oracle import induced_from_fun_kbasis, pairing_matrix_kbasis
@@ -43,10 +43,6 @@ def _sub(R, n, rng, count=None):
     return Submodule.span(R, n, [tuple(_element(R, rng) for _ in range(n)) for _ in range(count)])
 
 
-def _vector(R, n, rng):
-    return restrict_vec(R, tuple(_element(R, rng) for _ in range(n)))
-
-
 def _image(R, n, fn, S):
     """fn's image of S, pi-stable when fn commutes with pi."""
     return Submodule.kspan(R, n, [fn(r) for r in S.krows])
@@ -54,8 +50,7 @@ def _image(R, n, fn, S):
 
 def _induced_case(R, rng):
     """A random semilinear map or pi^s shift between random presentations:
-    the target's den and num contain the images or are random, and the
-    division's ambiguity lies in the target's den or is random."""
+    the target's den and num contain the images or are random."""
     n = rng.choice((2, 3))
     den = _sub(R, n, rng, count=rng.randrange(1, 3))
     num = den.add_sub(_sub(R, n, rng))
@@ -68,12 +63,9 @@ def _induced_case(R, rng):
     dden = _image(R, n, fn, den) if rng.random() < 0.7 else _sub(R, n, rng)
     dden = dden.add_sub(_sub(R, n, rng))
     dnum = dden.add_sub(_image(R, n, fn, num) if rng.random() < 0.7 else _sub(R, n, rng))
-    amb = ()
-    if rng.random() < 0.3:
-        amb = [_vector(R, n, rng)] if rng.random() < 0.5 else [fn(r) for r in den.krows]
     src = QuotientPresentation(R, n, num, den)
     dst = QuotientPresentation(R, n, dnum, dden)
-    return fn, twist, src, dst, amb
+    return fn, twist, src, dst
 
 
 def _widened(R, n, qp, rng):
@@ -107,12 +99,12 @@ def test_induced_descent_by_generators_matches_the_kbasis_reference():
     for T in TOWERS:
         rng = random.Random("induced/%d/%d/%d" % (T.p, T.f, T.e))
         for _ in range(CASES):
-            fn, twist, src, dst, amb = _induced_case(T.R, rng)
-            got = _outcome(lambda: induced_from_fun(fn, twist, src, dst, amb))
-            assert got == _outcome(lambda: induced_from_fun_kbasis(fn, twist, src, dst, amb))
+            fn, twist, src, dst = _induced_case(T.R, rng)
+            got = _outcome(lambda: induced_from_fun(fn, twist, src, dst))
+            assert got == _outcome(lambda: induced_from_fun_kbasis(fn, twist, src, dst))
             seen[got if isinstance(got, str) else "descends"] += 1
     assert set(seen) == {"descends", "fn does not map den into den",
-                         "fn is ambiguous modulo dst.den", "fn does not map num into num"}, seen
+                         "fn does not map num into num"}, seen
 
 
 def test_pairing_descent_by_generators_matches_the_kbasis_reference():

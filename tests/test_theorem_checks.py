@@ -280,8 +280,8 @@ def _patch_maps(monkeypatch, X0, match, defect):
 def test_divided_f_map_fires_on_a_doubled_map(monkeypatch):
     original = invariants.induced_from_fun
 
-    def doubled_division(fn, twist, src, dst, den_images=()):
-        M = original(fn, twist, src, dst, den_images)
+    def doubled_division(fn, twist, src, dst):
+        M = original(fn, twist, src, dst)
         # the divided F-map is the only induced map with twist +1
         if twist == 1:
             return SemilinearMap(_doubled(src.R.k, M.matrix), twist)
