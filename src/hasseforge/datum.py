@@ -114,14 +114,17 @@ class _Datum:
                 raise self._invalid("matrix at index %d is not %d x %d" % (i, h1, h1))
 
     def dualize(self):
-        """The dual datum, built and validated by the class call.  A lift's
-        dual reduces to its reduction's dual, so only the flags come from
-        the reduction."""
+        """The dual datum, built and validated by the class call (a failure
+        reads "dual is not a valid datum: ...").  A lift's dual reduces to
+        its reduction's dual, so only the flags come from the reduction."""
         f = self.params.f
-        return type(self)(self.params.dual(),
-                          [self.V[i].matrix.transpose().frob(1) for i in range(f)],
-                          [self.F[i].matrix.transpose().frob(-1) for i in range(f)],
-                          pr_flags=self.reduce().dual_flags())
+        try:
+            return type(self)(self.params.dual(),
+                              [self.V[i].matrix.transpose().frob(1) for i in range(f)],
+                              [self.F[i].matrix.transpose().frob(-1) for i in range(f)],
+                              pr_flags=self.reduce().dual_flags())
+        except self._invalid as exc:
+            raise self._invalid("dual is not a valid datum: %s" % exc) from exc
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

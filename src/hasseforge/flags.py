@@ -7,8 +7,8 @@ auxiliary one only 0..e-1):
     continued upward by pi-power preimages;
   auxiliary: pi-preimages of the individual extended levels;
   conjugate: the previous index's extended flag transported through F
-    (lower half, images) and V (upper half, preimages), meeting at the
-    validated im F = ker V.
+    (lower half, images) and V (upper half, preimages, E_i at the top),
+    meeting at the validated im F = ker V.
 
 Everything here is untwisted submodule arithmetic; the frobenius twists
 of F and V only matter once maps between quotients get coordinates.
@@ -60,18 +60,19 @@ def aux_flag(datum, i: int):
 def conj_flag(datum, i: int):
     """Levels 0..2e: level j < e is the F-image of the previous index's
     extended level e+j, level e+j is the V-preimage of the previous
-    index's extended level j.  Level e is im F = ker V, read as the
-    datum's memoized im F: validate decided ker V = im F for every loaded
-    datum, dual and lift reduction, and the _of data the generators place
-    carry that guarantee by construction, so ker V is not solved again."""
+    index's extended level j.  Level e is the datum's memoized im F:
+    validate decided ker V = im F for every loaded datum, dual and lift
+    reduction, and the generators' _of data hold it by construction, so
+    ker V is not solved again.  Level 2e, V's preimage of hodge(i-1) = im
+    V, is all of E_i: the previous extended level 2e, with no solve."""
     p = datum.params
     i %= p.f
 
     def build():
         prev = extended_flag(datum, (i - 1) % p.f)
         lower = [datum.F[i].image_of(prev[p.e + j]) for j in range(p.e)]
-        upper = [datum.V[i].preimage(prev[j]) for j in range(1, p.e + 1)]
-        return tuple(lower + [datum.conj(i)] + upper)
+        upper = [datum.V[i].preimage(prev[j]) for j in range(1, p.e)]
+        return tuple(lower + [datum.conj(i)] + upper + [prev[2 * p.e]])
 
     return datum.memo(("conj", i), build)
 

@@ -162,10 +162,10 @@ def pairing_matrix(form, left: QuotientPresentation, right: QuotientPresentation
 def quotient_det(k, S: Submodule, vecs):
     """The determinant of the vectors vecs of k^r read in k^r/S, whose
     canonical basis is the standard vectors at S's free columns: each
-    column is a vector's reduction mod S (reduce_k) at those columns."""
-    free = S.free()
-    cols = [tuple(S.reduce_k(v)[j] for j in free) for v in vecs]
-    return Matrix.from_cols(k, cols, m=len(free)).det()
+    column is a vector's reduction there, one k.dot per form of S."""
+    forms = S.forms()
+    cols = [tuple(k.dot(w, v) for w in forms) for v in vecs]
+    return Matrix.from_cols(k, cols, m=len(forms)).det()
 
 
 def prop_dual(k, r: int, B: Submodule, C: Submodule):

@@ -10,22 +10,22 @@ A submodule of R^n, R = k[pi]/(pi^e), is the same thing as a pi-stable
 k-subspace of k^(n*e) (module coordinate m, pi-power s at flat index
 m*e + s), and is stored as its reduced row echelon form; over k itself
 e = 1.  So every submodule operation is plain elimination over the
-residue field, a pi-multiple is a digit shift inside each block of e
-(pi_shift; exact division by pi^s, pi_divide, is the shift back; on a
-submodule, pi_times shifts the echelon rows and pi_preimage solves
-against the shifted standard basis), and the kernels of an R-linear
-map's restriction are pi-stable with no extra step.  The Howell form
-over R (the strong echelon form, canonical over a ring with zero
-divisors) is read off the echelon rows: per module column, the row of
-least pi-power (Submodule.gens).
+residue field, and a pi-multiple is a digit shift inside each block of e
+(pi_shift; pi_unshift moves back, and pi_divide is exact division).  A
+submodule is also the zero set of its annihilating forms, one per free
+column of its echelon rows (Submodule.forms), and Submodule.solutions,
+which eliminates forms, is the one solve under every preimage: pi_preimage
+solves the forms unshifted, intersect both operands' forms, and a map's
+preimage each form composed with it.  The Howell form over R (the strong
+echelon form, canonical over a ring with zero divisors) is read off the
+echelon rows: per module column, the row of least pi-power (gens).
 
 Semilinear maps x -> A sigma^a(x) carry their twist explicitly.  Each one
 restricts once, on first use, to its k-matrix on flat vectors (column
-m*e + s is the digit shift by s of restricted column m): apply_k (one
-FiniteField.combine of those columns), kernel, preimage and image_of all
-read that one cached restriction, so no flat vector goes back to
-R-coordinates.  The kernel/image/preimage conventions return
-submodules in untwisted coordinates:
+m*e + s is the digit shift by s of restricted column m): apply_k and a
+form's composition are one FiniteField.combine of its columns or rows,
+and kernel, preimage and image_of read that one cached restriction.  The
+kernel/image/preimage conventions return untwisted submodules:
 
     ker (A, a)      = sigma^{-a}(ker A)
     im  (A, a)      = column span of A
@@ -317,13 +317,18 @@ def pi_shift(v, e, s):
     return [0 if t % e < s else v[t - s] for t in range(len(v))]
 
 
+def pi_unshift(v, e, s):
+    """Each block of e digits moves down by s, the low s dropped: the
+    transpose of pi_shift, so pi_unshift(w) is the form w after pi^s."""
+    return [0 if t % e >= e - s else v[t + s] for t in range(len(v))]
+
+
 def pi_divide(v, e, s):
-    """The canonical z with pi^s z = v on a flat vector: each block of e
-    digits moves down by s.  InvariantViolation when v is no multiple of
-    pi^s, that is when a shifted-out digit is nonzero."""
+    """pi_unshift(v), the canonical z with pi^s z = v; InvariantViolation
+    when v is no multiple of pi^s (a shifted-out digit is nonzero)."""
     if any(x for t, x in enumerate(v) if t % e < s):
         raise InvariantViolation("vector is not divisible by pi^%d" % s)
-    return [0 if t % e >= e - s else v[t + s] for t in range(len(v))]
+    return pi_unshift(v, e, s)
 
 
 def _reduce(k, rows, pivs, v):
@@ -354,6 +359,21 @@ def _insert(k, rows, pivs, v) -> bool:
     rows.insert(at, v)
     pivs.insert(at, lead)
     return True
+
+
+def _perp(k, N, pivs, rows):
+    """The orthogonal complement in k^N of echelon rows that are 1 at their
+    own pivot and 0 at the others' pivots: one vector per free column f,
+    1 at f and -r[f] at the pivot of each row r, and the free columns."""
+    free = tuple(sorted(set(range(N)).difference(pivs)))
+    out = []
+    for f in free:
+        x = [0] * N
+        x[f] = 1
+        for q, r in zip(pivs, rows):
+            x[q] = k.neg(r[f])
+        out.append(tuple(x))
+    return tuple(out), free
 
 
 class Submodule:
@@ -404,24 +424,15 @@ class Submodule:
         """The submodule whose restriction is the common zero set in
         k^(n*e) of the flat k-linear forms, which the caller vouches is
         pi-stable.  Eliminating the forms with each pivot at a row's last
-        nonzero entry makes the solution of free column f (1 at f, -r[f] at
-        the pivot of each row r) nonzero only at f and at pivots right of
-        f, so these solutions already form a reduced echelon basis."""
+        nonzero entry makes the solution of free column f (_perp: 1 at f,
+        -r[f] at the pivot of each row r) nonzero only at f and at pivots
+        right of f, so these solutions already form a reduced echelon basis."""
         e = _digits(ring)
         k, N = ring.k, n * e
         rows, pivs = [], []
         for c in forms:
             _insert(k, rows, pivs, c[::-1])
-        pivot_rows = [(N - 1 - p, r[::-1]) for p, r in zip(pivs, rows)]
-        free = [f for f in range(N) if N - 1 - f not in pivs]
-        out = []
-        for f in free:
-            x = [0] * N
-            x[f] = 1
-            for q, r in pivot_rows:
-                x[q] = k.neg(r[f])
-            out.append(tuple(x))
-        return cls._of(ring, n, e, tuple(out), tuple(free))
+        return cls._of(ring, n, e, *_perp(k, N, [N - 1 - p for p in pivs], [r[::-1] for r in rows]))
 
     @classmethod
     def zero(cls, ring, n):
@@ -453,10 +464,10 @@ class Submodule:
         """(module column, pi-power) of each Howell row: its first nonzero entry."""
         return tuple(divmod(next(t for t, x in enumerate(g) if x), self.e) for g in self.gens())
 
-    def free(self):
-        """The flat columns that are not pivots."""
-        taken = set(self.kpivots)
-        return [t for t in range(self.n * self.e) if t not in taken]
+    def forms(self):
+        """S's annihilating forms, one per free column f: x -> x[f] - sum_r
+        r[f] x[pivot r], column f of reduce_k(x).  S is their zero set."""
+        return _perp(self.ring.k, self.n * self.e, self.kpivots, self.krows)[0]
 
     def reduce_k(self, kv):
         """Canonical representative of the flat vector kv modulo the
@@ -496,7 +507,7 @@ class Submodule:
 
     def intersect(self, other):
         self._check_n(other, "intersection")
-        return self._with(*_solve(other, self.krows, (self.krows, self.kpivots)))
+        return Submodule.solutions(self.ring, self.n, self.forms() + other.forms())
 
     def frob(self, j=1):
         k = self.ring.k
@@ -514,13 +525,9 @@ class Submodule:
         return Submodule.kspan(self.ring, self.n, shifts)
 
     def pi_preimage(self, s):
-        """pi^(-s) S = {x : pi^s x in S}: one solve over the digit shifts
-        pi^s u_t of the flat standard basis vectors u_t, which are the
-        restricted columns of pi^s on ring^n."""
-        N = self.n * self.e
-        images = [pi_shift([int(u == t) for u in range(N)], self.e, s) for t in range(N)]
-        rows, pivs = _solve(self, images)
-        return Submodule._of(self.ring, self.n, self.e, rows, pivs)
+        """pi^(-s) S = {x : pi^s x in S}: the zero set of S's forms composed
+        with pi^s, each shifted down by s digits per block."""
+        return Submodule.solutions(self.ring, self.n, [pi_unshift(w, self.e, s) for w in self.forms()])
 
     def _with(self, rows, pivs):
         """A submodule of the same ring^n on the library's echelon lists."""
@@ -541,20 +548,6 @@ class Submodule:
 
     def __repr__(self):
         return "Submodule(%d gens in %r^%d)" % (len(self.gens()), self.ring, self.n)
-
-
-def _solve(T, images, basis=None):
-    """Echelon rows and pivots of {x = sum c_i basis_i : sum c_i images_i
-    in T}, basis an echelon (rows, pivots) pair or None for the standard
-    basis.  The c's solve one form per free column of T; x reads c off the
-    basis pivots, so the c's echelon basis maps to one of the x's."""
-    k, free = T.ring.k, T.free()
-    red = [_reduce(k, T.krows, T.kpivots, y) for y in images]
-    C = Submodule.solutions(k, len(red), list(zip(*[[r[t] for t in free] for r in red])))
-    if basis is None:
-        return C.krows, C.kpivots
-    xs = [k.combine(c, basis[0], len(basis[0][0])) for c in C.krows]
-    return xs, [basis[1][i] for i in C.kpivots]
 
 
 def image(M: Matrix) -> Submodule:
@@ -618,8 +611,10 @@ class SemilinearMap:
         if T.ring is not M.ring or T.n != M.m:
             raise InvalidSpec("preimage under a %dx%d matrix over %r of a submodule of %r^%d"
                               % (M.m, M.n, M.ring, T.ring, T.n))
-        rows, pivs = _solve(T, self.kcols())
-        return Submodule._of(M.ring, M.n, T.e, rows, pivs).frob(-self.twist)
+        # each form of T composed with the restricted A: sum_j w[j] (row j)
+        k, arows = M.ring.k, list(zip(*self.kcols()))
+        forms = [k.combine(w, arows, M.n * T.e) for w in T.forms()]
+        return Submodule.solutions(M.ring, M.n, forms).frob(-self.twist)
 
     def image_of(self, S: Submodule) -> Submodule:
         """The images of S's echelon rows span the restriction of the

@@ -15,8 +15,8 @@ from hasseforge.datum import Params
 from hasseforge.flags import pi_divisibility
 from hasseforge.generate import random_charp
 from hasseforge.kspace import QuotientPresentation, prop_dual
-from hasseforge.linalg import (Matrix, SemilinearMap, Submodule, unrestrict_vec, vadd,
-                               vscale, vsub)
+from hasseforge.linalg import (Matrix, SemilinearMap, Submodule, pi_shift, unrestrict_vec,
+                               vadd, vscale, vsub)
 
 
 def _fail(msg):
@@ -381,3 +381,53 @@ def pairing_matrix_kbasis(form, left, right):
                 raise WellDefinednessViolation("pairing does not kill right.den")
     return Matrix(left.R.k, [[form(lu, rv) for rv in right.lifts] for lu in left.lifts],
                   n=right.dim)
+
+
+# -- preimages by reduction against the target ---------------------------------
+
+
+def solve_by_reduction(T, images, basis=None):
+    """The solve that every preimage ran before the annihilating forms,
+    kept as their reference: echelon rows and pivots of {x = sum c_i
+    basis_i : sum c_i images_i in T}, basis an echelon (rows, pivots) pair
+    or None for the standard basis.  Each image is reduced against T, the
+    c's solve one form per free column of T over k, and x reads c off the
+    basis pivots, so the c's echelon basis maps to one of the x's."""
+    k = T.ring.k
+    free = [t for t in range(T.n * T.e) if t not in T.kpivots]
+    red = [T.reduce_k(y) for y in images]
+    C = Submodule.solutions(k, len(red), list(zip(*[[r[t] for t in free] for r in red])))
+    if basis is None:
+        return C.krows, C.kpivots
+    xs = [k.combine(c, basis[0], len(basis[0][0])) for c in C.krows]
+    return xs, [basis[1][i] for i in C.kpivots]
+
+
+def _submodule_on(ring, n, e, rows, pivs):
+    return Submodule._of(ring, n, e, tuple(map(tuple, rows)), tuple(pivs))
+
+
+def preimage_by_reduction(phi, T):
+    """phi^(-1)(T): the images are the restricted columns of phi."""
+    M = phi.matrix
+    return _submodule_on(M.ring, M.n, T.e, *solve_by_reduction(T, phi.kcols())).frob(-phi.twist)
+
+
+def pi_preimage_by_reduction(S, s):
+    """pi^(-s) S: the images are the digit shifts of the flat standard basis."""
+    N = S.n * S.e
+    images = [pi_shift([int(u == t) for u in range(N)], S.e, s) for t in range(N)]
+    return _submodule_on(S.ring, S.n, S.e, *solve_by_reduction(S, images))
+
+
+def intersect_by_reduction(S, T):
+    """S meet T: the combinations of S's echelon rows that land in T."""
+    return _submodule_on(S.ring, S.n, S.e, *solve_by_reduction(T, S.krows, (S.krows, S.kpivots)))
+
+
+def quotient_det_by_reduction(k, S, vecs):
+    """kspace.quotient_det with each column a vector's reduction mod S at
+    S's free columns."""
+    free = [t for t in range(S.n) if t not in S.kpivots]
+    cols = [tuple(S.reduce_k(v)[t] for t in free) for v in vecs]
+    return Matrix.from_cols(k, cols, m=len(free)).det()

@@ -285,7 +285,8 @@ def test_flag_dims_and_nesting():
 
 def test_conj_flag_solves_only_the_upper_preimages(monkeypatch):
     """Level e is the datum's im F, which validation has matched with
-    ker V, so the flag makes e V-preimage solves, of extended levels 1..e."""
+    ker V, and level 2e is all of E_i, the previous extended level 2e, so
+    the flag makes e-1 V-preimage solves, of extended levels 1..e-1."""
     solves = []
     preimage = SemilinearMap.preimage
 
@@ -299,7 +300,7 @@ def test_conj_flag_solves_only_the_upper_preimages(monkeypatch):
         for i in range(D.params.f):
             del solves[:]
             ft = conj_flag(D, i)
-            assert len(solves) == D.params.e
+            assert len(solves) == D.params.e - 1
             assert all(V is D.V[i] for V in solves)
             assert ft[D.params.e] is D.conj(i)
 

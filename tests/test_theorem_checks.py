@@ -1,7 +1,9 @@
 """Witnesses for the theorem checks of the sections and duality verdicts:
 the residue-pairing adjunctions and their descent, the complementary
 pair's natural dets, the natural descriptions, the factorizations, the
-adapted Hodge basis's filtration and every unit check.
+adapted Hodge basis's filtration, every unit check and the dual's flag,
+whose validation is the paper's statement that the dual satisfies the
+Pappas-Rapoport condition.
 
 Each check gets one targeted defect, patched in for the test only, and
 must fire with its typed error and its exact message; the same datum's
@@ -15,14 +17,15 @@ import random
 
 import pytest
 
-from hasseforge import invariants
-from hasseforge.datum import Params
-from hasseforge.errors import InvariantViolation, WellDefinednessViolation
+from hasseforge import invariants, serialize
+from hasseforge.cli import main
+from hasseforge.datum import DieudonneDatum, Params
+from hasseforge.errors import InvalidDatum, InvariantViolation, WellDefinednessViolation
 from hasseforge.flags import aux_flag, conj_flag, extended_flag
 from hasseforge.generate import random_lifted
 from hasseforge.invariants import all_verdicts, duality_check, section
 from hasseforge.kspace import QuotientPresentation
-from hasseforge.linalg import Matrix, SemilinearMap, Submodule
+from hasseforge.linalg import Matrix, SemilinearMap, Submodule, pi_shift
 
 
 def _datum():
@@ -473,3 +476,67 @@ def test_unit_fires_on_a_degenerate_adapted_hodge_basis(monkeypatch):
     with pytest.raises(InvariantViolation) as exc:
         duality_check(D, "ha_i", 0)
     assert str(exc.value) == "subspace basis transport must be invertible"
+
+
+# ---------------------------------------------------------------------------
+# the dual's flag: dual_flags followed by the dual's validate
+
+
+def _not_killed_by_pi(p, flag):
+    """A level-1 stand-in of the right dimension inside the hodge whose
+    pi-multiple is nonzero: the k-span of a hodge row that pi does not kill."""
+    v = next(r for r in flag[p.e].krows if any(pi_shift(r, p.e, 1)))
+    return flag[:1] + [Submodule.kspan(p.R, p.h1, [v])] + flag[2:]
+
+
+# each defect rewrites the dual flag at index 0 (e = 2, dual d1 = 1)
+DUAL_FLAG_DEFECTS = {
+    "level one dimension short": (
+        lambda p, fl: fl[:1] + [Submodule.kspan(p.R, p.h1, fl[1].krows[:-1])] + fl[2:],
+        "flag at index 0 has wrong dimension at level 1"),
+    "swapped pair of levels": (
+        lambda p, fl: [fl[1], fl[0]] + fl[2:],
+        "flag at index 0 does not start at 0"),
+    "top level not the dual's hodge": (
+        lambda p, fl: fl[:p.e] + [Submodule.full(p.R, p.h1)],
+        "flag at index 0 does not end at the hodge submodule"),
+    "level not pi-compatible": (
+        _not_killed_by_pi,
+        "flag at index 0 is not pi-compatible at level 1"),
+}
+
+
+def _verify(tmp_path, capsys, D):
+    path = tmp_path / "doc.jsonl"
+    path.write_text(serialize.dumps(D) + "\n")
+    status = main(["verify", "--in", str(path)])
+    return status, capsys.readouterr()
+
+
+def test_the_unpatched_dual_flag_is_valid(tmp_path, capsys):
+    D = _datum()
+    D.reduce().dual()
+    status, out = _verify(tmp_path, capsys, D)
+    assert status == 0 and out.err == ""
+    assert '"ok":true' in out.out
+
+
+@pytest.mark.parametrize("defect", list(DUAL_FLAG_DEFECTS))
+def test_dual_validation_fires_on_a_defective_dual_flag(monkeypatch, tmp_path, capsys, defect):
+    change, message = DUAL_FLAG_DEFECTS[defect]
+    original = DieudonneDatum.dual_flags
+
+    def patched(X):
+        flags = original(X)
+        flags[0] = change(X.params, list(flags[0]))
+        return flags
+
+    monkeypatch.setattr(DieudonneDatum, "dual_flags", patched)
+    D = _datum()
+    with pytest.raises(InvalidDatum) as exc:
+        D.reduce().dual()
+    assert type(exc.value) is InvalidDatum
+    assert str(exc.value) == "dual is not a valid datum: " + message
+    status, out = _verify(tmp_path, capsys, D)
+    assert status == 1 and out.out == ""
+    assert out.err == "error: dual is not a valid datum: %s\n" % message
