@@ -69,11 +69,16 @@ def _parse_params(text: str) -> Params:
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSpec("cannot read %s: %s" % (path, exc))
+    # stdin arrives decoded in the locale's encoding, so ASCII is checked here
+    if not text.isascii():
+        raise InvalidSpec("cannot read %s: not ASCII text" % path)
+    return text
 
 
 def _documents(path: str):

@@ -294,10 +294,10 @@ class LiftedDatum(_Datum):
         for i in range(p.f):
             self._check_square(i)
             FV = self.F[i].compose(self.V[i])
-            if FV.twist != 0 or FV.matrix != pI:
+            if FV.matrix != pI:
                 raise InvalidLift("F V != p at index %d" % i)
             VF = self.V[i].compose(self.F[i])
-            if VF.twist != 0 or VF.matrix != pI:
+            if VF.matrix != pI:
                 raise InvalidLift("V F != p at index %d" % i)
         try:
             self.reduce().validate()

@@ -7,9 +7,9 @@ along), and determinants of those matrices are the scalars the theory
 multiplies together.
 
 Restricted scalars convention: R^n -> k^(n*e) sends module coordinate m,
-pi-power s to flat index m*e + s.  This layer works on flat vectors, the
-residue form and pairing matrices included: restrict_vec/unrestrict_vec
-only serve callers that hold R-vectors.
+pi-power s to flat index m*e + s.  This layer works on flat vectors only,
+the residue form and pairing matrices included; R-vectors are restricted
+and unrestricted only inside linalg (Submodule.span and rows, kcols).
 
 An R-submodule is stored as the reduced echelon basis of its restriction
 (see linalg), which is exactly a Submodule over k: the underlying k-space
@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 
 from .errors import InvariantViolation, NotComplementary, NotNested, WellDefinednessViolation
-from .linalg import Matrix, SemilinearMap, Submodule, restrict_vec, unrestrict_vec
+from .linalg import Matrix, SemilinearMap, Submodule
 
 
 def ksub_from_rsub(R, S: Submodule) -> Submodule:
@@ -80,20 +80,12 @@ class QuotientPresentation:
         self.lifts = [num.krows[t] for t in self._kept]
         self._post = None
 
-    @property
-    def lifts_R(self):
-        """The lifts as R-vectors, for readers that work in R^n."""
-        return [unrestrict_vec(self.R, l) for l in self.lifts]
-
     def coordinates_of_k(self, kv):
         # num.coords raises InvariantViolation unless the kept rows reduce
         # the den-reduction to zero
         c = self.num.coords(self.den.reduce_k(kv))
         raw = tuple(c[t] for t in self._kept)
         return self._post.apply(raw) if self._post is not None else raw
-
-    def coordinates_of_R(self, v):
-        return self.coordinates_of_k(restrict_vec(self.R, v))
 
     def with_lifts(self, lifts) -> "QuotientPresentation":
         """Same quotient, custom lift basis: flat vectors of num that form

@@ -42,22 +42,6 @@ from .errors import InvalidSpec, InvariantViolation, RetryExhausted
 from .rings import PiChain
 
 
-def vadd(ring, u, v):
-    return tuple(ring.add(x, y) for x, y in zip(u, v))
-
-
-def vsub(ring, u, v):
-    return tuple(ring.sub(x, y) for x, y in zip(u, v))
-
-
-def vscale(ring, c, v):
-    return tuple(ring.mul(c, x) for x in v)
-
-
-def vfrob(ring, v, j=1):
-    return tuple(ring.frob(x, j) for x in v)
-
-
 class Matrix:
     """Immutable matrix over a chain ring; rows of equal length.
 
@@ -379,7 +363,7 @@ def _perp(k, N, pivs, rows):
 class Submodule:
     """Submodule of ring^n, ring = k or R = k[pi]/(pi^e), stored as the
     reduced echelon basis krows (pivot columns kpivots) of its restriction
-    to k^(n*e).  rows/pivots are its Howell form over the ring.
+    to k^(n*e).  rows is its Howell form over the ring.
 
     Callers build through span, kspan, solutions, zero and full; every
     one of those, and every operation, constructs through _of."""
@@ -459,11 +443,6 @@ class Submodule:
     def rows(self):
         return tuple(unrestrict_vec(self.ring, g) for g in self.gens())
 
-    @property
-    def pivots(self):
-        """(module column, pi-power) of each Howell row: its first nonzero entry."""
-        return tuple(divmod(next(t for t, x in enumerate(g) if x), self.e) for g in self.gens())
-
     def forms(self):
         """S's annihilating forms, one per free column f: x -> x[f] - sum_r
         r[f] x[pivot r], column f of reduce_k(x).  S is their zero set."""
@@ -473,9 +452,6 @@ class Submodule:
         """Canonical representative of the flat vector kv modulo the
         restriction: kv with every pivot column cleared."""
         return _reduce(self.ring.k, self.krows, self.kpivots, kv)
-
-    def contains(self, v) -> bool:
-        return self.contains_k(restrict_vec(self.ring, v))
 
     def contains_k(self, kv) -> bool:
         """Membership of the flat vector kv in the restriction."""
@@ -585,12 +561,9 @@ class SemilinearMap:
                            for j in range(M.n) for s in range(e)]
         return self._kcols
 
-    def apply(self, v):
-        return self.matrix.apply(vfrob(self.ring, v, self.twist))
-
     def apply_k(self, kv):
         """The map on flat vectors: the restricted A applied to
-        sigma^a(kv), equal to restrict_vec(apply(unrestrict_vec(kv)))."""
+        sigma^a(kv)."""
         k = self.ring.k
         if self.twist % k.f:
             kv = [k.frob(x, self.twist) for x in kv]

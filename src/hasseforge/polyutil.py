@@ -18,15 +18,6 @@ def trim(a: list[int]) -> list[int]:
     return a[:n]
 
 
-def add(a: list[int], b: list[int], m: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return trim(out)
-
-
 def sub(a: list[int], b: list[int], m: int) -> list[int]:
     out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):

@@ -15,10 +15,10 @@ Elements are passive immutable data; the ring objects own the operations.
 k elements are integer codes in [0, p^f) whose base-p digits are the
 coefficients on the power basis.  R elements are e-tuples of k codes,
 W2 elements f-tuples of ints mod p^2, W elements e-tuples of W2 elements.
-All layers share one protocol: capacity, zero, one, uniformizer, size,
+All layers share one protocol: capacity, zero, one, uniformizer,
 add/sub/neg/mul, dot(u, v) (the sum of the products u_t v_t), is_unit,
 inv, frob(x, j), val_split(x) -> (val, unit), pi_pow(n), from_int,
-elements(), random_element(rng).
+random_element(rng).
 
 A W element is read as the flat vector of its e*f coordinates, the
 coefficient of pi^i x^a at index i*f + a.  W multiplies on that vector
@@ -91,7 +91,6 @@ class FiniteField:
         self.zero = 0
         self.one = 1
         self.uniformizer = 0  # the maximal ideal of a field is (0)
-        self.size = self.q
         self._build_tables()
 
     def __repr__(self):
@@ -257,9 +256,6 @@ class FiniteField:
         """Image in the residue field (the identity here)."""
         return a
 
-    def elements(self):
-        return range(self.q)
-
     def random_element(self, rng) -> int:
         return rng.randrange(self.q)
 
@@ -301,7 +297,6 @@ class PiChain:
         self.one = tuple([field.one] + [field.zero] * (e - 1))
         # for e = 1 the class of pi is 0
         self.uniformizer = tuple(field.one if i == 1 else field.zero for i in range(e))
-        self.size = field.q**e
 
     def __repr__(self):
         return "GF(%d^%d)[pi]/(pi^%d)" % (self.p, self.f, self.e)
@@ -353,12 +348,6 @@ class PiChain:
             return self.zero
         return tuple(self.k.one if i == n else self.k.zero for i in range(self.e))
 
-    def shift_down(self, a, s: int):
-        """The canonical solution z of pi^s z = a (0 <= s <= e), or InvariantViolation."""
-        if any(a[:s]):
-            raise InvariantViolation("%r is not divisible by pi^%d" % (a, s))
-        return a[s:] + (self.k.zero,) * s
-
     def from_k(self, c: int):
         return (c,) + (self.k.zero,) * (self.e - 1)
 
@@ -367,9 +356,6 @@ class PiChain:
 
     def res(self, a) -> int:
         return a[0]
-
-    def elements(self):
-        return itertools.product(self.k.elements(), repeat=self.e)
 
     def random_element(self, rng):
         return tuple(self.k.random_element(rng) for _ in range(self.e))
@@ -393,7 +379,6 @@ class WittLength2:
         self.zero = (0,) * field.f
         self.one = self._pad([1])
         self.uniformizer = self._pad([field.p])
-        self.size = self.m**field.f
         self._build_frobenius()
 
     def __repr__(self):
@@ -510,9 +495,6 @@ class WittLength2:
     def res(self, a) -> int:
         return self.reduce(a)
 
-    def elements(self):
-        return itertools.product(range(self.m), repeat=self.f)
-
     def random_element(self, rng):
         return tuple(rng.randrange(self.m) for _ in range(self.f))
 
@@ -549,7 +531,6 @@ class EisensteinLift(object):
         self.capacity = 2 * e
         self.zero = (w2.zero,) * e
         self.one = tuple([w2.one] + [w2.zero] * (e - 1))
-        self.size = w2.size**e
         self._build_pi_table()
         self._build_product_table()
         self.uniformizer = self._pi_reps[1]
@@ -717,9 +698,6 @@ class EisensteinLift(object):
 
     def res(self, a) -> int:
         return self.w2.reduce(a[0])
-
-    def elements(self):
-        return itertools.product(self.w2.elements(), repeat=self.e)
 
     def random_element(self, rng):
         return tuple(self.w2.random_element(rng) for _ in range(self.e))

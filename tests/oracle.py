@@ -15,20 +15,62 @@ from hasseforge.datum import Params
 from hasseforge.flags import pi_divisibility
 from hasseforge.generate import random_charp
 from hasseforge.kspace import QuotientPresentation, prop_dual
-from hasseforge.linalg import (Matrix, SemilinearMap, Submodule, pi_shift, unrestrict_vec,
-                               vadd, vscale, vsub)
+from hasseforge.linalg import Matrix, SemilinearMap, Submodule, pi_shift, restrict_vec, unrestrict_vec
+from hasseforge.rings import WittLength2
 
 
 def _fail(msg):
     raise InvariantViolation(msg)
 
 
+# -- R-vectors, by the ring operations alone ----------------------------------
+
+
+def elements(ring):
+    """Every element of a ring of the tower: k codes, then tuples of them
+    (R), of ints mod p^2 (W2) or of W2 elements (W)."""
+    if ring.k is ring:
+        return range(ring.q)
+    if isinstance(ring, WittLength2):
+        return itertools.product(range(ring.m), repeat=ring.f)
+    return itertools.product(elements(getattr(ring, "w2", ring.k)), repeat=ring.e)
+
+
+def vadd(ring, u, v):
+    return tuple(ring.add(x, y) for x, y in zip(u, v))
+
+
+def vsub(ring, u, v):
+    return tuple(ring.sub(x, y) for x, y in zip(u, v))
+
+
+def vscale(ring, c, v):
+    return tuple(ring.mul(c, x) for x in v)
+
+
+def vfrob(ring, v, j=1):
+    return tuple(ring.frob(x, j) for x in v)
+
+
+def apply_R(phi, v):
+    """phi(v) = A sigma^a(v) on an R-vector, one ring.add and ring.mul per
+    entry: it shares no code with the flat restriction (kcols, apply_k)."""
+    ring, x = phi.ring, vfrob(phi.ring, v, phi.twist)
+    out = []
+    for row in phi.matrix.rows:
+        acc = ring.zero
+        for a, y in zip(row, x):
+            acc = ring.add(acc, ring.mul(a, y))
+        out.append(acc)
+    return tuple(out)
+
+
 def all_vectors(ring, n):
-    return list(itertools.product(ring.elements(), repeat=n))
+    return list(itertools.product(elements(ring), repeat=n))
 
 
 def submodule_set(S):
-    return frozenset(v for v in all_vectors(S.ring, S.n) if S.contains(v))
+    return frozenset(v for v in all_vectors(S.ring, S.n) if S.contains_k(restrict_vec(S.ring, v)))
 
 
 # -- permutation-expansion determinant --------------------------------------
@@ -140,7 +182,7 @@ def tiny_params():
 
 
 def _all_matrices(R, n):
-    elts = list(R.elements())
+    elts = list(elements(R))
     for entries in itertools.product(elts, repeat=n * n):
         yield Matrix(R, [list(entries[i * n:(i + 1) * n]) for i in range(n)])
 
@@ -159,9 +201,9 @@ def check_kernels_images(par=None):
     for M in _all_matrices(R, 2):
         for twist in (1, -1):
             phi = SemilinearMap(M, twist)
-            ker = {v for v in vecs if phi.apply(v) == zero}
-            img = {phi.apply(v) for v in vecs}
-            pre = {v for v in vecs if phi.apply(v) in tset}
+            ker = {v for v in vecs if apply_R(phi, v) == zero}
+            img = {apply_R(phi, v) for v in vecs}
+            pre = {v for v in vecs if apply_R(phi, v) in tset}
             for S, brute, what in ((phi.kernel(), ker, "kernel"),
                                    (phi.image(), img, "image"),
                                    (phi.preimage(T), pre, "preimage")):
@@ -212,13 +254,16 @@ def check_quotients(par=None, rng=None, samples=6):
         qps = [QuotientPresentation(R, 2, ext[j], ext[j - 1]) for j in range(1, 5)]
         qps.append(QuotientPresentation(R, 2, Submodule.full(R, 2), Submodule.zero(R, 2)))
         for qp in qps:
-            numset = [v for v in all_vectors(R, 2) if qp.num.contains(v)]
+            def coords(v, qp=qp):
+                return qp.coordinates_of_k(restrict_vec(R, v))
+
+            numset = [v for v in all_vectors(R, 2) if qp.num.contains_k(restrict_vec(R, v))]
             denset = submodule_set(qp.den)
             if len(numset) != len(denset) * K.q ** qp.dim:
                 _fail("quotient size law failed")
             fibers = {}
             for v in numset:
-                fibers.setdefault(qp.coordinates_of_R(v), []).append(v)
+                fibers.setdefault(coords(v), []).append(v)
             if len(fibers) != K.q ** qp.dim:
                 _fail("coordinate map misses values")
             if any(len(f) != len(denset) for f in fibers.values()):
@@ -226,14 +271,13 @@ def check_quotients(par=None, rng=None, samples=6):
             for _ in range(10):
                 u = rng.choice(numset)
                 w = rng.choice(numset)
-                lhs = qp.coordinates_of_R(vadd(R, u, w))
-                rhs = tuple(K.add(a, b) for a, b in
-                            zip(qp.coordinates_of_R(u), qp.coordinates_of_R(w)))
+                lhs = coords(vadd(R, u, w))
+                rhs = tuple(K.add(a, b) for a, b in zip(coords(u), coords(w)))
                 if lhs != rhs:
                     _fail("coordinate map is not additive")
-            for j, l in enumerate(qp.lifts_R):
+            for j, l in enumerate(qp.lifts):
                 want = tuple(K.one if m == j else K.zero for m in range(qp.dim))
-                if qp.coordinates_of_R(l) != want:
+                if qp.coordinates_of_k(l) != want:
                     _fail("stored lift does not map to the standard basis")
             count += 1
     return count
@@ -339,12 +383,12 @@ def pi_division_identity_on_every_row(L, i):
         den = Submodule.span(R, h1, [vscale(R, R.pi_pow(e - j), c) for c in V.matrix.cols()])
         for kx in S.krows:
             x = unrestrict_vec(R, kx)
-            Fx = F.apply(x)
+            Fx = apply_R(F, x)
             if any(a[:j] != (0,) * j for a in Fx):
                 _fail("F(x) is not divisible by pi^%d on S_%d" % (j, j))
             q = tuple(tuple(a[j:]) + (0,) * j for a in Fx)
             rhs = vscale(R, R.mul(R.pi_pow(e - j), u), x)
-            if not den.contains(vsub(R, V.apply(q), rhs)):
+            if not den.contains_k(restrict_vec(R, vsub(R, apply_R(V, q), rhs))):
                 return False
     return True
 

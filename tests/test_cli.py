@@ -299,6 +299,21 @@ def test_stdin_stdout_pipe(capsys, monkeypatch):
     assert json.loads(out)["ok"] is True
 
 
+def test_stdin_is_held_to_ascii_like_a_file(capsys, monkeypatch, run_module_cli):
+    # a non-ASCII character in an extra key; piped as UTF-8, and as latin-1,
+    # which UTF-8 cannot decode
+    d = json.loads(ser.dumps(named_instance("ss")))
+    d["note"] = "café"
+    line = json.dumps(d, ensure_ascii=False) + "\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(line))
+    code, out, err = run_cli(capsys, "validate")
+    assert (code, out) == (2, "") and err.startswith("error: cannot read -")
+    for data in (line.encode("utf-8"), line.encode("latin-1")):
+        proc = run_module_cli("validate", input=data)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: cannot read -") and proc.stderr.count(b"\n") == 1
+
+
 def test_subcommands_are_the_user_paths():
     assert "{generate,validate,invariants,dualize,verify,survey}" in build_parser().format_help()
     with pytest.raises(SystemExit) as exc:

@@ -32,7 +32,7 @@ def _moduli(p, f):
 
 def _isomorphisms(K, K2):
     """phi: K -> K2 as a table of codes, one per root of K's modulus in K2."""
-    for r in K2.elements():
+    for r in range(K2.q):
         powers = [K2.one]
         for _ in range(K.f):
             powers.append(K2.mul(powers[-1], r))
@@ -44,7 +44,7 @@ def _isomorphisms(K, K2):
             return acc
 
         if at_r(K.modulus) == K2.zero:
-            yield [at_r(K.to_poly(a)) for a in K.elements()]
+            yield [at_r(K.to_poly(a)) for a in range(K.q)]
 
 
 def _codes_through(x, phi):
@@ -92,7 +92,7 @@ def test_field_isomorphism_maps_sections_and_verdicts():
     for D, par2 in _data():
         K = D.params.k
         for phi in _isomorphisms(K, par2.k):
-            if phi != list(K.elements()):
+            if phi != list(range(K.q)):
                 assert mismatches(D, transported(D, par2, phi), phi) == 0, (D, par2.k.modulus)
                 count += 1
     # (3*2 - 1) + (2*3 - 1) + (10*2 - 1) + (1*2 - 1) + (8*3 - 1) per kind
@@ -104,7 +104,7 @@ def test_codes_without_phi_disagree():
     for D, par2 in _data():
         if par2.k.modulus == D.params.k.modulus:
             continue
-        identity = list(D.params.k.elements())
+        identity = list(range(D.params.k.q))
         tried += 1
         try:
             disagree += mismatches(D, transported(D, par2, identity), identity) > 0

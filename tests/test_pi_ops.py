@@ -14,10 +14,10 @@ from hasseforge.cli import main
 from hasseforge.datum import Params
 from hasseforge.generate import random_lifted
 from hasseforge.invariants import all_verdicts, check_pi_divisibility
-from hasseforge.linalg import Matrix, SemilinearMap, Submodule, vscale
+from hasseforge.linalg import Matrix, SemilinearMap, Submodule
 from hasseforge.rings import FiniteField, RingTower
 
-from oracle import all_vectors, submodule_set
+from oracle import all_vectors, submodule_set, vscale
 
 # e in {1, 2, 3} and f in {1, 2}
 RINGS = {
